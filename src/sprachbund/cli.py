@@ -35,7 +35,7 @@ from .errors import ServiceError, SprachbundError, UsageError, ValidationError
 from .partition import build_manifest, sweep
 from .projection import TsneParams, emit_plot, project
 from .registry import (Registry, bundled_lexical_table, bundled_registry,
-                       load_lexical_table, load_registry)
+                       load_json, load_lexical_table, load_registry)
 from .simmatrix import SimilarityMatrix, build_matrix, load_matrix
 
 AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
@@ -162,10 +162,7 @@ def _read_artifact(workspace: Path, name: str, produced_by: str) -> dict:
     if not path.exists():
         raise ValidationError(
             f"missing input {name}; run `sprachbund {produced_by}` first")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("v") != 1:
-        raise ValidationError(f"{path}: unsupported artifact version")
-    return doc
+    return load_json(path)
 
 
 def _log(workspace: Path, message: str) -> None:
@@ -175,21 +172,50 @@ def _log(workspace: Path, message: str) -> None:
 
 
 class _WorkspaceLock:
-    """Advisory single-process lock: a .lock file holding the owner's pid."""
+    """Advisory single-process lock: a .lock file holding the owner's pid.
+
+    A lock whose pid names no running process was left by a crash and is
+    reclaimed. An empty or non-numeric lock is one being written right now,
+    so it is refused like a live one.
+    """
 
     def __init__(self, workspace: Path):
         self.path = workspace / ".lock"
 
     def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ValidationError(
-                f"workspace {self.path.parent} is locked by another process "
-                f"(remove {self.path.name} if that process is gone)")
+        for attempt in range(2):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                dead_pid = self._dead_owner()
+                if attempt or dead_pid is None:
+                    raise ValidationError(
+                        f"workspace {self.path.parent} is locked by another "
+                        f"process (remove {self.path.name} if that process "
+                        f"is gone)")
+                self.path.unlink(missing_ok=True)
+                _log(self.path.parent,
+                     f"reclaimed {self.path.name} of exited pid {dead_pid}")
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         return self
+
+    def _dead_owner(self) -> int | None:
+        """The pid in the lock file if no process with that pid exists."""
+        try:
+            pid = int(self.path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        if pid <= 0:
+            return None
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return pid
+        except (PermissionError, OverflowError):
+            pass  # alive under another user, or not a pid at all
+        return None
 
     def __exit__(self, *exc):
         try:

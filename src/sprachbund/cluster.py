@@ -8,7 +8,17 @@ whole dendrogram is reproducible on any platform.
 
 Inter-cluster averages are maintained as exact pairwise-distance sums divided
 by member-count products, which keeps the incremental update mathematically
-identical to recomputing the mean from scratch.
+identical to recomputing the mean from scratch. The sums live in an M x M
+float64 array indexed by slot; a merge adds one row into the other and gives
+that slot the new node id.
+
+Each live cluster caches its nearest neighbour (Müllner's "generic"
+algorithm, arXiv:1109.2378), so a step reads M cached minima instead of
+scanning all pairs. After a merge only rows whose neighbour was one of the
+merged clusters are rescanned; every other row compares its pair with the
+new cluster against its cached minimum. A strict comparison suffices: the
+new cluster has the largest id, so it loses every exact tie. The result is
+the merge order, node ids and float distances of a full scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -115,41 +125,54 @@ def agglomerate(matrix: SimilarityMatrix) -> Dendrogram:
     m = len(matrix)
     if m < 2:
         raise ValidationError("clustering needs at least 2 languages")
-    dist = 1.0 - matrix.values
+    # slot-indexed state: sums[s, t] holds the total pairwise distance between
+    # the members of the clusters in slots s and t. A merge folds one slot
+    # into the other, which takes the new node id.
+    sums = 1.0 - matrix.values
+    sizes = np.ones(m, dtype=np.int64)
+    ids = np.arange(m)
+    alive = np.ones(m, dtype=bool)
+    # cached nearest neighbour per slot: its average distance and its slot,
+    # ties going to the smallest partner id
+    row_min = np.empty(m)
+    partner = np.empty(m, dtype=np.int64)
 
-    # sums[(a, b)] with a < b holds the total pairwise distance between the
-    # members of clusters a and b; the average is sums / (size_a * size_b)
-    sums: dict[tuple[int, int], float] = {}
-    sizes: dict[int, int] = {i: 1 for i in range(m)}
-    for i in range(m):
-        for j in range(i + 1, m):
-            sums[(i, j)] = float(dist[i, j])
+    def nearest(s: int) -> None:
+        avg = sums[s] / (sizes[s] * sizes)
+        avg[~alive] = np.inf
+        avg[s] = np.inf
+        best = avg.min()
+        ties = np.flatnonzero(avg == best)
+        row_min[s] = best
+        partner[s] = ties[np.argmin(ids[ties])]
 
-    active = list(range(m))
+    for s in range(m):
+        nearest(s)
+
     merges: list[Merge] = []
-    next_id = m
-    while len(active) > 1:
-        best_key: tuple[float, int, int] | None = None
-        for ai in range(len(active)):
-            a = active[ai]
-            for bi in range(ai + 1, len(active)):
-                b = active[bi]
-                avg = sums[(a, b)] / (sizes[a] * sizes[b])
-                key = (avg, a, b)
-                if best_key is None or key < best_key:
-                    best_key = key
-        avg, a, b = best_key
-        merges.append(Merge(a, b, avg, next_id))
-        sizes[next_id] = sizes[a] + sizes[b]
-        for o in active:
-            if o == a or o == b:
-                continue
-            sums[(min(o, next_id), max(o, next_id))] = (
-                sums[(min(a, o), max(a, o))] + sums[(min(b, o), max(b, o))])
-        active.remove(a)
-        active.remove(b)
-        active.append(next_id)
-        next_id += 1
+    for node_id in range(m, 2 * m - 1):
+        best = row_min.min()
+        lo, hi, s = min(
+            (min(ids[r], ids[partner[r]]), max(ids[r], ids[partner[r]]), r)
+            for r in np.flatnonzero(row_min == best))
+        t = partner[s]
+        merges.append(Merge(int(lo), int(hi), float(best), node_id))
+        sums[s] += sums[t]
+        sums[:, s] = sums[s]
+        sizes[s] += sizes[t]
+        ids[s] = node_id
+        alive[t] = False
+        row_min[t] = np.inf
+        # rows that pointed at either merged cluster (s itself among them)
+        # rescan; every other row only compares its pair with the new cluster,
+        # which loses exact ties because its id is the largest
+        stale = np.flatnonzero(alive & ((partner == s) | (partner == t)))
+        avg = sums[s] / (sizes[s] * sizes)
+        closer = alive & (avg < row_min)
+        row_min[closer] = avg[closer]
+        partner[closer] = s
+        for r in stale:
+            nearest(r)
     return Dendrogram(matrix.languages, tuple(merges))
 
 

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cluster import SprachbundAssignment, agglomerate, cut
 from .errors import ValidationError
+from .registry import load_json
 from .simmatrix import SimilarityMatrix
 
 
@@ -104,11 +105,7 @@ class PartitionManifest:
 
 
 def load_manifest(path: str | Path) -> PartitionManifest:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    return PartitionManifest.from_json(json.loads(raw))
+    return PartitionManifest.from_json(load_json(path))
 
 
 def save_manifest(manifest: PartitionManifest, path: str | Path) -> None:

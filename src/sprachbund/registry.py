@@ -85,7 +85,12 @@ class Registry:
         }
 
 
-def _load_json(path: str | Path) -> dict:
+def load_json(path: str | Path) -> dict:
+    """Read a versioned JSON document: a top-level object with ``"v": 1``.
+
+    Unreadable files, malformed JSON (reported with line and column) and a
+    missing or unknown version all raise :class:`ValidationError`.
+    """
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -104,7 +109,7 @@ def _load_json(path: str | Path) -> dict:
 
 def load_registry(path: str | Path) -> Registry:
     """Parse a registry file: ``{"v": 1, "languages": [{code, family, syntax}]}``."""
-    doc = _load_json(path)
+    doc = load_json(path)
     entries = doc.get("languages")
     if not isinstance(entries, list):
         raise ValidationError(f"{path}: 'languages' must be a list")
@@ -174,7 +179,7 @@ class LexicalSimilarityTable:
 
 def load_lexical_table(path: str | Path) -> LexicalSimilarityTable:
     """Parse a lexical table file: ``{"v": 1, "pairs": [{a, b, sim}]}``."""
-    doc = _load_json(path)
+    doc = load_json(path)
     pairs = doc.get("pairs")
     if not isinstance(pairs, list):
         raise ValidationError(f"{path}: 'pairs' must be a list")

@@ -47,6 +47,50 @@ def naive_average_linkage(dist: np.ndarray):
     return merges, snapshots
 
 
+def incremental_average_linkage(dist: np.ndarray):
+    """Dict-based incremental average linkage: one dict entry per cluster
+    pair holding the exact pairwise-distance sum, a full scan of every active
+    pair per step. O(n^3), but with the same float64 sums and divisions as
+    the library, so its merges must agree to the bit.
+
+    Returns the merge list [(left id, right id, distance, new id)]; ties
+    break on the smallest (min id, max id) pair.
+    """
+    m = len(dist)
+    sums: dict[tuple[int, int], float] = {}
+    sizes: dict[int, int] = {i: 1 for i in range(m)}
+    for i in range(m):
+        for j in range(i + 1, m):
+            sums[(i, j)] = float(dist[i, j])
+
+    active = list(range(m))
+    merges = []
+    next_id = m
+    while len(active) > 1:
+        best_key = None
+        for ai in range(len(active)):
+            a = active[ai]
+            for bi in range(ai + 1, len(active)):
+                b = active[bi]
+                avg = sums[(a, b)] / (sizes[a] * sizes[b])
+                key = (avg, a, b)
+                if best_key is None or key < best_key:
+                    best_key = key
+        avg, a, b = best_key
+        merges.append((a, b, avg, next_id))
+        sizes[next_id] = sizes[a] + sizes[b]
+        for o in active:
+            if o == a or o == b:
+                continue
+            sums[(min(o, next_id), max(o, next_id))] = (
+                sums[(min(a, o), max(a, o))] + sums[(min(b, o), max(b, o))])
+        active.remove(a)
+        active.remove(b)
+        active.append(next_id)
+        next_id += 1
+    return merges
+
+
 def direct_pearson(xs, ys) -> float:
     n = len(xs)
     mx = sum(xs) / n

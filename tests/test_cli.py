@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +181,52 @@ class TestErrors:
     def test_locked_workspace_exits_2(self, demo_config, tmp_path, capsys):
         ws = tmp_path / "ws"
         ws.mkdir()
-        (ws / ".lock").write_text("12345")
+        (ws / ".lock").write_text(str(os.getpid()))
         rc = cli.main(["all", "--config", str(demo_config())])
         assert rc == 2
         assert "locked" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["", "not a pid", "0"])
+    def test_lock_being_written_or_unreadable_is_refused(
+            self, demo_config, tmp_path, capsys, content):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / ".lock").write_text(content)
+        rc = cli.main(["cluster", "--config", str(demo_config())])
+        assert rc == 2
+        assert "locked" in capsys.readouterr().err
+
+    def test_lock_of_exited_process_is_reclaimed(self, demo_config, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / ".lock").write_text(str(child.pid))
+        assert cli.main(["sample", "--config", str(demo_config())]) == 0
+        assert not (ws / ".lock").exists()
+        assert f"exited pid {child.pid}" in (ws / "run.log").read_text()
+
+    def test_lock_of_other_users_process_is_refused(self, demo_config, tmp_path,
+                                                    monkeypatch, capsys):
+        def kill(pid, sig):
+            raise PermissionError(1, "Operation not permitted")
+        monkeypatch.setattr(cli.os, "kill", kill)
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / ".lock").write_text("4242")
+        assert cli.main(["cluster", "--config", str(demo_config())]) == 2
+        assert "locked" in capsys.readouterr().err
+
+    def test_truncated_artifact_exits_2_with_position(self, demo_config,
+                                                      tmp_path, capsys):
+        cfg = str(demo_config())
+        for stage in ("sample", "embed", "repr", "simmat"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        simmat = tmp_path / "ws" / "simmat.json"
+        simmat.write_bytes(simmat.read_bytes()[:200])
+        assert cli.main(["cluster", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "simmat.json: line" in err and "column" in err
 
 
 class TestEmbedFromService:

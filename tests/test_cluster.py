@@ -1,21 +1,30 @@
+import itertools
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import direct_silhouette, naive_average_linkage
-from sprachbund.cluster import (Dendrogram, SprachbundAssignment, agglomerate,
-                                cut, random_baseline, silhouette)
+from reference import (direct_silhouette, incremental_average_linkage,
+                       naive_average_linkage)
+from sprachbund.cluster import (Dendrogram, Merge, SprachbundAssignment,
+                                agglomerate, cut, random_baseline, silhouette)
 from sprachbund.errors import ValidationError
 from sprachbund.registry import bundled_registry
 from sprachbund.simmatrix import SimilarityMatrix
 
-CODES = [a + b for a in "abcdefghijkl" for b in "abcdefghijkl"]
+CODES = [a + b for a in string.ascii_lowercase for b in string.ascii_lowercase]
 
 
-def random_similarity(m, seed):
+def random_similarity(m, seed, quantum=None):
+    """Random symmetric similarities; ``quantum`` rounds them to a grid so
+    that many pairs, and later many cluster averages, tie exactly."""
     rng = np.random.default_rng(seed)
     values = rng.uniform(-0.5, 1.0, size=(m, m))
+    if quantum is not None:
+        values = np.round(values / quantum) * quantum
     upper = np.triu(values, k=1)
     values = upper + upper.T
     np.fill_diagonal(values, 1.0)
@@ -51,14 +60,35 @@ class TestAgglomerate:
         assert first_two == {frozenset((0, 1)), frozenset((2, 3))}
 
     def test_matches_naive_oracle(self):
-        for seed in range(10):
-            mat = random_similarity(10, seed)
+        # tie-heavy cases use a dyadic grid: it keeps every pair sum exact, so
+        # the naive oracle's own summation order still produces the same ties
+        for quantum, seed in itertools.product((None, 0.125), range(10)):
+            mat = random_similarity(10, seed, quantum)
             dg = agglomerate(mat)
             expected, _ = naive_average_linkage(1.0 - mat.values)
             got = [(m.left, m.right, m.node_id) for m in dg.merges]
             assert got == [(a, b, nid) for a, b, _, nid in expected]
             for merge, (_, _, d, _) in zip(dg.merges, expected):
                 assert merge.distance == pytest.approx(d, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+           quantum=st.sampled_from([None, 0.1]))
+    def test_bit_identical_to_incremental_oracle(self, m, seed, quantum):
+        mat = random_similarity(m, seed, quantum)
+        self.assert_bit_identical(mat)
+
+    def test_bit_identical_to_incremental_oracle_m200(self):
+        self.assert_bit_identical(random_similarity(200, 2024, 0.1))
+
+    @staticmethod
+    def assert_bit_identical(mat):
+        merges = incremental_average_linkage(1.0 - mat.values)
+        dg = agglomerate(mat)
+        assert dg == Dendrogram(mat.languages,
+                                tuple(Merge(*mg) for mg in merges))
+        assert ([m.distance.hex() for m in dg.merges]
+                == [d.hex() for _, _, d, _ in merges])
 
     def test_merge_distances_monotone(self):
         for seed in range(5):
