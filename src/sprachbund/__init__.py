@@ -14,9 +14,9 @@ from .analysis import (AnalysisReport, build_report, family_purity,
 from .cluster import (Dendrogram, SprachbundAssignment, agglomerate, cut,
                       random_baseline, silhouette)
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
-from .embedding import (LanguageRepresentation, SentenceEmbeddingSet, centroid,
-                        centroid_all, fetch_embeddings, load_embeddings,
-                        write_embeddings)
+from .embedding import (FetchStats, LanguageRepresentation,
+                        SentenceEmbeddingSet, centroid, centroid_all,
+                        fetch_embeddings, load_embeddings, write_embeddings)
 from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
                      UsageError, ValidationError)
 from .partition import (PartitionManifest, build_manifest, load_manifest,
@@ -34,7 +34,7 @@ from .simmatrix import (SimilarityMatrix, build_matrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport", "CorpusShard", "Dendrogram", "LanguageRecord",
+    "AnalysisReport", "CorpusShard", "Dendrogram", "FetchStats", "LanguageRecord",
     "LanguageRepresentation", "LexicalSimilarityTable", "PartialEmbeddingError",
     "PartitionManifest", "Projection2D", "Registry", "SamplingPolicy",
     "SentenceEmbeddingSet", "ServiceError", "SimilarityMatrix",

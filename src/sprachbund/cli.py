@@ -28,14 +28,15 @@ from . import __version__
 from .analysis import build_report
 from .cluster import SprachbundAssignment, agglomerate, cut
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
-from .embedding import (LanguageRepresentation, SentenceEmbeddingSet,
-                        centroid_all, fetch_embeddings, load_embeddings,
-                        write_embeddings)
+from .embedding import (FetchStats, LanguageRepresentation,
+                        SentenceEmbeddingSet, centroid_all, fetch_embeddings,
+                        load_embeddings, write_embeddings)
 from .errors import ServiceError, SprachbundError, UsageError, ValidationError
 from .partition import build_manifest, sweep
 from .projection import TsneParams, emit_plot, project
-from .registry import (Registry, bundled_lexical_table, bundled_registry,
-                       load_json, load_lexical_table, load_registry)
+from .registry import (Registry, artifact_keys, bundled_lexical_table,
+                       bundled_registry, load_json, load_lexical_table,
+                       load_registry, write_json)
 from .simmatrix import SimilarityMatrix, build_matrix, load_matrix
 
 AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
@@ -152,17 +153,23 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 def _write_json(path: Path, payload: dict, digest: str) -> None:
     doc = {"v": 1, "config_digest": digest}
     doc.update(payload)
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    write_json(path, doc)
 
 
-def _read_artifact(workspace: Path, name: str, produced_by: str) -> dict:
-    path = workspace / name
+def _read_artifact(path: Path, produced_by: str) -> dict:
     if not path.exists():
         raise ValidationError(
-            f"missing input {name}; run `sprachbund {produced_by}` first")
+            f"missing input {path.name}; run `sprachbund {produced_by}` first")
     return load_json(path)
+
+
+def _file_digest(path: Path) -> str:
+    """SHA-256 prefix of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()[:16]
 
 
 def _log(workspace: Path, message: str) -> None:
@@ -260,13 +267,15 @@ def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
 
 
 def _sampled_shards(ws: Path) -> list[CorpusShard]:
-    doc = _read_artifact(ws, "sampled.json", "sample")
-    return [
-        CorpusShard(language=s["language"],
-                    sentences=tuple((int(i), t) for i, t in s["sentences"]),
-                    source_tag=s.get("source_tag", ""))
-        for s in doc["shards"]
-    ]
+    path = ws / "sampled.json"
+    doc = _read_artifact(path, "sample")
+    with artifact_keys(path):
+        return [
+            CorpusShard(language=s["language"],
+                        sentences=tuple((int(i), t) for i, t in s["sentences"]),
+                        source_tag=s.get("source_tag", ""))
+            for s in doc["shards"]
+        ]
 
 
 def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
@@ -275,6 +284,7 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
         raise ValidationError("embed needs exactly one source: --embeddings "
                               "<file> or --endpoint <url>")
     sets: list[SentenceEmbeddingSet] = []
+    stats = FetchStats()
     if cfg.embeddings:
         available = {s.language: s for s in load_embeddings(cfg.embeddings)}
         for shard in shards:
@@ -294,19 +304,22 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
                 language=shard.language, dim=source.dim, ids=ids,
                 matrix=np.vstack([by_id[i] for i in ids])))
     else:
-        token = os.environ.get(AUTH_TOKEN_ENV)
-        for shard in shards:
-            sets.append(fetch_embeddings(cfg.endpoint, shard, cfg.batch,
-                                         auth_token=token))
-    write_embeddings(sets, ws / "embeddings.jsonl",
-                     extra_header={"config_digest": cfg.digest()})
+        sets = fetch_embeddings(cfg.endpoint, shards, cfg.batch,
+                                auth_token=os.environ.get(AUTH_TOKEN_ENV),
+                                stats=stats)
+    store = ws / "embeddings.npy"
+    write_embeddings(sets, store, extra_header={"config_digest": cfg.digest()})
+    written = sum(p.stat().st_size for p in (store, store.with_suffix(".json")))
+    _log(ws, f"embed http_requests={stats.requests} "
+             f"http_retries={stats.retries} "
+             f"vectors={sum(len(s) for s in sets)} bytes_written={written}")
 
 
 def stage_repr(cfg: PipelineConfig, ws: Path) -> None:
-    path = ws / "embeddings.jsonl"
+    path = ws / "embeddings.npy"
     if not path.exists():
         raise ValidationError(
-            "missing input embeddings.jsonl; run `sprachbund embed` first")
+            "missing input embeddings.npy; run `sprachbund embed` first")
     sets = load_embeddings(path)
     reps = centroid_all(sets)
     _write_json(ws / "representations.json", {
@@ -320,13 +333,15 @@ def stage_repr(cfg: PipelineConfig, ws: Path) -> None:
 
 
 def _load_reps(ws: Path) -> list[LanguageRepresentation]:
-    doc = _read_artifact(ws, "representations.json", "repr")
-    return [
-        LanguageRepresentation(language=r["lang"],
-                               vector=np.asarray(r["vec"], dtype=np.float32),
-                               sample_count=int(r["sample_count"]))
-        for r in doc["representations"]
-    ]
+    path = ws / "representations.json"
+    doc = _read_artifact(path, "repr")
+    with artifact_keys(path):
+        return [
+            LanguageRepresentation(language=r["lang"],
+                                   vector=np.asarray(r["vec"], dtype=np.float32),
+                                   sample_count=int(r["sample_count"]))
+            for r in doc["representations"]
+        ]
 
 
 def stage_simmat(cfg: PipelineConfig, ws: Path) -> None:
@@ -340,7 +355,15 @@ def stage_simmat(cfg: PipelineConfig, ws: Path) -> None:
 def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
     if cfg.matrix:
         return load_matrix(cfg.matrix)
-    return SimilarityMatrix.from_json(_read_artifact(ws, "simmat.json", "simmat"))
+    path = ws / "simmat.json"
+    return SimilarityMatrix.from_json(_read_artifact(path, "simmat"), source=path)
+
+
+def _load_assignment(ws: Path) -> SprachbundAssignment:
+    path = ws / "assignment.json"
+    doc = _read_artifact(path, "cluster")
+    with artifact_keys(path):
+        return SprachbundAssignment.from_json(doc)
 
 
 def stage_cluster(cfg: PipelineConfig, ws: Path) -> None:
@@ -364,8 +387,7 @@ def stage_partition(cfg: PipelineConfig, ws: Path) -> None:
     matrix = _load_simmat(cfg, ws)
     source_digest = None
     if cfg.embeddings and Path(cfg.embeddings).exists():
-        source_digest = hashlib.sha256(
-            Path(cfg.embeddings).read_bytes()).hexdigest()[:16]
+        source_digest = _file_digest(Path(cfg.embeddings))
     provenance = {
         "seed": cfg.seed,
         "embedding_source": (f"file:{cfg.embeddings}" if cfg.embeddings
@@ -381,9 +403,7 @@ def stage_partition(cfg: PipelineConfig, ws: Path) -> None:
                           allow_missing=cfg.allow_missing,
                           provenance=provenance)
     else:
-        doc = _read_artifact(ws, "assignment.json", "cluster")
-        assignment = SprachbundAssignment.from_json(doc)
-        manifests = [build_manifest(assignment, matrix, index,
+        manifests = [build_manifest(_load_assignment(ws), matrix, index,
                                     allow_missing=cfg.allow_missing,
                                     provenance=provenance)]
     for manifest in manifests:
@@ -398,8 +418,7 @@ def stage_analyze(cfg: PipelineConfig, ws: Path) -> None:
     table = cfg.load_lexical_table()
     assignment = None
     if (ws / "assignment.json").exists():
-        assignment = SprachbundAssignment.from_json(
-            _read_artifact(ws, "assignment.json", "cluster"))
+        assignment = _load_assignment(ws)
     features = tuple(
         f for f in registry.feature_names
         if any(f in r.syntax for r in registry))

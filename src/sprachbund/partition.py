@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cluster import SprachbundAssignment, agglomerate, cut
 from .errors import ValidationError
-from .registry import load_json
+from .registry import artifact_keys, load_json
 from .simmatrix import SimilarityMatrix
 
 
@@ -105,7 +105,9 @@ class PartitionManifest:
 
 
 def load_manifest(path: str | Path) -> PartitionManifest:
-    return PartitionManifest.from_json(load_json(path))
+    doc = load_json(path)
+    with artifact_keys(path):
+        return PartitionManifest.from_json(doc)
 
 
 def save_manifest(manifest: PartitionManifest, path: str | Path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -105,6 +106,34 @@ def load_json(path: str | Path) -> dict:
     if doc.get("v") != 1:
         raise ValidationError(f"{path}: unsupported or missing schema version 'v'")
     return doc
+
+
+@contextmanager
+def artifact_keys(path: str | Path) -> Iterator[None]:
+    """Report a parsed document's missing key or ill-typed field as bad data.
+
+    Wrap the code that picks fields out of a document read from ``path``: a
+    ``KeyError`` becomes ``<path>: missing key '<k>'`` and a ``TypeError`` or
+    ``ValueError`` becomes ``<path>: malformed: <message>``, both as
+    :class:`ValidationError`.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed: {exc}") from None
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write ``doc`` as indented, key-sorted UTF-8 JSON plus a newline.
+
+    The encoder's output is streamed into the file rather than joined into
+    one string first, so a large document is never held twice in memory.
+    """
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
 
 
 def load_registry(path: str | Path) -> Registry:

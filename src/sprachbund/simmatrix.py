@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import LanguageRepresentation
 from .errors import ValidationError
-from .registry import LexicalSimilarityTable
+from .registry import LexicalSimilarityTable, artifact_keys
 
 
 def cosine(a, b) -> float:
@@ -83,10 +83,15 @@ class SimilarityMatrix:
                 "values": [[float(x) for x in row] for row in self.values]}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "SimilarityMatrix":
-        if "languages" not in doc or "values" not in doc:
-            raise ValidationError("matrix JSON needs 'languages' and 'values'")
-        return cls(tuple(doc["languages"]), np.asarray(doc["values"]))
+    def from_json(cls, doc: dict,
+                  source: str | Path = "matrix JSON") -> "SimilarityMatrix":
+        """Parse ``{"languages": [...], "values": [[...]]}``; ``source`` names
+        the document in error messages."""
+        if not isinstance(doc, dict):
+            raise ValidationError(
+                f"{source}: expected a JSON object, got {type(doc).__name__}")
+        with artifact_keys(source):
+            return cls(tuple(doc["languages"]), np.asarray(doc["values"]))
 
     def to_csv(self) -> str:
         lines = ["," + ",".join(self.languages)]
@@ -126,7 +131,7 @@ def load_matrix(path: str | Path) -> SimilarityMatrix:
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return SimilarityMatrix.from_json(doc)
+    return SimilarityMatrix.from_json(doc, source=path)
 
 
 def bundled_embedding_similarity() -> SimilarityMatrix:

@@ -28,20 +28,28 @@ def _default_vector(text: str, dim: int) -> list[float]:
     return [float(x) for x in rng.standard_normal(dim)]
 
 
+class _QueuedHTTPServer(HTTPServer):
+    # room in the listen queue for every connection of a client's pool
+    request_queue_size = 32
+
+
 class StubEmbeddingServer:
     """Tiny in-process embedding service for exercising the HTTP client.
 
     GET /info -> {"dim": dim}; POST /embed -> {"vectors": [...]} with
-    configurable misbehavior: fail the first N posts with a 500, truncate the
-    response of a given batch, or answer null for chosen texts.
+    configurable misbehavior: fail the first N posts with ``fail_status``
+    (500 by default), truncate the response of a given batch, or answer null
+    for chosen texts. Requests are served one at a time, in arrival order.
     """
 
     def __init__(self, dim: int = 4, fail_posts: int = 0,
+                 fail_status: int = 500,
                  truncate_batch: int | None = None,
                  null_texts: frozenset[str] = frozenset(),
                  malformed: bool = False, wrong_dim: int | None = None):
         self.dim = dim
         self.fail_posts = fail_posts
+        self.fail_status = fail_status
         self.truncate_batch = truncate_batch
         self.null_texts = set(null_texts)
         self.malformed = malformed
@@ -78,7 +86,7 @@ class StubEmbeddingServer:
                 outer.embed_requests += 1
                 outer.auth_headers.append(self.headers.get("Authorization"))
                 if outer.embed_requests <= outer.fail_posts:
-                    self._send(500, {"error": "flaky"})
+                    self._send(outer.fail_status, {"error": "flaky"})
                     return
                 if outer.malformed:
                     self._send(200, {"unexpected": True})
@@ -96,7 +104,7 @@ class StubEmbeddingServer:
                     vectors = vectors[:-1]
                 self._send(200, {"vectors": vectors})
 
-        self._server = HTTPServer(("127.0.0.1", 0), Handler)
+        self._server = _QueuedHTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         daemon=True)
         self._thread.start()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -69,15 +70,12 @@ class TestAllPipeline:
         assert cli.main(["all", "--config", str(demo_config())]) == 0
         ws = tmp_path / "ws"
         digests = set()
-        for name in ("sampled.json", "representations.json", "simmat.json",
-                     "assignment.json", "manifest_k2.json", "analysis.json",
-                     "projection.json"):
+        for name in ("sampled.json", "embeddings.json", "representations.json",
+                     "simmat.json", "assignment.json", "manifest_k2.json",
+                     "analysis.json", "projection.json"):
             doc = json.loads((ws / name).read_text())
             assert doc["v"] == 1
             digests.add(doc["config_digest"])
-        header = json.loads(
-            (ws / "embeddings.jsonl").read_text().splitlines()[0])
-        digests.add(header["config_digest"])
         assert len(digests) == 1
         digest = digests.pop()
         assert f"config_digest={digest}" in \
@@ -229,6 +227,55 @@ class TestErrors:
         assert "simmat.json: line" in err and "column" in err
 
 
+class TestDamagedArtifacts:
+    @pytest.mark.parametrize("name, stage, key", [
+        ("sampled.json", "embed", "shards"),
+        ("embeddings.json", "repr", "dim"),
+        ("representations.json", "simmat", "representations"),
+        ("simmat.json", "cluster", "languages"),
+        ("assignment.json", "partition", "k"),
+    ])
+    def test_missing_key_exits_2(self, demo_config, tmp_path, capsys,
+                                 name, stage, key):
+        cfg = str(demo_config())
+        for earlier in cli.STAGE_ORDER[:cli.STAGE_ORDER.index(stage)]:
+            assert cli.main([earlier, "--config", cfg]) == 0
+        (tmp_path / "ws" / name).write_text('{"v": 1}')
+        capsys.readouterr()
+        assert cli.main([stage, "--config", cfg]) == 2
+        assert f"{name}: missing key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda npy: npy.unlink(), "missing input embeddings.npy"),
+        (lambda npy: npy.write_bytes(npy.read_bytes()[:-4]), "unreadable"),
+        (lambda npy: np.save(npy, np.load(npy)[:-1]), "embeddings.json lists 96"),
+        (lambda npy: np.save(npy, np.load(npy).astype(np.float64)), "<f8"),
+    ])
+    def test_damaged_store_exits_2(self, demo_config, tmp_path, capsys,
+                                   damage, message):
+        cfg = str(demo_config())
+        for stage in ("sample", "embed"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        damage(tmp_path / "ws" / "embeddings.npy")
+        assert cli.main(["repr", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_matrix_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text("5")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"matrix": str(matrix),
+                                   "out": str(tmp_path / "ws")}))
+        assert cli.main(["cluster", "--config", str(cfg)]) == 2
+        assert "expected a JSON object, got int" in capsys.readouterr().err
+
+    def test_source_digest_is_read_in_chunks(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(5 * 2 ** 19 + 7))
+        assert cli._file_digest(path) == \
+            hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
 class TestEmbedFromService:
     def test_endpoint_pipeline(self, tmp_path, embedding_server, monkeypatch):
         server = embedding_server(dim=6)
@@ -247,11 +294,22 @@ class TestEmbedFromService:
         }), encoding="utf-8")
         for stage in ("sample", "embed", "repr", "simmat"):
             assert cli.main([stage, "--config", str(cfg)]) == 0
-        header, *records = (tmp_path / "ws" / "embeddings.jsonl") \
-            .read_text().splitlines()
-        assert json.loads(header)["dim"] == 6
-        assert len(records) == 20
+        index = json.loads((tmp_path / "ws" / "embeddings.json").read_text())
+        assert index["dim"] == 6
+        assert sum(len(e["ids"]) for e in index["languages"]) == 20
+        assert np.load(tmp_path / "ws" / "embeddings.npy").shape == (20, 6)
         assert server.embed_requests == 12  # ceil(5/2) batches x 4 languages
+        assert server.info_requests == 1
+        log = (tmp_path / "ws" / "run.log").read_text()
+        assert "embed http_requests=13 http_retries=0 vectors=20 " in log
+
+    def test_client_error_exits_3(self, demo_config, embedding_server,
+                                  capsys):
+        server = embedding_server(dim=4, fail_posts=1, fail_status=403)
+        cfg = str(demo_config(embeddings=None, endpoint=server.endpoint))
+        assert cli.main(["sample", "--config", cfg]) == 0
+        assert cli.main(["embed", "--config", cfg]) == 3
+        assert "answered 403" in capsys.readouterr().err
 
     def test_auth_token_env_var(self, tmp_path, embedding_server, monkeypatch):
         server = embedding_server(dim=3)

@@ -1,12 +1,20 @@
 import json
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sprachbund.corpus import CorpusShard
-from sprachbund.embedding import (SentenceEmbeddingSet, centroid, centroid_all,
-                                  fetch_embeddings, load_embeddings,
-                                  write_embeddings)
+from sprachbund.embedding import (FETCH_WORKERS, FetchStats,
+                                  SentenceEmbeddingSet, _pooled, centroid,
+                                  centroid_all, fetch_embeddings,
+                                  load_embeddings, write_embeddings)
 from sprachbund.errors import (PartialEmbeddingError, ServiceError,
                                ValidationError)
 
@@ -64,7 +72,7 @@ class TestLoadEmbeddings:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         sets = [make_set("aa", rng.standard_normal((4, 6))),
-                make_set("bb", rng.standard_normal((2, 6)))]
+                make_set("bb", rng.standard_normal((2, 6)), np.array([5, 2]))]
         path = tmp_path / "emb.jsonl"
         write_embeddings(sets, path)
         loaded = load_embeddings(path)
@@ -74,6 +82,101 @@ class TestLoadEmbeddings:
             assert np.array_equal(back.matrix, orig.matrix)
 
 
+@st.composite
+def embedding_sets(draw):
+    """One to four languages sharing a dimension, each with 0-40 rows."""
+    dim = draw(st.integers(1, 8))
+    sets = []
+    for code in ("aa", "bb", "cc", "dd")[:draw(st.integers(1, 4))]:
+        ids = draw(st.lists(st.integers(0, 10 ** 6), max_size=40, unique=True))
+        matrix = draw(hnp.arrays(
+            np.float32, (len(ids), dim),
+            elements=st.floats(-1e6, 1e6, width=32, allow_nan=False)))
+        sets.append(make_set(code, matrix, ids))
+    return sets
+
+
+class TestEmbeddingStore:
+    @settings(max_examples=60, deadline=None)
+    @given(embedding_sets())
+    @example([make_set("aa", np.zeros((0, 3))),
+              make_set("bb", [[1.0, -0.0, 3.5], [2.0, 4.0, -1e-30]], [7, 3])])
+    def test_round_trip_matches_jsonl_bit_for_bit(self, sets):
+        with tempfile.TemporaryDirectory() as tmp:
+            store, jsonl = Path(tmp) / "emb.npy", Path(tmp) / "emb.jsonl"
+            write_embeddings(sets, store)
+            write_embeddings(sets, jsonl)
+            loaded = load_embeddings(store)
+            assert [s.language for s in loaded] == [s.language for s in sets]
+            for orig, back in zip(sets, loaded):
+                assert back.ids == orig.ids
+                assert back.matrix.tobytes() == orig.matrix.tobytes()
+            # JSON Lines has no record for a language without rows
+            from_store = {r.language: r for r in
+                          centroid_all([s for s in loaded if len(s)])}
+            from_jsonl = centroid_all(load_embeddings(jsonl))
+            assert sorted(from_store) == sorted(r.language for r in from_jsonl)
+            for rep in from_jsonl:
+                assert ([float(x).hex() for x in from_store[rep.language].vector]
+                        == [float(x).hex() for x in rep.vector])
+
+    def test_layout_is_little_endian_float32_in_language_order(self, tmp_path):
+        sets = [make_set("aa", [[1.0, 2.0]]),
+                make_set("bb", [[3.0, 4.0], [5.0, 6.0]], [9, 4])]
+        write_embeddings(sets, tmp_path / "emb.npy",
+                         extra_header={"config_digest": "abc"})
+        matrix = np.load(tmp_path / "emb.npy")
+        assert matrix.dtype == np.dtype("<f4")
+        assert matrix.tolist() == [[1, 2], [3, 4], [5, 6]]
+        index = json.loads((tmp_path / "emb.json").read_text())
+        assert index == {"v": 1, "config_digest": "abc", "dim": 2,
+                         "languages": [{"lang": "aa", "ids": [0]},
+                                       {"lang": "bb", "ids": [9, 4]}]}
+
+    def damaged(self, tmp_path):
+        path = tmp_path / "emb.npy"
+        write_embeddings([make_set("aa", np.ones((3, 4)))], path)
+        return path
+
+    def test_missing_matrix(self, tmp_path):
+        path = self.damaged(tmp_path)
+        path.unlink()
+        with pytest.raises(ValidationError, match="store not found"):
+            load_embeddings(path)
+
+    def test_missing_index(self, tmp_path):
+        path = self.damaged(tmp_path)
+        path.with_suffix(".json").unlink()
+        with pytest.raises(ValidationError, match="index not found"):
+            load_embeddings(path)
+
+    def test_truncated_matrix(self, tmp_path):
+        path = self.damaged(tmp_path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValidationError, match="unreadable"):
+            load_embeddings(path)
+
+    def test_shape_disagrees_with_index(self, tmp_path):
+        path = self.damaged(tmp_path)
+        index = json.loads(path.with_suffix(".json").read_text())
+        index["languages"][0]["ids"].append(3)
+        path.with_suffix(".json").write_text(json.dumps(index))
+        with pytest.raises(ValidationError, match="lists 4 rows"):
+            load_embeddings(path)
+
+    def test_dtype_disagrees_with_index(self, tmp_path):
+        path = self.damaged(tmp_path)
+        np.save(path, np.ones((3, 4)))
+        with pytest.raises(ValidationError, match="<f8"):
+            load_embeddings(path)
+
+    def test_index_missing_key(self, tmp_path):
+        path = self.damaged(tmp_path)
+        path.with_suffix(".json").write_text('{"v": 1, "dim": 4}')
+        with pytest.raises(ValidationError, match="missing key 'languages'"):
+            load_embeddings(path)
+
+
 class TestFetchEmbeddings:
     def shard(self, n):
         return CorpusShard(language="aa",
@@ -81,7 +184,7 @@ class TestFetchEmbeddings:
 
     def test_batching(self, embedding_server):
         server = embedding_server(dim=4)
-        out = fetch_embeddings(server.endpoint, self.shard(10), batch=4)
+        [out] = fetch_embeddings(server.endpoint, [self.shard(10)], batch=4)
         assert server.embed_requests == 3
         assert server.batch_sizes == [4, 4, 2]
         assert len(out) == 10 and out.dim == 4
@@ -89,61 +192,81 @@ class TestFetchEmbeddings:
 
     def test_empty_shard_zero_embed_requests(self, embedding_server):
         server = embedding_server(dim=4)
-        out = fetch_embeddings(server.endpoint, self.shard(0), batch=4)
+        [out] = fetch_embeddings(server.endpoint, [self.shard(0)], batch=4)
         assert server.embed_requests == 0
         assert len(out) == 0 and out.dim == 4
 
     def test_partial_failure_lists_missing_ids(self, embedding_server):
         server = embedding_server(dim=4, truncate_batch=1)
         with pytest.raises(PartialEmbeddingError) as excinfo:
-            fetch_embeddings(server.endpoint, self.shard(10), batch=10)
+            fetch_embeddings(server.endpoint, [self.shard(10)], batch=10)
         assert excinfo.value.missing_ids == [9]
 
     def test_null_vector_counts_as_missing(self, embedding_server):
         server = embedding_server(dim=4, null_texts=frozenset({"text 3"}))
         with pytest.raises(PartialEmbeddingError) as excinfo:
-            fetch_embeddings(server.endpoint, self.shard(5), batch=2)
+            fetch_embeddings(server.endpoint, [self.shard(5)], batch=2)
         assert excinfo.value.missing_ids == [3]
 
     def test_transient_500_is_retried(self, embedding_server):
         server = embedding_server(dim=4, fail_posts=2)
-        out = fetch_embeddings(server.endpoint, self.shard(4), batch=4,
-                               retries=3, retry_wait=0.01)
+        [out] = fetch_embeddings(server.endpoint, [self.shard(4)], batch=4,
+                                 retries=3, retry_wait=0.01)
         assert len(out) == 4
         assert server.embed_requests == 3  # two failures plus the success
 
     def test_persistent_500_gives_service_error(self, embedding_server):
         server = embedding_server(dim=4, fail_posts=100)
         with pytest.raises(ServiceError, match="giving up"):
-            fetch_embeddings(server.endpoint, self.shard(4), batch=4,
+            fetch_embeddings(server.endpoint, [self.shard(4)], batch=4,
                              retries=1, retry_wait=0.01)
 
     def test_connection_error(self):
         with pytest.raises(ServiceError):
-            fetch_embeddings("http://127.0.0.1:9", self.shard(2), batch=2,
+            fetch_embeddings("http://127.0.0.1:9", [self.shard(2)], batch=2,
                              retries=0, retry_wait=0.01)
 
     def test_malformed_response_is_protocol_error(self, embedding_server):
         server = embedding_server(dim=4, malformed=True)
         with pytest.raises(ServiceError, match="vectors"):
-            fetch_embeddings(server.endpoint, self.shard(2), batch=2)
+            fetch_embeddings(server.endpoint, [self.shard(2)], batch=2)
 
     def test_wrong_dimension_is_protocol_error(self, embedding_server):
         server = embedding_server(dim=4, wrong_dim=5)
         with pytest.raises(ServiceError, match="declared 4"):
-            fetch_embeddings(server.endpoint, self.shard(2), batch=2)
+            fetch_embeddings(server.endpoint, [self.shard(2)], batch=2)
 
     def test_auth_token_sent_as_bearer(self, embedding_server):
         server = embedding_server(dim=4)
-        fetch_embeddings(server.endpoint, self.shard(2), batch=2,
+        fetch_embeddings(server.endpoint, [self.shard(2)], batch=2,
                          auth_token="sesame")
         assert server.auth_headers == ["Bearer sesame"]
+
+    def test_429_is_retried(self, embedding_server):
+        server = embedding_server(dim=4, fail_posts=2, fail_status=429)
+        stats = FetchStats()
+        [out] = fetch_embeddings(server.endpoint, [self.shard(4)], batch=4,
+                                 retry_wait=0.01, stats=stats)
+        assert len(out) == 4
+        assert server.embed_requests == 3
+        assert (stats.requests, stats.retries) == (4, 2)  # /info counts too
+
+    def test_4xx_is_not_retried(self, embedding_server):
+        server = embedding_server(dim=4, fail_posts=1, fail_status=404)
+        with pytest.raises(ServiceError, match="answered 404"):
+            fetch_embeddings(server.endpoint, [self.shard(4)], batch=4,
+                             retry_wait=0.01)
+        assert server.embed_requests == 1
+
+    def test_non_http_endpoint_rejected(self):
+        with pytest.raises(ValidationError, match="http"):
+            fetch_embeddings("localhost:9", [self.shard(2)], batch=2)
 
     def test_vectors_reassembled_by_id(self, embedding_server):
         server = embedding_server(dim=4)
         shard = CorpusShard(language="aa",
                             sentences=((5, "five"), (2, "two"), (9, "nine")))
-        out = fetch_embeddings(server.endpoint, shard, batch=2)
+        [out] = fetch_embeddings(server.endpoint, [shard], batch=2)
         assert out.ids == (2, 5, 9)
 
 
@@ -221,3 +344,106 @@ class TestCentroidAll:
         reps = centroid_all(sets)
         assert len(reps) == 108
         assert all(r.dim == 768 for r in reps)
+
+
+class TestPooledFetch:
+    """All languages' batches go through one pool of connections."""
+
+    SIZES = {"aa": 5, "bb": 0, "cc": 9, "dd": 2, "ee": 7, "ff": 4}
+
+    def shards(self):
+        rng = np.random.default_rng(5)
+        return [CorpusShard(language=code, sentences=tuple(
+                    (int(i), f"{code} text {i}")
+                    for i in rng.permutation(n * 3)[:n]))
+                for code, n in self.SIZES.items()]
+
+    def test_equals_per_language_sequential_fetches(self, embedding_server):
+        # the first six posts fail; with a pool they are batches of several
+        # languages
+        flaky = embedding_server(dim=5, fail_posts=6)
+        stats = FetchStats()
+        pooled = fetch_embeddings(flaky.endpoint, self.shards(), batch=2,
+                                  retry_wait=0.001, stats=stats)
+        steady = embedding_server(dim=5)
+        sequential = [fetch_embeddings(steady.endpoint, [shard], batch=2)[0]
+                      for shard in self.shards()]
+        assert [s.language for s in pooled] == list(self.SIZES)
+        for a, b in zip(pooled, sequential):
+            assert a.language == b.language
+            assert a.ids == b.ids == tuple(sorted(a.ids))
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+        batches = sum((n + 1) // 2 for n in self.SIZES.values())
+        assert flaky.embed_requests == batches + 6
+        assert flaky.info_requests == 1
+        assert (stats.requests, stats.retries) == (1 + batches + 6, 6)
+
+    def test_first_hard_failure_stops_new_requests(self, embedding_server):
+        server = embedding_server(dim=4, fail_posts=1, fail_status=400)
+        shards = [CorpusShard(language=f"l{i:02d}", sentences=((0, f"s{i}"),))
+                  for i in range(40)]
+        with pytest.raises(ServiceError, match="answered 400"):
+            fetch_embeddings(server.endpoint, shards, batch=1, retry_wait=0.01)
+        assert server.embed_requests <= 2 * FETCH_WORKERS
+
+    def test_partial_names_first_language_after_all_batches(
+            self, embedding_server):
+        server = embedding_server(
+            dim=4, null_texts=frozenset({"cc text 0", "ee text 3"}))
+        shards = [CorpusShard(language=code, sentences=tuple(
+                      (i, f"{code} text {i}") for i in range(4)))
+                  for code in ("aa", "cc", "dd", "ee")]
+        with pytest.raises(PartialEmbeddingError) as excinfo:
+            fetch_embeddings(server.endpoint, shards, batch=2)
+        assert excinfo.value.language == "cc"
+        assert excinfo.value.missing_ids == [0]
+        assert server.embed_requests == 8
+
+
+class TestPool:
+    def run_bounded(self, *args):
+        """``_pooled(*args)`` on a thread that must finish within 60 s."""
+        outcome = {}
+
+        def target():
+            try:
+                outcome["value"] = _pooled(*args)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not thread.is_alive()
+        return outcome
+
+    def test_every_item_runs_once_and_lands_in_place(self):
+        seen = []
+
+        def task(conn, item):
+            seen.append((conn, item))
+            return item * 3
+
+        items = list(range(3000))
+        outcome = self.run_bounded(list(range(FETCH_WORKERS)), items, task)
+        assert outcome["value"] == [i * 3 for i in items]
+        assert sorted(item for _, item in seen) == items
+        assert len({conn for conn, _ in seen}) > 1
+
+    def test_earliest_failure_is_raised_and_stops_new_items(self):
+        started = []
+
+        def task(conn, item):
+            started.append(item)
+            if item in (5, 9):
+                raise ValueError(f"item {item}")
+            return item
+
+        outcome = self.run_bounded(list(range(4)), list(range(1000)), task)
+        assert str(outcome["error"]) == "item 5"
+        assert len(started) < 1000
