@@ -59,8 +59,9 @@ def lexical_correlation(matrix: SimilarityMatrix,
     return LexicalCorrelation(r=pearson(xs, ys), pair_count=len(xs))
 
 
-def _majority_report(assignment: SprachbundAssignment,
-                     labels: Mapping[str, str | None]) -> PurityReport:
+def _majority_report(assignment: SprachbundAssignment, registry: Registry,
+                     attribute: str) -> PurityReport:
+    labels = registry.labels(sorted(assignment.languages), attribute)
     clusters = []
     fractions = []
     for members in assignment.members:
@@ -83,14 +84,7 @@ def _majority_report(assignment: SprachbundAssignment,
 def family_purity(assignment: SprachbundAssignment,
                   registry: Registry) -> PurityReport:
     """Per-cluster majority-family fraction over family-labeled members."""
-    labels: dict[str, str | None] = {}
-    for code in sorted(assignment.languages):
-        record = registry.get(code)
-        if record is None:
-            raise ValidationError(
-                f"assigned language {code!r} is not in the registry")
-        labels[code] = record.family
-    return _majority_report(assignment, labels)
+    return _majority_report(assignment, registry, "family")
 
 
 def syntax_agreement(assignment: SprachbundAssignment, registry: Registry,
@@ -100,14 +94,7 @@ def syntax_agreement(assignment: SprachbundAssignment, registry: Registry,
         raise ValidationError(
             f"unknown syntax feature {feature!r}; registry knows "
             f"{', '.join(registry.feature_names)}")
-    labels: dict[str, str | None] = {}
-    for code in sorted(assignment.languages):
-        record = registry.get(code)
-        if record is None:
-            raise ValidationError(
-                f"assigned language {code!r} is not in the registry")
-        labels[code] = record.syntax.get(feature)
-    return _majority_report(assignment, labels)
+    return _majority_report(assignment, registry, feature)
 
 
 @dataclass(frozen=True)
@@ -133,18 +120,13 @@ class AnalysisReport:
             lines.append(
                 f"lexical correlation   r = {self.pearson_lexical.r:+.4f} "
                 f"over {self.pearson_lexical.pair_count} pairs")
-        if self.family_purity:
-            lines.append("family purity per cluster:")
-            for i, c in enumerate(self.family_purity.per_cluster, start=1):
-                shown = "n/a" if c.purity is None else f"{c.purity:.3f}"
-                lines.append(
-                    f"  #{i}: {shown}  majority={c.majority_label or '-'} "
-                    f"(labeled {c.labeled}, unlabeled {c.unlabeled})")
-            if self.family_purity.macro_average is not None:
-                lines.append(
-                    f"  macro average: {self.family_purity.macro_average:.3f}")
-        for feature, rep in self.syntax_agreement.items():
-            lines.append(f"syntax agreement ({feature}):")
+        sections = [("family purity per cluster:", self.family_purity)] + [
+            (f"syntax agreement ({feature}):", rep)
+            for feature, rep in self.syntax_agreement.items()]
+        for title, rep in sections:
+            if rep is None:
+                continue
+            lines.append(title)
             for i, c in enumerate(rep.per_cluster, start=1):
                 shown = "n/a" if c.purity is None else f"{c.purity:.3f}"
                 lines.append(

@@ -36,7 +36,7 @@ from .partition import build_manifest, sweep
 from .projection import TsneParams, emit_plot, project
 from .registry import (Registry, artifact_keys, bundled_lexical_table,
                        bundled_registry, load_json, load_lexical_table,
-                       load_registry, write_json)
+                       load_registry, read_json, write_json)
 from .simmatrix import SimilarityMatrix, build_matrix, load_matrix
 
 AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
@@ -107,15 +107,7 @@ class PipelineConfig:
 
 
 def load_config(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    doc = read_json(path)
     unknown = set(doc) - _CONFIG_KEYS - {"v"}
     if unknown:
         raise ValidationError(
@@ -151,16 +143,18 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 # workspace plumbing
 
 def _write_json(path: Path, payload: dict, digest: str) -> None:
-    doc = {"v": 1, "config_digest": digest}
-    doc.update(payload)
-    write_json(path, doc)
+    write_json(path, {**payload, "v": 1, "config_digest": digest})
 
 
-def _read_artifact(path: Path, produced_by: str) -> dict:
+def _require(path: Path, produced_by: str) -> Path:
     if not path.exists():
         raise ValidationError(
             f"missing input {path.name}; run `sprachbund {produced_by}` first")
-    return load_json(path)
+    return path
+
+
+def _read_artifact(path: Path, produced_by: str) -> dict:
+    return load_json(_require(path, produced_by))
 
 
 def _file_digest(path: Path) -> str:
@@ -316,12 +310,8 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
 
 
 def stage_repr(cfg: PipelineConfig, ws: Path) -> None:
-    path = ws / "embeddings.npy"
-    if not path.exists():
-        raise ValidationError(
-            "missing input embeddings.npy; run `sprachbund embed` first")
-    sets = load_embeddings(path)
-    reps = centroid_all(sets)
+    store = _require(ws / "embeddings.npy", "embed")
+    reps = centroid_all(load_embeddings(store))
     _write_json(ws / "representations.json", {
         "dim": reps[0].dim if reps else 0,
         "representations": [
@@ -407,9 +397,8 @@ def stage_partition(cfg: PipelineConfig, ws: Path) -> None:
                                     allow_missing=cfg.allow_missing,
                                     provenance=provenance)]
     for manifest in manifests:
-        payload = manifest.to_json()
-        payload.pop("v", None)
-        _write_json(ws / f"manifest_k{manifest.k}.json", payload, cfg.digest())
+        _write_json(ws / f"manifest_k{manifest.k}.json", manifest.to_json(),
+                    cfg.digest())
 
 
 def stage_analyze(cfg: PipelineConfig, ws: Path) -> None:

@@ -103,9 +103,17 @@ def load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
         raise ValidationError(f"embedding file not found: {path}")
     grouped: dict[str, tuple[list[int], list[list[float]]]] = {}
     dim: int | None = None
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    try:
+        fh = path.open("rb")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ValidationError(
+                    f"{path}: line {lineno}: invalid UTF-8") from None
             if not line:
                 continue
             try:
@@ -113,7 +121,8 @@ def load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc.msg}") from exc
             if lineno == 1:
-                if rec.get("v") != 1 or "dim" not in rec:
+                if not (isinstance(rec, dict) and rec.get("v") == 1
+                        and "dim" in rec):
                     raise ValidationError(
                         f"{path}: first line must be a header with v=1 and dim")
                 dim = int(rec["dim"])

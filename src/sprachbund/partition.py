@@ -8,14 +8,13 @@ attribute the run to one specific clustering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .cluster import SprachbundAssignment, agglomerate, cut
 from .errors import ValidationError
-from .registry import artifact_keys, load_json
+from .registry import artifact_keys, load_json, write_json
 from .simmatrix import SimilarityMatrix
 
 
@@ -56,7 +55,6 @@ class PartitionManifest:
     k: int
     clusters: tuple[ManifestCluster, ...]
     provenance: Mapping[str, object] = field(default_factory=dict)
-    fallback: str | None = None  # reserved; no routing semantics assigned
 
     def __post_init__(self):
         if self.k != len(self.clusters):
@@ -85,7 +83,6 @@ class PartitionManifest:
                 for c in self.clusters
             ],
             "provenance": dict(self.provenance),
-            "fallback": self.fallback,
         }
 
     @classmethod
@@ -100,7 +97,6 @@ class PartitionManifest:
                 for c in doc["clusters"]
             ),
             provenance=doc.get("provenance", {}),
-            fallback=doc.get("fallback"),
         )
 
 
@@ -111,9 +107,7 @@ def load_manifest(path: str | Path) -> PartitionManifest:
 
 
 def save_manifest(manifest: PartitionManifest, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(path, manifest.to_json())
 
 
 def build_manifest(assignment: SprachbundAssignment,

@@ -8,20 +8,21 @@ Student-t Q with early exaggeration, momentum, and per-coordinate adaptive
 gains. Everything is seeded and pure numpy, so a fixed seed reproduces the
 embedding bit for bit.
 
-Input distances are cosine distances (1 - cos), matching the metric used for
-clustering.
+Input distances are 1 minus the cosine matrix clustering uses
+(:func:`simmatrix.cosine_matrix`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .registry import Registry
+from .simmatrix import cosine_matrix
 
 _EPS = 1e-12
 
@@ -41,17 +42,7 @@ class TsneParams:
     min_gain: float = 0.01
 
     def to_json(self) -> dict:
-        return {
-            "perplexity": self.perplexity,
-            "iterations": self.iterations,
-            "learning_rate": self.learning_rate,
-            "early_exaggeration": self.early_exaggeration,
-            "exaggeration_iters": self.exaggeration_iters,
-            "initial_momentum": self.initial_momentum,
-            "final_momentum": self.final_momentum,
-            "momentum_switch_iter": self.momentum_switch_iter,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -62,16 +53,8 @@ class TsneResult:
 
 
 def cosine_distances(vectors: np.ndarray) -> np.ndarray:
-    """Pairwise 1 - cosine over row vectors, clamped into [0, 2], zero diagonal."""
-    v = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=1)
-    if np.any(norms == 0.0):
-        raise ValidationError("cannot take cosine distances of a zero vector")
-    unit = v / norms[:, None]
-    d = 1.0 - unit @ unit.T
-    np.clip(d, 0.0, 2.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return d
+    """Pairwise 1 - cosine over row vectors, in [0, 2], zero diagonal."""
+    return 1.0 - cosine_matrix(vectors)
 
 
 def _entropy_and_row(dist_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
@@ -273,15 +256,7 @@ def emit_plot(projection: Projection2D, registry: Registry,
         raise ValidationError(
             f"unknown color_by attribute {color_by!r}; expected 'family' or "
             f"one of {', '.join(registry.feature_names)}")
-    attrs: dict[str, str | None] = {}
-    for code in projection.languages:
-        record = registry.get(code)
-        if record is None:
-            raise ValidationError(f"projected language {code!r} is not registered")
-        if color_by == "family":
-            attrs[code] = record.family
-        else:
-            attrs[code] = record.syntax.get(color_by)
+    attrs = registry.labels(projection.languages, color_by)
     categories = sorted({v for v in attrs.values() if v is not None})
     colors = {cat: PALETTE[i % len(PALETTE)] for i, cat in enumerate(categories)}
 

@@ -76,6 +76,21 @@ class Registry:
         extra = sorted(observed - set(SYNTAX_FEATURES))
         return SYNTAX_FEATURES + tuple(extra)
 
+    def labels(self, codes: Iterable[str],
+               attribute: str) -> dict[str, str | None]:
+        """Each code's label under ``attribute``: its family for
+        ``"family"``, else its value of that syntax feature; ``None`` where
+        the language has no such label. Unregistered codes are an error."""
+        out: dict[str, str | None] = {}
+        for code in codes:
+            record = self._by_code.get(code)
+            if record is None:
+                raise ValidationError(
+                    f"language {code!r} is not in the registry")
+            out[code] = (record.family if attribute == "family"
+                         else record.syntax.get(attribute))
+        return out
+
     def to_json(self) -> dict:
         return {
             "v": 1,
@@ -86,23 +101,33 @@ class Registry:
         }
 
 
-def load_json(path: str | Path) -> dict:
-    """Read a versioned JSON document: a top-level object with ``"v": 1``.
-
-    Unreadable files, malformed JSON (reported with line and column) and a
-    missing or unknown version all raise :class:`ValidationError`.
-    """
+def read_json(path: str | Path) -> dict:
+    """The JSON object in a UTF-8 file. A missing or unreadable file, bytes
+    that are not UTF-8, malformed JSON and a top-level value that is not an
+    object raise :class:`ValidationError` naming ``path``."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: not found") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: invalid UTF-8 at byte offset {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object at top level")
+        raise ValidationError(
+            f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_json(path: str | Path) -> dict:
+    """:func:`read_json` of a versioned document, one with ``"v": 1``."""
+    doc = read_json(path)
     if doc.get("v") != 1:
         raise ValidationError(f"{path}: unsupported or missing schema version 'v'")
     return doc
@@ -157,9 +182,7 @@ def load_registry(path: str | Path) -> Registry:
 
 
 def save_registry(registry: Registry, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(registry.to_json(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(path, registry.to_json())
 
 
 class LexicalSimilarityTable:

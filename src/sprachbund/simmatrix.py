@@ -7,7 +7,6 @@ are clamped into [-1, 1] so that the derived distance 1 - sim stays in [0, 2].
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from .embedding import LanguageRepresentation
 from .errors import ValidationError
-from .registry import LexicalSimilarityTable, artifact_keys
+from .registry import LexicalSimilarityTable, artifact_keys, read_json
 
 
 def cosine(a, b) -> float:
@@ -87,9 +86,6 @@ class SimilarityMatrix:
                   source: str | Path = "matrix JSON") -> "SimilarityMatrix":
         """Parse ``{"languages": [...], "values": [[...]]}``; ``source`` names
         the document in error messages."""
-        if not isinstance(doc, dict):
-            raise ValidationError(
-                f"{source}: expected a JSON object, got {type(doc).__name__}")
         with artifact_keys(source):
             return cls(tuple(doc["languages"]), np.asarray(doc["values"]))
 
@@ -100,38 +96,43 @@ class SimilarityMatrix:
         return "\n".join(lines) + "\n"
 
 
+def cosine_matrix(vectors: np.ndarray,
+                  names: Sequence[str] | None = None) -> np.ndarray:
+    """Pairwise cosine of row vectors, through unit vectors.
+
+    Each pair is taken from the upper triangle and mirrored, the diagonal is
+    exactly 1.0, and values are clamped into [-1, 1]. A zero row is an
+    error naming it by ``names`` when given, else by its index.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    norms = np.linalg.norm(v, axis=1)
+    if not norms.all():
+        i = int(np.argmin(norms))  # the first zero row
+        which = f"representation for {names[i]!r}" if names else f"row {i}"
+        raise ValidationError(f"{which} has zero norm")
+    unit = v / norms[:, None]
+    upper = np.triu(unit @ unit.T, k=1)
+    values = upper + upper.T
+    np.fill_diagonal(values, 1.0)
+    np.clip(values, -1.0, 1.0, out=values)
+    return values
+
+
 def build_matrix(reps: Sequence[LanguageRepresentation]) -> SimilarityMatrix:
-    """Pairwise cosine similarity; each pair computed once and mirrored."""
+    """Pairwise cosine similarity of representations; see cosine_matrix."""
     if len(reps) < 2:
         raise ValidationError("need at least 2 representations for a matrix")
     dims = {r.dim for r in reps}
     if len(dims) > 1:
         raise ValidationError(
             f"representations disagree on dimension: {sorted(dims)}")
+    languages = tuple(r.language for r in reps)
     vectors = np.vstack([r.vector for r in reps]).astype(np.float64)
-    norms = np.linalg.norm(vectors, axis=1)
-    for r, nrm in zip(reps, norms):
-        if nrm == 0.0:
-            raise ValidationError(
-                f"representation for {r.language!r} has zero norm")
-    unit = vectors / norms[:, None]
-    gram = unit @ unit.T
-    upper = np.triu(gram, k=1)
-    values = upper + upper.T
-    np.fill_diagonal(values, 1.0)
-    np.clip(values, -1.0, 1.0, out=values)
-    return SimilarityMatrix(tuple(r.language for r in reps), values)
+    return SimilarityMatrix(languages, cosine_matrix(vectors, languages))
 
 
 def load_matrix(path: str | Path) -> SimilarityMatrix:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return SimilarityMatrix.from_json(doc, source=path)
+    return SimilarityMatrix.from_json(read_json(path), source=path)
 
 
 def bundled_embedding_similarity() -> SimilarityMatrix:

@@ -56,7 +56,7 @@ class StubEmbeddingServer:
         self.wrong_dim = wrong_dim
         self.info_requests = 0
         self.embed_requests = 0
-        self.batch_sizes: list[int] = []
+        self.batches: list[list[str]] = []
         self.auth_headers: list[str | None] = []
         outer = self
 
@@ -93,14 +93,14 @@ class StubEmbeddingServer:
                     return
                 length = int(self.headers["Content-Length"])
                 texts = json.loads(self.rfile.read(length))["texts"]
-                outer.batch_sizes.append(len(texts))
+                outer.batches.append(texts)
                 vec_dim = outer.wrong_dim or outer.dim
                 vectors = [
                     None if t in outer.null_texts
                     else _default_vector(t, vec_dim)
                     for t in texts
                 ]
-                if outer.truncate_batch == len(outer.batch_sizes):
+                if outer.truncate_batch == len(outer.batches):
                     vectors = vectors[:-1]
                 self._send(200, {"vectors": vectors})
 

@@ -10,6 +10,7 @@ import pytest
 
 from sprachbund import cli, data
 from sprachbund.corpus import CorpusShard
+from sprachbund.projection import TsneParams
 
 
 @pytest.fixture
@@ -82,6 +83,18 @@ class TestAllPipeline:
             (ws / "simmat.csv").read_text().splitlines()[0]
         assert f"config_digest={digest}" in \
             (ws / "projection.svg").read_text().splitlines()[0]
+
+
+    def test_projection_params_rebuild_the_run_parameters(self, demo_config,
+                                                          tmp_path):
+        path = str(demo_config())
+        for stage in ("sample", "embed", "repr", "project"):
+            assert cli.main([stage, "--config", path]) == 0
+        doc = json.loads((tmp_path / "ws" / "projection.json").read_text())
+        args = cli.build_parser().parse_args(["project", "--config", path])
+        assert TsneParams(**doc["params"]) == \
+            cli.resolve_config(args).tsne_params()
+        assert set(doc["params"]) == set(TsneParams.__dataclass_fields__)
 
 
 class TestStageOrder:
@@ -274,6 +287,56 @@ class TestDamagedArtifacts:
         path.write_bytes(np.random.default_rng(0).bytes(5 * 2 ** 19 + 7))
         assert cli._file_digest(path) == \
             hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+class TestUnreadableInputs:
+    """An input file that is not UTF-8, or a directory where a file should
+    be, exits 2 with a message naming it, never with a traceback."""
+
+    STAGE = {"config": "sample", "registry": "sample",
+             "lexical_table": "analyze", "matrix": "cluster",
+             "embeddings": "embed", "simmat.json": "cluster"}
+    NOT_UTF8 = {
+        "embeddings": b'{"v": 1, "dim": 2}\n{"lang": "caf\xe9", "id": 0, '
+                      b'"vec": [1.0, 2.0]}\n',
+    }
+
+    @pytest.mark.parametrize("damage", ["not utf-8", "directory"])
+    @pytest.mark.parametrize("which", list(STAGE))
+    def test_exits_2_naming_the_path(self, tmp_path, which, damage):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        bad = ws / "simmat.json" if which == "simmat.json" else tmp_path / "bad"
+        cfg = {"corpus_root": str(data.path("demo/corpus")),
+               "embeddings": str(data.path("demo/embeddings.jsonl")),
+               "out": str(ws)}
+        if which == "lexical_table":
+            cfg["matrix"] = str(data.path("embedding_similarity.json"))
+        if which in ("registry", "lexical_table", "matrix", "embeddings"):
+            cfg[which] = str(bad)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        if which == "embeddings":
+            assert cli.main(["sample", "--config", str(config)]) == 0
+        if which == "config":
+            bad = config
+            bad.unlink()
+        if damage == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(self.NOT_UTF8.get(
+                which, b'{"v": 1, "name": "caf\xe9"}\n'))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sprachbund.cli", self.STAGE[which],
+             "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        if damage == "not utf-8":
+            assert "invalid UTF-8" in proc.stderr
 
 
 class TestEmbedFromService:

@@ -186,7 +186,11 @@ class TestFetchEmbeddings:
         server = embedding_server(dim=4)
         [out] = fetch_embeddings(server.endpoint, [self.shard(10)], batch=4)
         assert server.embed_requests == 3
-        assert server.batch_sizes == [4, 4, 2]
+        # pooled connections reach the server in no fixed order
+        assert sorted(server.batches) == [
+            [f"text {i}" for i in range(0, 4)],
+            [f"text {i}" for i in range(4, 8)],
+            [f"text {i}" for i in range(8, 10)]]
         assert len(out) == 10 and out.dim == 4
         assert out.ids == tuple(range(10))
 
@@ -424,9 +428,14 @@ class TestPool:
 
     def test_every_item_runs_once_and_lands_in_place(self):
         seen = []
+        # the first FETCH_WORKERS items wait for each other, so no connection
+        # can drain the queue alone: each must take one of them
+        everyone_started = threading.Barrier(FETCH_WORKERS, timeout=30)
 
         def task(conn, item):
             seen.append((conn, item))
+            if item < FETCH_WORKERS:
+                everyone_started.wait()
             return item * 3
 
         items = list(range(3000))
@@ -434,6 +443,8 @@ class TestPool:
         assert outcome["value"] == [i * 3 for i in items]
         assert sorted(item for _, item in seen) == items
         assert len({conn for conn, _ in seen}) > 1
+        assert {conn for conn, item in seen if item < FETCH_WORKERS} == \
+            set(range(FETCH_WORKERS))
 
     def test_earliest_failure_is_raised_and_stops_new_items(self):
         started = []

@@ -141,6 +141,11 @@ class TestBuildManifest:
         # serialize -> parse -> serialize is a fixed point
         doc = json.loads(path.read_text())
         assert PartitionManifest.from_json(doc).to_json() == doc
+        assert "fallback" not in doc
+        # manifests written before the reserved key was dropped still load
+        for fallback in (None, "en"):
+            path.write_text(json.dumps({**doc, "fallback": fallback}))
+            assert load_manifest(path) == manifest
 
 
 class TestSweep:

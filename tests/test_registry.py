@@ -4,9 +4,9 @@ import pytest
 
 from sprachbund.errors import ValidationError
 from sprachbund.registry import (LanguageRecord, Registry, bundled_lexical_table,
-                                 bundled_registry, load_lexical_table,
-                                 load_registry, save_registry,
-                                 validate_feature_labels)
+                                 bundled_registry, load_json,
+                                 load_lexical_table, load_registry, read_json,
+                                 save_registry, validate_feature_labels)
 
 
 class TestBundledRegistry:
@@ -69,6 +69,51 @@ class TestRegistryFiles:
         path.write_text('{"languages": []}', encoding="utf-8")
         with pytest.raises(ValidationError, match="version"):
             load_registry(path)
+
+
+class TestReadJson:
+    """Every way of failing to read a JSON object is bad data naming the file."""
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "not found"),
+        (b'{"v": 1, "name": "caf\xe9"}', "invalid UTF-8 at byte offset 21"),
+        (b'{"v": 1,\n "x": }', "line 2, column 7: Expecting value"),
+        (b"[1, 2]", "expected a JSON object, got list"),
+        (b"5", "expected a JSON object, got int"),
+    ])
+    def test_failures_name_the_path(self, tmp_path, content, message):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValidationError) as excinfo:
+            read_json(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_directory_cannot_be_read(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot read") as excinfo:
+            read_json(tmp_path)
+        assert str(tmp_path) in str(excinfo.value)
+
+    def test_object_without_version_is_read_but_not_loaded(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"out": "ws"}', encoding="utf-8")
+        assert read_json(path) == {"out": "ws"}
+        with pytest.raises(ValidationError, match="version"):
+            load_json(path)
+
+
+class TestLabels:
+    def test_family_and_syntax_labels(self, toy_registry):
+        codes = ["cc", "aa", "ee", "dd"]
+        assert toy_registry.labels(codes, "family") == {
+            "cc": "Beta", "aa": "Alpha", "ee": None, "dd": "Beta"}
+        assert toy_registry.labels(codes, "word_order") == {
+            "cc": "SOV", "aa": "SVO", "ee": None, "dd": None}
+        assert list(toy_registry.labels(codes, "family")) == codes
+
+    def test_unregistered_code_rejected(self, toy_registry):
+        with pytest.raises(ValidationError, match="'zz'"):
+            toy_registry.labels(["aa", "zz"], "family")
 
 
 class TestLexicalTable:
