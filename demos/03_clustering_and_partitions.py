@@ -56,6 +56,6 @@ path.write_text(json.dumps(manifest.to_json(), indent=2, sort_keys=True))
 print(f"\nwrote {path}")
 
 print("\nsweep K in (1, 2, 4) from one dendrogram (nested refinements):")
-for m in sweep(matrix, (1, 2, 4), shard_index):
+for m in sweep(dendrogram, matrix, (1, 2, 4), shard_index):
     print(f"  k={m.k}: " + "  ".join("{" + " ".join(c.members) + "}"
                                      for c in m.clusters))

@@ -28,7 +28,7 @@ from .registry import (LanguageRecord, LexicalSimilarityTable, Registry,
                        bundled_lexical_table, bundled_registry, load_lexical_table,
                        load_registry, save_registry, validate_feature_labels)
 from .simmatrix import (SimilarityMatrix, build_matrix,
-                        bundled_embedding_similarity, cosine, load_matrix,
+                        bundled_embedding_similarity, load_matrix,
                         paired_similarity_vectors, pearson)
 
 __version__ = "0.1.0"
@@ -42,7 +42,7 @@ __all__ = [
     "UsageError", "ValidationError", "agglomerate", "build_manifest",
     "build_matrix", "build_report", "bundled_embedding_similarity",
     "bundled_lexical_table", "bundled_registry", "centroid", "centroid_all",
-    "conditional_affinities", "corpus_stats", "cosine", "cosine_distances",
+    "conditional_affinities", "corpus_stats", "cosine_distances",
     "cut", "emit_plot", "family_purity", "fetch_embeddings", "ingest_shard",
     "joint_affinities", "lexical_correlation", "load_embeddings",
     "load_lexical_table", "load_manifest", "load_matrix", "load_registry",

@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,13 +27,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import build_report
-from .cluster import SprachbundAssignment, agglomerate, cut
+from .cluster import Dendrogram, agglomerate, cut
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
 from .embedding import (FetchStats, LanguageRepresentation,
                         SentenceEmbeddingSet, centroid_all, fetch_embeddings,
                         load_embeddings, write_embeddings)
 from .errors import ServiceError, SprachbundError, UsageError, ValidationError
-from .partition import build_manifest, sweep
+from .partition import sweep
 from .projection import TsneParams, emit_plot, project
 from .registry import (Registry, artifact_keys, bundled_lexical_table,
                        bundled_registry, load_json, load_lexical_table,
@@ -43,12 +44,6 @@ AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
 
 STAGE_ORDER = ("sample", "embed", "repr", "simmat", "cluster",
                "partition", "analyze", "project")
-
-_CONFIG_KEYS = {
-    "corpus_root", "registry", "lexical_table", "matrix", "embeddings",
-    "endpoint", "cap", "seed", "k", "sweep", "batch", "allow_missing",
-    "languages", "color_by", "point_radius", "font_size", "tsne", "out",
-}
 
 _TSNE_KEYS = set(TsneParams.__dataclass_fields__)
 
@@ -106,12 +101,34 @@ class PipelineConfig:
         return TsneParams(**params)
 
 
+# every config key and the type its value must have
+_CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a parsed JSON value fits a config field's annotation; a
+    bool is not a number, and an int is a float."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return type(value) is list and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union such as str | None
+        return any(_has_type(value, h) for h in args)
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
 def load_config(path: str | Path) -> dict:
     doc = read_json(path)
-    unknown = set(doc) - _CONFIG_KEYS - {"v"}
+    doc.pop("v", None)
+    unknown = set(doc) - set(_CONFIG_TYPES)
     if unknown:
         raise ValidationError(
             f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        if not _has_type(value, _CONFIG_TYPES[key]):
+            raise ValidationError(
+                f"{path}: config key {key!r} must be "
+                f"{PipelineConfig.__dataclass_fields__[key].type}, "
+                f"got {json.dumps(value)}")
     return doc
 
 
@@ -119,20 +136,9 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Config file first, then flags override."""
     cfg = PipelineConfig()
     if args.config:
-        file_values = load_config(args.config)
-        file_values.pop("v", None)
-        cfg = replace(cfg, **file_values)
-    overrides: dict = {}
-    for name in ("k", "cap", "seed", "endpoint", "embeddings", "out",
-                 "point_radius", "font_size"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "sweep", None):
-        overrides["sweep"] = [int(x) for x in args.sweep.split(",") if x]
-    if getattr(args, "allow_missing", None):
-        overrides["allow_missing"] = [c for c in args.allow_missing.split(",") if c]
-    cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, **load_config(args.config))
+    cfg = replace(cfg, **{name: getattr(args, name) for name in _CONFIG_TYPES
+                          if getattr(args, name, None) is not None})
     if cfg.embeddings and cfg.endpoint:
         raise UsageError("choose one embedding source: --embeddings or "
                          "--endpoint, not both")
@@ -349,11 +355,16 @@ def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
     return SimilarityMatrix.from_json(_read_artifact(path, "simmat"), source=path)
 
 
-def _load_assignment(ws: Path) -> SprachbundAssignment:
-    path = ws / "assignment.json"
+def _load_dendrogram(ws: Path, matrix: SimilarityMatrix) -> Dendrogram:
+    path = ws / "dendrogram.json"
     doc = _read_artifact(path, "cluster")
     with artifact_keys(path):
-        return SprachbundAssignment.from_json(doc)
+        dendrogram = Dendrogram.from_json(doc)
+    if dendrogram.languages != matrix.languages:
+        raise ValidationError(
+            f"{path}: its languages differ from the similarity matrix's; "
+            f"run `sprachbund cluster` again")
+    return dendrogram
 
 
 def stage_cluster(cfg: PipelineConfig, ws: Path) -> None:
@@ -387,15 +398,9 @@ def stage_partition(cfg: PipelineConfig, ws: Path) -> None:
         "corpus_root": cfg.corpus_root,
         "config_digest": cfg.digest(),
     }
-    index = _shard_index(cfg, matrix.languages)
-    if cfg.sweep:
-        manifests = sweep(matrix, cfg.sweep, index,
-                          allow_missing=cfg.allow_missing,
-                          provenance=provenance)
-    else:
-        manifests = [build_manifest(_load_assignment(ws), matrix, index,
-                                    allow_missing=cfg.allow_missing,
-                                    provenance=provenance)]
+    manifests = sweep(_load_dendrogram(ws, matrix), matrix,
+                      cfg.sweep or [cfg.k], _shard_index(cfg, matrix.languages),
+                      allow_missing=cfg.allow_missing, provenance=provenance)
     for manifest in manifests:
         _write_json(ws / f"manifest_k{manifest.k}.json", manifest.to_json(),
                     cfg.digest())
@@ -406,8 +411,8 @@ def stage_analyze(cfg: PipelineConfig, ws: Path) -> None:
     registry = cfg.load_registry()
     table = cfg.load_lexical_table()
     assignment = None
-    if (ws / "assignment.json").exists():
-        assignment = _load_assignment(ws)
+    if (ws / "dendrogram.json").exists():
+        assignment = cut(_load_dendrogram(ws, matrix), cfg.k)
     features = tuple(
         f for f in registry.feature_names
         if any(f in r.syntax for r in registry))
@@ -466,6 +471,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sprachbund", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -484,13 +497,15 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--k", type=int, help="number of clusters")
-        p.add_argument("--sweep", help="comma-separated K list, e.g. 1,2,4,8")
+        p.add_argument("--sweep", type=_int_list,
+                       help="comma-separated K list, e.g. 1,2,4,8")
         p.add_argument("--cap", type=int, help="max sentences per language")
         p.add_argument("--seed", type=int, help="seed for sampling/clustering")
         p.add_argument("--endpoint", help="embedding service base URL")
         p.add_argument("--embeddings", help="precomputed embeddings file")
         p.add_argument("--out", help="workspace directory for artifacts")
         p.add_argument("--allow-missing", dest="allow_missing",
+                       type=lambda text: [c for c in text.split(",") if c],
                        help="codes allowed to lack corpus shards")
         p.add_argument("--point-radius", dest="point_radius", type=float,
                        help="plot point radius")

@@ -23,6 +23,7 @@ the merge order, node ids and float distances of a full scan, bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,15 +54,19 @@ class Dendrogram:
         if len(self.merges) != m - 1:
             raise ValidationError(
                 f"{m} leaves require {m - 1} merges, got {len(self.merges)}")
+        live = set(range(m))  # leaves and merged nodes not yet merged again
         for i, mg in enumerate(self.merges):
             if mg.node_id != m + i:
                 raise ValidationError("merge node ids must run M..2M-2 in order")
-            if mg.distance < 0:
-                raise ValidationError("merge distances must be non-negative")
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.languages)
+            if mg.left == mg.right or not {mg.left, mg.right} <= live:
+                raise ValidationError(
+                    f"merge {mg.node_id} must join two distinct unmerged "
+                    f"nodes, got {mg.left} and {mg.right}")
+            if not (math.isfinite(mg.distance) and mg.distance >= 0):
+                raise ValidationError(
+                    "merge distances must be finite and non-negative")
+            live -= {mg.left, mg.right}
+            live.add(mg.node_id)
 
     def to_json(self) -> dict:
         return {
@@ -110,8 +115,7 @@ class SprachbundAssignment:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "clusters": [{"pivot": None, "members": list(c)}
-                         for c in self.members],
+            "clusters": [{"members": list(c)} for c in self.members],
         }
 
     @classmethod
@@ -181,7 +185,7 @@ def cut(dendrogram: Dendrogram, k: int) -> SprachbundAssignment:
 
     Clusters are sorted by their smallest member code, members sorted within.
     """
-    m = dendrogram.leaf_count
+    m = len(dendrogram.languages)
     if not 1 <= k <= m:
         raise ValidationError(f"k must be in [1, {m}], got {k}")
     groups: dict[int, list[str]] = {i: [dendrogram.languages[i]]

@@ -109,39 +109,43 @@ def load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}: line {lineno}"
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: invalid UTF-8") from None
-            if not line:
+                raise ValidationError(f"{where}: invalid UTF-8") from None
+            if not line and lineno > 1:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line) if line else None
             except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc.msg}") from exc
+                raise ValidationError(f"{where}: {exc.msg}") from exc
             if lineno == 1:
-                if not (isinstance(rec, dict) and rec.get("v") == 1
-                        and "dim" in rec):
+                header = rec if isinstance(rec, dict) else {}
+                dim = header.get("dim")
+                if header.get("v") != 1 or type(dim) is not int or dim < 1:
                     raise ValidationError(
-                        f"{path}: first line must be a header with v=1 and dim")
-                dim = int(rec["dim"])
-                if dim < 1:
-                    raise ValidationError(f"{path}: header dim must be positive")
+                        f"{where}: expected the header {{\"v\": 1, "
+                        f"\"dim\": D}} with D a positive integer")
                 continue
+            if not (isinstance(rec, dict) and {"lang", "id", "vec"} <= rec.keys()):
+                raise ValidationError(f"{where}: record needs lang, id, vec")
+            lang, sid, vec = rec["lang"], rec["id"], rec["vec"]
+            if type(lang) is not str or type(sid) is not int:
+                raise ValidationError(
+                    f"{where}: lang must be a string and id an integer, "
+                    f"got {json.dumps(lang)} and {json.dumps(sid)}")
             try:
-                lang, sid, vec = rec["lang"], int(rec["id"]), rec["vec"]
-            except (TypeError, KeyError):
+                arr = np.asarray(vec, dtype=np.float32)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.shape != (dim,):
                 raise ValidationError(
-                    f"{path}: line {lineno}: record needs lang, id, vec")
-            if len(vec) != dim:
-                raise ValidationError(
-                    f"{path}: line {lineno}: vector for lang={lang} id={sid} "
-                    f"has dimension {len(vec)}, header says {dim}")
-            arr = np.asarray(vec, dtype=np.float32)
+                    f"{where}: vector for lang={lang} id={sid} must be a "
+                    f"list of {dim} numbers, as the header says")
             if not np.isfinite(arr).all():
                 raise ValidationError(
-                    f"{path}: line {lineno}: non-finite value in vector for "
+                    f"{where}: non-finite value in vector for "
                     f"lang={lang} id={sid}")
             ids, vecs = grouped.setdefault(lang, ([], []))
             ids.append(sid)

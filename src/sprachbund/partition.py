@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .cluster import SprachbundAssignment, agglomerate, cut
+from .cluster import Dendrogram, SprachbundAssignment, cut
 from .errors import ValidationError
 from .registry import artifact_keys, load_json, write_json
 from .simmatrix import SimilarityMatrix
@@ -155,24 +155,18 @@ def build_manifest(assignment: SprachbundAssignment,
                              provenance=prov)
 
 
-def sweep(matrix: SimilarityMatrix, ks: Sequence[int],
+def sweep(dendrogram: Dendrogram, matrix: SimilarityMatrix, ks: Sequence[int],
           shard_index: Mapping[str, Sequence[str]], *,
           allow_missing: Iterable[str] = (),
           provenance: Mapping[str, object] | None = None
           ) -> list[PartitionManifest]:
-    """One manifest per requested K, all cut from a single dendrogram.
+    """One manifest per requested K, each a cut of ``dendrogram``.
 
     Because every cut comes from the same merge history, the manifests are
     nested refinements of one another.
     """
     if not ks:
         raise ValidationError("sweep needs at least one K")
-    m = len(matrix)
-    bad = [k for k in ks if not 1 <= k <= m]
-    if bad:
-        raise ValidationError(
-            f"K values out of range [1, {m}]: {sorted(set(bad))}")
-    dendrogram = agglomerate(matrix)
     return [
         build_manifest(cut(dendrogram, k), matrix, shard_index,
                        allow_missing=allow_missing, provenance=provenance)

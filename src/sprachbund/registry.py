@@ -140,10 +140,13 @@ def artifact_keys(path: str | Path) -> Iterator[None]:
     Wrap the code that picks fields out of a document read from ``path``: a
     ``KeyError`` becomes ``<path>: missing key '<k>'`` and a ``TypeError`` or
     ``ValueError`` becomes ``<path>: malformed: <message>``, both as
-    :class:`ValidationError`.
+    :class:`ValidationError`; a :class:`ValidationError` gains the prefix
+    ``<path>: ``.
     """
     try:
         yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

@@ -19,27 +19,6 @@ from .errors import ValidationError
 from .registry import LexicalSimilarityTable, artifact_keys, read_json
 
 
-def cosine(a, b) -> float:
-    """dot(a, b) / (|a| |b|), clamped into [-1, 1].
-
-    The denominator is evaluated as sqrt((a.a)(b.b)) so that the identity
-    cosine(v, v) == 1.0 holds exactly.
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape or va.ndim != 1:
-        raise ValidationError(
-            f"cosine needs two equal-length vectors, got shapes "
-            f"{va.shape} and {vb.shape}")
-    na2 = float(va @ va)
-    nb2 = float(vb @ vb)
-    if na2 == 0.0:
-        raise ValidationError("cosine: first argument has zero norm")
-    if nb2 == 0.0:
-        raise ValidationError("cosine: second argument has zero norm")
-    return float(np.clip(float(va @ vb) / math.sqrt(na2 * nb2), -1.0, 1.0))
-
-
 @dataclass(eq=False)
 class SimilarityMatrix:
     """Symmetric cosine-similarity matrix over an ordered language list."""

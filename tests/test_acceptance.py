@@ -90,7 +90,7 @@ def test_partition_soundness_on_108_languages():
             for c in codes]
     matrix = build_matrix(reps)
     shard_index = {c: [f"{c}.txt"] for c in codes}
-    manifests = sweep(matrix, (1, 2, 4, 8), shard_index)
+    manifests = sweep(agglomerate(matrix), matrix, (1, 2, 4, 8), shard_index)
     violations = []
     for manifest in manifests:
         members = [set(c.members) for c in manifest.clusters]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sprachbund import cli, data
+from sprachbund.cluster import Dendrogram, cut
 from sprachbund.corpus import CorpusShard
 from sprachbund.projection import TsneParams
 
@@ -121,7 +122,40 @@ class TestAnalyze:
             (tmp_path / "ws" / "analysis.json").read_text())["report"]
         assert report["pearson_lexical"]["r"] == pytest.approx(0.83, abs=0.03)
         assert report["pearson_lexical"]["pair_count"] == 15
-        assert report["family_purity"] is None  # no assignment artifact
+        assert report["family_purity"] is None  # no dendrogram artifact
+
+
+class TestOneClustering:
+    """partition and analyze cut the cluster stage's dendrogram at the K
+    they are given."""
+
+    def test_partition_cuts_the_dendrogram_at_k(self, demo_config, tmp_path):
+        cfg = str(demo_config())
+        assert cli.main(["all", "--config", cfg]) == 0
+        assert cli.main(["partition", "--config", cfg, "--k", "3"]) == 0
+        ws = tmp_path / "ws"
+        dendrogram = Dendrogram.from_json(
+            json.loads((ws / "dendrogram.json").read_text()))
+        manifest = json.loads((ws / "manifest_k3.json").read_text())
+        assert manifest["k"] == 3
+        assert tuple(tuple(c["members"]) for c in manifest["clusters"]) == \
+            cut(dendrogram, 3).members
+
+    def test_analyze_cuts_the_dendrogram_at_k(self, demo_config, tmp_path):
+        cfg = str(demo_config())
+        assert cli.main(["all", "--config", cfg]) == 0
+        assert cli.main(["analyze", "--config", cfg, "--k", "3"]) == 0
+        report = json.loads(
+            (tmp_path / "ws" / "analysis.json").read_text())["report"]
+        assert len(report["family_purity"]["per_cluster"]) == 3
+
+    def test_partition_without_dendrogram_exits_2(self, demo_config, capsys):
+        cfg = str(demo_config())
+        for stage in ("sample", "embed", "repr", "simmat"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        assert cli.main(["partition", "--config", cfg]) == 2
+        assert "missing input dendrogram.json; run `sprachbund cluster` first" \
+            in capsys.readouterr().err
 
 
 class TestSweep:
@@ -154,6 +188,35 @@ class TestErrors:
         rc = cli.main(["embed", "--config", str(cfg),
                        "--endpoint", "http://127.0.0.1:9"])
         assert rc == 1
+
+    def test_bad_sweep_value_is_usage_error(self, tmp_path, capsys):
+        rc = cli.main(["partition", "--out", str(tmp_path / "ws"),
+                       "--sweep", "1,x"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--sweep" in err and "'1,x'" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", "two"), ("k", True), ("k", 2.5), ("sweep", [1, "x"]),
+        ("allow_missing", None), ("languages", "en"), ("point_radius", "5"),
+        ("tsne", []), ("out", 5),
+    ])
+    def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys,
+                                                key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "ws"), key: value}),
+                       encoding="utf-8")
+        assert cli.main(["cluster", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: config key {key!r} must be" in err
+
+    def test_config_values_of_the_right_type_load(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"v": 1, "point_radius": 6, "sweep": None,
+                                   "languages": ["en"], "tsne": {}}),
+                       encoding="utf-8")
+        assert cli.load_config(cfg) == {"point_radius": 6, "sweep": None,
+                                        "languages": ["en"], "tsne": {}}
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -246,7 +309,7 @@ class TestDamagedArtifacts:
         ("embeddings.json", "repr", "dim"),
         ("representations.json", "simmat", "representations"),
         ("simmat.json", "cluster", "languages"),
-        ("assignment.json", "partition", "k"),
+        ("dendrogram.json", "partition", "languages"),
     ])
     def test_missing_key_exits_2(self, demo_config, tmp_path, capsys,
                                  name, stage, key):
@@ -272,6 +335,28 @@ class TestDamagedArtifacts:
         damage(tmp_path / "ws" / "embeddings.npy")
         assert cli.main(["repr", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d["merges"][0].update(left=99), "merge 8 must join"),
+        (lambda d: d["merges"][1].update(left=d["merges"][0]["right"]),
+         "merge 9 must join"),
+        (lambda d: d["merges"][2].update(distance=float("nan")), "finite"),
+        (lambda d: d["merges"][2].update(distance=float("inf")), "finite"),
+        (lambda d: d["languages"].reverse(), "languages differ"),
+    ], ids=["child-out-of-range", "child-used-twice", "nan-distance",
+            "infinite-distance", "other-languages"])
+    def test_damaged_dendrogram_exits_2(self, demo_config, tmp_path, capsys,
+                                        damage, message):
+        cfg = str(demo_config())
+        assert cli.main(["all", "--config", cfg]) == 0
+        path = tmp_path / "ws" / "dendrogram.json"
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["partition", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
 
     def test_matrix_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.json"

@@ -245,4 +245,10 @@ class TestAssignmentValidation:
 
     def test_json_round_trip(self):
         assignment = SprachbundAssignment(2, (("aa", "bb"), ("cc",)))
-        assert SprachbundAssignment.from_json(assignment.to_json()) == assignment
+        doc = assignment.to_json()
+        assert doc == {"k": 2, "clusters": [{"members": ["aa", "bb"]},
+                                            {"members": ["cc"]}]}
+        assert SprachbundAssignment.from_json(doc) == assignment
+        for cluster in doc["clusters"]:
+            cluster["pivot"] = None  # written by earlier versions
+        assert SprachbundAssignment.from_json(doc) == assignment

@@ -69,6 +69,23 @@ class TestLoadEmbeddings:
         with pytest.raises(ValidationError, match="header"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"v": 1, "dim": 2}\n{"lang": "aa", "id": "x", "vec": [1.0, 2.0]}\n',
+         'line 2: lang must be a string and id an integer, got "aa" and "x"'),
+        ('{"v": 1, "dim": 2}\n{"lang": "aa", "id": 0, "vec": 5}\n',
+         "line 2: vector for lang=aa id=0 must be a list of 2 numbers"),
+        ('{"v": 1, "dim": "two"}\n{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n',
+         "line 1: expected the header"),
+        ('\n{"v": 1, "dim": 2}\n{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n',
+         "line 1: expected the header"),
+    ], ids=["id-not-int", "vec-a-number", "dim-not-int", "blank-first-line"])
+    def test_ill_typed_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_embeddings(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         sets = [make_set("aa", rng.standard_normal((4, 6))),

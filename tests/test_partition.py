@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sprachbund.cluster import SprachbundAssignment
+from sprachbund.cluster import SprachbundAssignment, agglomerate
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
 from sprachbund.partition import (PartitionManifest, build_manifest,
@@ -151,28 +151,32 @@ class TestBuildManifest:
 class TestSweep:
     def test_one_manifest_per_k(self):
         mat = random_similarity(10, 12)
-        manifests = sweep(mat, (1, 2, 4, 8), full_shard_index(mat.languages))
+        manifests = sweep(agglomerate(mat), mat, (1, 2, 4, 8),
+                          full_shard_index(mat.languages))
         assert [m.k for m in manifests] == [1, 2, 4, 8]
 
     def test_single_k_trivial_manifest(self):
         mat = random_similarity(5, 13)
-        manifests = sweep(mat, (1,), full_shard_index(mat.languages))
+        manifests = sweep(agglomerate(mat), mat, (1,),
+                          full_shard_index(mat.languages))
         assert len(manifests) == 1
         assert len(manifests[0].clusters[0].members) == 5
 
     def test_k_out_of_range(self):
         mat = random_similarity(5, 14)
-        with pytest.raises(ValidationError, match="out of range"):
-            sweep(mat, (1, 6), full_shard_index(mat.languages))
+        with pytest.raises(ValidationError, match=r"k must be in \[1, 5\], got 6"):
+            sweep(agglomerate(mat), mat, (1, 6),
+                  full_shard_index(mat.languages))
 
     def test_empty_ks_rejected(self):
         mat = random_similarity(5, 15)
         with pytest.raises(ValidationError, match="at least one"):
-            sweep(mat, (), full_shard_index(mat.languages))
+            sweep(agglomerate(mat), mat, (), full_shard_index(mat.languages))
 
     def test_nested_refinement_across_sweep(self):
         mat = random_similarity(10, 16)
-        manifests = sweep(mat, (2, 4, 8), full_shard_index(mat.languages))
+        manifests = sweep(agglomerate(mat), mat, (2, 4, 8),
+                          full_shard_index(mat.languages))
         for coarse, fine in zip(manifests, manifests[1:]):
             coarse_sets = [set(c.members) for c in coarse.clusters]
             for cluster in fine.clusters:
@@ -184,7 +188,8 @@ class TestSweep:
         reps = [LanguageRepresentation(c, rng.standard_normal(16).astype(np.float32), 1)
                 for c in codes]
         mat = build_matrix(reps)
-        manifests = sweep(mat, (1, 2, 4, 8), full_shard_index(codes))
+        manifests = sweep(agglomerate(mat), mat, (1, 2, 4, 8),
+                          full_shard_index(codes))
         for manifest in manifests:
             sizes = sum(len(c.members) for c in manifest.clusters)
             assert sizes == 108

@@ -6,7 +6,7 @@ from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
 from sprachbund.registry import LexicalSimilarityTable, bundled_lexical_table
 from sprachbund.simmatrix import (SimilarityMatrix, build_matrix,
-                                  bundled_embedding_similarity, cosine,
+                                  bundled_embedding_similarity, cosine_matrix,
                                   paired_similarity_vectors, pearson)
 
 
@@ -18,47 +18,49 @@ def make_reps(vectors, codes=None):
 
 
 class TestCosine:
+    """Properties of the one cosine path, ``cosine_matrix``."""
+
     def test_self_similarity_is_one(self):
         v = [0.3, -1.2, 4.5]
-        assert cosine(v, v) == 1.0
+        values = cosine_matrix([v, v, [1.0, 0.0, 0.0]])
+        assert np.all(np.diag(values) == 1.0)
+        assert values[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert np.array_equal(cosine_matrix(np.eye(3)), np.eye(3))
 
     def test_forty_five_degrees(self):
-        assert cosine([1.0, 1.0, 0.0], [1.0, 0.0, 0.0]) == pytest.approx(
-            0.70710678, abs=1e-8)
+        values = cosine_matrix([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        assert values[0, 1] == pytest.approx(0.70710678, abs=1e-8)
 
     def test_zero_norm_names_argument(self):
-        with pytest.raises(ValidationError, match="first argument"):
-            cosine([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ValidationError, match="second argument"):
-            cosine([1.0, 0.0], [0.0, 0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError, match="equal-length"):
-            cosine([1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="row 0 has zero norm"):
+            cosine_matrix([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError, match="row 1 has zero norm"):
+            cosine_matrix([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="'zz' has zero norm"):
+            cosine_matrix([[1.0, 0.0], [0.0, 0.0]], names=["aa", "zz"])
 
     def test_symmetric_evaluation(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            a = rng.standard_normal(6)
-            b = rng.standard_normal(6)
-            assert cosine(a, b) == cosine(b, a)
+            values = cosine_matrix(rng.standard_normal((5, 6)))
+            assert np.array_equal(values, values.T)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
-        a = rng.standard_normal(8)
-        b = rng.standard_normal(8)
+        vectors = rng.standard_normal((4, 8))
+        base = cosine_matrix(vectors)
         for c in (1e-6, 0.5, 3.0, 1e6):
-            assert cosine(c * a, b) == pytest.approx(cosine(a, b), abs=1e-9)
+            scaled = vectors.copy()
+            scaled[0] *= c
+            assert np.allclose(cosine_matrix(scaled), base, rtol=0, atol=1e-9)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            a = rng.standard_normal(5)
-            b = rng.standard_normal(5)
-            assert cosine(a, b) == pytest.approx(
+            a, b = rng.standard_normal((2, 5))
+            assert cosine_matrix([a, b])[0, 1] == pytest.approx(
                 direct_cosine(a.tolist(), b.tolist()), abs=1e-12)
 
 
