@@ -45,8 +45,6 @@ AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
 STAGE_ORDER = ("sample", "embed", "repr", "simmat", "cluster",
                "partition", "analyze", "project")
 
-_TSNE_KEYS = set(TsneParams.__dataclass_fields__)
-
 
 @dataclass
 class PipelineConfig:
@@ -92,17 +90,7 @@ class PipelineConfig:
         return bundled_lexical_table()
 
     def tsne_params(self) -> TsneParams:
-        unknown = set(self.tsne) - _TSNE_KEYS
-        if unknown:
-            raise ValidationError(
-                f"unknown tsne parameter(s): {', '.join(sorted(unknown))}")
-        params = dict(self.tsne)
-        params.setdefault("seed", self.seed)
-        return TsneParams(**params)
-
-
-# every config key and the type its value must have
-_CONFIG_TYPES = typing.get_type_hints(PipelineConfig)
+        return TsneParams(**{"seed": self.seed, **self.tsne})
 
 
 def _has_type(value, hint) -> bool:
@@ -116,19 +104,29 @@ def _has_type(value, hint) -> bool:
     return type(value) in ((int, float) if hint is float else (hint,))
 
 
+def _check_keys(path: str | Path, doc: dict, cls: type,
+                prefix: str = "") -> None:
+    """Every key of ``doc`` names a field of the dataclass ``cls`` and its
+    value fits that field's annotation."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ValidationError(
+            f"{path}: unknown config key(s): "
+            f"{', '.join(prefix + key for key in sorted(unknown))}")
+    for key, value in doc.items():
+        if not _has_type(value, hints[key]):
+            raise ValidationError(
+                f"{path}: config key {prefix + key!r} must be "
+                f"{cls.__dataclass_fields__[key].type}, "
+                f"got {json.dumps(value)}")
+
+
 def load_config(path: str | Path) -> dict:
     doc = read_json(path)
     doc.pop("v", None)
-    unknown = set(doc) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ValidationError(
-            f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
-    for key, value in doc.items():
-        if not _has_type(value, _CONFIG_TYPES[key]):
-            raise ValidationError(
-                f"{path}: config key {key!r} must be "
-                f"{PipelineConfig.__dataclass_fields__[key].type}, "
-                f"got {json.dumps(value)}")
+    _check_keys(path, doc, PipelineConfig)
+    _check_keys(path, doc.get("tsne", {}), TsneParams, "tsne.")
     return doc
 
 
@@ -137,7 +135,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
     if args.config:
         cfg = replace(cfg, **load_config(args.config))
-    cfg = replace(cfg, **{name: getattr(args, name) for name in _CONFIG_TYPES
+    cfg = replace(cfg, **{name: getattr(args, name)
+                          for name in PipelineConfig.__dataclass_fields__
                           if getattr(args, name, None) is not None})
     if cfg.embeddings and cfg.endpoint:
         raise UsageError("choose one embedding source: --embeddings or "
@@ -258,12 +257,14 @@ def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
     _write_json(ws / "sampled.json", {
         "policy": {"cap": policy.cap, "seed": policy.seed},
         "shards": [
-            {"language": s.language, "source_tag": f"{s.language}.txt",
+            {"language": s.language,
              "sentences": [[i, t] for i, t in s.sentences]}
             for s in shards
         ],
-        "stats": corpus_stats(shards),
     }, cfg.digest())
+    total = corpus_stats(shards)["total"]
+    _log(ws, f"sample languages={len(shards)} "
+             f"sentences={total['sentences']} bytes={total['bytes']}")
 
 
 def _sampled_shards(ws: Path) -> list[CorpusShard]:
@@ -272,8 +273,7 @@ def _sampled_shards(ws: Path) -> list[CorpusShard]:
     with artifact_keys(path):
         return [
             CorpusShard(language=s["language"],
-                        sentences=tuple((int(i), t) for i, t in s["sentences"]),
-                        source_tag=s.get("source_tag", ""))
+                        sentences=tuple((int(i), t) for i, t in s["sentences"]))
             for s in doc["shards"]
         ]
 
@@ -319,7 +319,6 @@ def stage_repr(cfg: PipelineConfig, ws: Path) -> None:
     store = _require(ws / "embeddings.npy", "embed")
     reps = centroid_all(load_embeddings(store))
     _write_json(ws / "representations.json", {
-        "dim": reps[0].dim if reps else 0,
         "representations": [
             {"lang": r.language, "vec": [float(x) for x in r.vector],
              "sample_count": r.sample_count}
@@ -343,9 +342,6 @@ def _load_reps(ws: Path) -> list[LanguageRepresentation]:
 def stage_simmat(cfg: PipelineConfig, ws: Path) -> None:
     matrix = build_matrix(_load_reps(ws))
     _write_json(ws / "simmat.json", matrix.to_json(), cfg.digest())
-    (ws / "simmat.csv").write_text(
-        f"# v=1 config_digest={cfg.digest()}\n" + matrix.to_csv(),
-        encoding="utf-8")
 
 
 def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
@@ -368,11 +364,8 @@ def _load_dendrogram(ws: Path, matrix: SimilarityMatrix) -> Dendrogram:
 
 
 def stage_cluster(cfg: PipelineConfig, ws: Path) -> None:
-    matrix = _load_simmat(cfg, ws)
-    dendrogram = agglomerate(matrix)
+    dendrogram = agglomerate(_load_simmat(cfg, ws))
     _write_json(ws / "dendrogram.json", dendrogram.to_json(), cfg.digest())
-    assignment = cut(dendrogram, cfg.k)
-    _write_json(ws / "assignment.json", assignment.to_json(), cfg.digest())
 
 
 def _shard_index(cfg: PipelineConfig, codes) -> dict[str, list[str]]:
@@ -396,7 +389,6 @@ def stage_partition(cfg: PipelineConfig, ws: Path) -> None:
                              else "unspecified"),
         "embedding_source_digest": source_digest,
         "corpus_root": cfg.corpus_root,
-        "config_digest": cfg.digest(),
     }
     manifests = sweep(_load_dendrogram(ws, matrix), matrix,
                       cfg.sweep or [cfg.k], _shard_index(cfg, matrix.languages),
@@ -488,7 +480,7 @@ def build_parser() -> _Parser:
         ("embed", "obtain sentence embeddings from a file or service"),
         ("repr", "reduce each language's embeddings to its centroid"),
         ("simmat", "build the cosine similarity matrix"),
-        ("cluster", "agglomerate and cut into K clusters"),
+        ("cluster", "agglomerate into a dendrogram"),
         ("partition", "emit corpus-partition manifest(s) with pivots"),
         ("analyze", "lexical correlation, family purity, syntax agreement"),
         ("project", "t-SNE to 2-D and render the labeled scatter plot"),

@@ -28,7 +28,6 @@ class CorpusShard:
 
     language: str
     sentences: tuple[tuple[int, str], ...]
-    source_tag: str = ""
 
     def __post_init__(self):
         object.__setattr__(
@@ -80,8 +79,7 @@ def ingest_shard(path: str | Path, language: str, registry: Registry) -> CorpusS
     for line in text.splitlines():
         if line.strip():
             sentences.append((len(sentences), line))
-    return CorpusShard(language=language, sentences=tuple(sentences),
-                       source_tag=str(path))
+    return CorpusShard(language=language, sentences=tuple(sentences))
 
 
 def _child_seed(seed: int, language: str) -> int:
@@ -107,11 +105,8 @@ def sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
         if j < cap:
             chosen[j] = i
     chosen.sort()
-    return CorpusShard(
-        language=shard.language,
-        sentences=tuple(shard.sentences[i] for i in chosen),
-        source_tag=shard.source_tag,
-    )
+    return CorpusShard(language=shard.language,
+                       sentences=tuple(shard.sentences[i] for i in chosen))
 
 
 def corpus_stats(shards: Iterable[CorpusShard]) -> dict:

@@ -41,6 +41,10 @@ class TsneParams:
     init_scale: float = 1e-4
     min_gain: float = 0.01
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValidationError("seed must be an unsigned 64-bit integer")
+
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -252,6 +256,9 @@ def emit_plot(projection: Projection2D, registry: Registry,
     attribute ("family" or a syntax feature name); languages missing the
     attribute are gray. Output bytes are deterministic for fixed inputs.
     """
+    for name, value in (("point_radius", point_radius), ("font_size", font_size)):
+        if not value > 0:  # NaN fails too
+            raise ValidationError(f"{name} must be positive, got {value:g}")
     if color_by != "family" and color_by not in registry.feature_names:
         raise ValidationError(
             f"unknown color_by attribute {color_by!r}; expected 'family' or "

@@ -68,12 +68,6 @@ class SimilarityMatrix:
         with artifact_keys(source):
             return cls(tuple(doc["languages"]), np.asarray(doc["values"]))
 
-    def to_csv(self) -> str:
-        lines = ["," + ",".join(self.languages)]
-        for code, row in zip(self.languages, self.values):
-            lines.append(code + "," + ",".join(repr(float(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
 
 def cosine_matrix(vectors: np.ndarray,
                   names: Sequence[str] | None = None) -> np.ndarray:

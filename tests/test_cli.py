@@ -73,17 +73,37 @@ class TestAllPipeline:
         ws = tmp_path / "ws"
         digests = set()
         for name in ("sampled.json", "embeddings.json", "representations.json",
-                     "simmat.json", "assignment.json", "manifest_k2.json",
+                     "simmat.json", "dendrogram.json", "manifest_k2.json",
                      "analysis.json", "projection.json"):
             doc = json.loads((ws / name).read_text())
             assert doc["v"] == 1
             digests.add(doc["config_digest"])
         assert len(digests) == 1
-        digest = digests.pop()
-        assert f"config_digest={digest}" in \
-            (ws / "simmat.csv").read_text().splitlines()[0]
-        assert f"config_digest={digest}" in \
+        assert f"config_digest={digests.pop()}" in \
             (ws / "projection.svg").read_text().splitlines()[0]
+
+    def test_workspace_holds_each_fact_once(self, demo_config, tmp_path):
+        """Every file is read by a later stage or is a deliverable, and no
+        field repeats what its own file already holds."""
+        assert cli.main(["all", "--config", str(demo_config())]) == 0
+        ws = tmp_path / "ws"
+        assert sorted(p.name for p in ws.iterdir()) == [
+            "analysis.json", "dendrogram.json", "embeddings.json",
+            "embeddings.npy", "manifest_k2.json", "projection.json",
+            "projection.svg", "representations.json", "run.log",
+            "sampled.json", "simmat.json"]
+        sampled = json.loads((ws / "sampled.json").read_text())
+        assert sorted(sampled) == ["config_digest", "policy", "shards", "v"]
+        assert sorted(sampled["shards"][0]) == ["language", "sentences"]
+        reps = json.loads((ws / "representations.json").read_text())
+        assert sorted(reps) == ["config_digest", "representations", "v"]
+        manifest = json.loads((ws / "manifest_k2.json").read_text())
+        assert "config_digest" not in manifest["provenance"]
+
+    def test_sample_logs_its_counts(self, demo_config, tmp_path):
+        assert cli.main(["sample", "--config", str(demo_config())]) == 0
+        assert "sample languages=8 sentences=96 bytes=3063\n" in \
+            (tmp_path / "ws" / "run.log").read_text()
 
 
     def test_projection_params_rebuild_the_run_parameters(self, demo_config,
@@ -199,16 +219,34 @@ class TestErrors:
     @pytest.mark.parametrize("key, value", [
         ("k", "two"), ("k", True), ("k", 2.5), ("sweep", [1, "x"]),
         ("allow_missing", None), ("languages", "en"), ("point_radius", "5"),
-        ("tsne", []), ("out", 5),
+        ("tsne", []), ("out", 5), ("tsne.perplexity", "x"),
+        ("tsne.iterations", "ten"), ("tsne.learning_rate", None),
+        ("tsne.seed", 1.5),
     ])
     def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys,
                                                 key, value):
+        doc = {key: value}
+        if key.startswith("tsne."):
+            doc = {"tsne": {key.removeprefix("tsne."): value}}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out": str(tmp_path / "ws"), key: value}),
+        cfg.write_text(json.dumps({"out": str(tmp_path / "ws"), **doc}),
                        encoding="utf-8")
         assert cli.main(["cluster", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"{cfg}: config key {key!r} must be" in err
+
+    def test_tsne_value_error_names_key_type_and_value(self, demo_config,
+                                                        capsys):
+        cfg = demo_config(tsne={"perplexity": "x"})
+        assert cli.main(["all", "--config", str(cfg)]) == 2
+        assert f"{cfg}: config key 'tsne.perplexity' must be float, " \
+               f'got "x"' in capsys.readouterr().err
+
+    def test_unknown_tsne_key_exits_2(self, demo_config, capsys):
+        cfg = demo_config(tsne={"perplexity": 2.0, "perplex": 3.0})
+        assert cli.main(["project", "--config", str(cfg)]) == 2
+        assert f"{cfg}: unknown config key(s): tsne.perplex" in \
+            capsys.readouterr().err
 
     def test_config_values_of_the_right_type_load(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -372,6 +410,35 @@ class TestDamagedArtifacts:
         path.write_bytes(np.random.default_rng(0).bytes(5 * 2 ** 19 + 7))
         assert cli._file_digest(path) == \
             hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+class TestOutOfRangeProjectValues:
+    """Seeds outside [0, 2**64) and plot sizes that are not positive exit
+    2 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize("tsne, flags, message", [
+        ({}, ["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
+        ({"seed": -4}, [], "seed must be an unsigned 64-bit integer"),
+        ({}, ["--point-radius", "-3"], "point_radius must be positive"),
+        ({}, ["--font-size", "0"], "font_size must be positive"),
+    ], ids=["seed", "tsne-seed", "point-radius", "font-size"])
+    def test_project_exits_2(self, demo_config, tmp_path, tsne, flags,
+                             message):
+        cfg = str(demo_config())
+        for stage in ("sample", "embed", "repr"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        cfg = str(demo_config(tsne={"perplexity": 2.0, "iterations": 10,
+                                    **tsne}))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sprachbund.cli", "project",
+             "--config", cfg, *flags],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "ws" / "projection.svg").exists()
 
 
 class TestUnreadableInputs:

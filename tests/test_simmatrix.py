@@ -117,13 +117,6 @@ class TestMatrixSerialization:
         assert back.languages == mat.languages
         assert np.array_equal(back.values, mat.values)
 
-    def test_csv_has_header_row_and_column(self):
-        mat = bundled_embedding_similarity()
-        lines = mat.to_csv().strip().split("\n")
-        assert lines[0] == "," + ",".join(mat.languages)
-        assert all(line.split(",")[0] == code
-                   for line, code in zip(lines[1:], mat.languages))
-
     def test_asymmetric_values_rejected(self):
         values = np.eye(2)
         values[0, 1] = 0.5
