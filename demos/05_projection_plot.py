@@ -1,8 +1,9 @@
-"""t-SNE projection of language representations to the unit square.
+"""t-SNE projection of the similarity matrix to the unit square.
 
-Runs exact t-SNE on the demo centroids (cosine distances, seeded, so the
-output is reproducible), min-max normalizes to [0, 1]^2, and renders the
-labeled SVG scatter colored by language family.
+Builds the cosine similarity matrix of the demo centroids, runs exact t-SNE
+on it (distances 1 - similarity, seeded, so the output is reproducible),
+min-max normalizes to [0, 1]^2, and renders the labeled SVG scatter colored
+by language family.
 """
 
 import json
@@ -15,11 +16,12 @@ from sprachbund import (TsneParams, build_matrix, bundled_registry,
                         centroid_all, data, emit_plot, load_embeddings,
                         project)
 
-reps = centroid_all(load_embeddings(data.path("demo/embeddings.jsonl")))
+matrix = build_matrix(
+    centroid_all(load_embeddings(data.path("demo/embeddings.jsonl"))))
 
 # 8 points: perplexity must stay below (M - 1) / 3
 params = TsneParams(perplexity=2.0, iterations=500, seed=3)
-projection = project(reps, params)
+projection = project(matrix, params)
 print("normalized 2-D coordinates:")
 for code, (x, y) in zip(projection.languages, projection.points):
     print(f"  {code}: ({x:.3f}, {y:.3f})")

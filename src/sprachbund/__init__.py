@@ -22,8 +22,8 @@ from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
 from .partition import (PartitionManifest, build_manifest, load_manifest,
                         save_manifest, select_pivot, sweep)
 from .projection import (Projection2D, TsneParams, TsneResult,
-                         conditional_affinities, cosine_distances, emit_plot,
-                         joint_affinities, minmax_normalize, project, tsne)
+                         conditional_affinities, emit_plot, joint_affinities,
+                         minmax_normalize, project, tsne)
 from .registry import (LanguageRecord, LexicalSimilarityTable, Registry,
                        bundled_lexical_table, bundled_registry, load_lexical_table,
                        load_registry, save_registry, validate_feature_labels)
@@ -42,8 +42,7 @@ __all__ = [
     "UsageError", "ValidationError", "agglomerate", "build_manifest",
     "build_matrix", "build_report", "bundled_embedding_similarity",
     "bundled_lexical_table", "bundled_registry", "centroid", "centroid_all",
-    "conditional_affinities", "corpus_stats", "cosine_distances",
-    "cut", "emit_plot", "family_purity", "fetch_embeddings", "ingest_shard",
+    "conditional_affinities", "corpus_stats", "cut", "emit_plot", "family_purity", "fetch_embeddings", "ingest_shard",
     "joint_affinities", "lexical_correlation", "load_embeddings",
     "load_lexical_table", "load_manifest", "load_matrix", "load_registry",
     "minmax_normalize", "paired_similarity_vectors", "pearson", "project",

@@ -34,7 +34,7 @@ from .embedding import (FetchStats, LanguageRepresentation,
                         load_embeddings, write_embeddings)
 from .errors import ServiceError, SprachbundError, UsageError, ValidationError
 from .partition import sweep
-from .projection import TsneParams, emit_plot, project
+from .projection import TsneParams, check_plot_settings, emit_plot, project
 from .registry import (Registry, artifact_keys, bundled_lexical_table,
                        bundled_registry, load_json, load_lexical_table,
                        load_registry, read_json, write_json)
@@ -414,9 +414,9 @@ def stage_analyze(cfg: PipelineConfig, ws: Path) -> None:
 
 
 def stage_project(cfg: PipelineConfig, ws: Path) -> None:
-    reps = _load_reps(ws)
+    matrix = _load_simmat(cfg, ws)
     registry = cfg.load_registry()
-    projection = project(reps, cfg.tsne_params())
+    projection = project(matrix, cfg.tsne_params())
     svg, data_doc = emit_plot(projection, registry, cfg.color_by,
                               point_radius=cfg.point_radius,
                               font_size=cfg.font_size)
@@ -440,11 +440,15 @@ _STAGES = {
 
 def run(subcommand: str, cfg: PipelineConfig) -> None:
     ws = cfg.workspace()
+    stages = STAGE_ORDER if subcommand == "all" else (subcommand,)
+    if "project" in stages:  # settings that fail without data fail first
+        cfg.tsne_params()
+        check_plot_settings(cfg.load_registry(), cfg.color_by,
+                            cfg.point_radius, cfg.font_size)
     try:
         ws.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"output directory {ws} is not writable: {exc}")
-    stages = STAGE_ORDER if subcommand == "all" else (subcommand,)
     with _WorkspaceLock(ws):
         for stage in stages:
             try:

@@ -1,4 +1,4 @@
-"""2-D projection of language representations via exact t-SNE, plus plotting.
+"""2-D projection of the similarity matrix via exact t-SNE, plus plotting.
 
 The t-SNE here is the exact O(M^2) algorithm, not a tree approximation:
 Gaussian conditional affinities with a per-row bandwidth found by binary
@@ -8,21 +8,22 @@ Student-t Q with early exaggeration, momentum, and per-coordinate adaptive
 gains. Everything is seeded and pure numpy, so a fixed seed reproduces the
 embedding bit for bit.
 
-Input distances are 1 minus the cosine matrix clustering uses
-(:func:`simmatrix.cosine_matrix`).
+The input is the :class:`simmatrix.SimilarityMatrix` that clustering uses;
+t-SNE's distances are 1 minus its values, so a run computes the cosine
+matrix once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ValidationError
 from .registry import Registry
-from .simmatrix import cosine_matrix
+from .simmatrix import SimilarityMatrix
 
 _EPS = 1e-12
 
@@ -44,6 +45,23 @@ class TsneParams:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
+        # each rule is written so that NaN fails it
+        for key, rule, holds in (
+                ("perplexity", "> 1", self.perplexity > 1),
+                ("iterations", ">= 1", self.iterations >= 1),
+                ("learning_rate", "> 0", self.learning_rate > 0),
+                ("early_exaggeration", "> 0", self.early_exaggeration > 0),
+                ("exaggeration_iters", ">= 0", self.exaggeration_iters >= 0),
+                ("initial_momentum", "in [0, 1)",
+                 0 <= self.initial_momentum < 1),
+                ("final_momentum", "in [0, 1)", 0 <= self.final_momentum < 1),
+                ("momentum_switch_iter", ">= 0",
+                 self.momentum_switch_iter >= 0),
+                ("init_scale", "> 0", self.init_scale > 0),
+                ("min_gain", ">= 0", self.min_gain >= 0)):
+            if not holds:
+                raise ValidationError(
+                    f"tsne.{key} must be {rule}, got {getattr(self, key)!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -54,11 +72,6 @@ class TsneResult:
     points: np.ndarray  # float64, shape (M, 2), unnormalized
     kl_trace: tuple[tuple[int, float], ...]  # (iteration, KL against true P)
     params: TsneParams
-
-
-def cosine_distances(vectors: np.ndarray) -> np.ndarray:
-    """Pairwise 1 - cosine over row vectors, in [0, 2], zero diagonal."""
-    return 1.0 - cosine_matrix(vectors)
 
 
 def _entropy_and_row(dist_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
@@ -125,21 +138,22 @@ def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], _EPS))))
 
 
-def tsne(reps: Sequence, params: TsneParams = TsneParams()) -> TsneResult:
-    """Exact t-SNE of language representations down to 2-D.
+def tsne(matrix: SimilarityMatrix,
+         params: TsneParams = TsneParams()) -> TsneResult:
+    """Exact t-SNE of a similarity matrix's languages down to 2-D.
 
-    ``reps`` is a sequence of objects with ``.vector`` (or raw row vectors).
-    Requires at least 4 points and perplexity < (M - 1) / 3.
+    The distances are ``1.0 - matrix.values``; row i of the result is
+    ``matrix.languages[i]``. Requires at least 4 points and
+    perplexity < (M - 1) / 3.
     """
-    vectors = np.vstack([getattr(r, "vector", r) for r in reps]).astype(np.float64)
-    m = vectors.shape[0]
+    m = len(matrix)
     if m < 4:
         raise ValidationError(f"t-SNE needs at least 4 points, got {m}")
     if params.perplexity >= (m - 1) / 3.0:
         raise ValidationError(
             f"perplexity {params.perplexity} too large for {m} points; "
             f"needs perplexity < {(m - 1) / 3.0:.2f}")
-    distances = cosine_distances(vectors)
+    distances = 1.0 - matrix.values
     if float(distances.max()) == 0.0:
         raise ValidationError("degenerate input: all points are identical")
 
@@ -212,6 +226,9 @@ class Projection2D:
             raise ValidationError(
                 f"need one (x, y) point per language, got shape "
                 f"{self.points.shape} for {len(self.languages)} languages")
+        if not np.all(np.isfinite(self.points)):
+            raise ValidationError(
+                "projection coordinates are not finite: t-SNE diverged")
         if np.any(self.points < 0.0) or np.any(self.points > 1.0):
             raise ValidationError("projection coordinates must lie in [0, 1]")
         self.params = dict(self.params)
@@ -224,12 +241,13 @@ class Projection2D:
         }
 
 
-def project(reps: Sequence, params: TsneParams = TsneParams()) -> Projection2D:
-    """t-SNE then min-max normalization, packaged with language codes."""
-    languages = tuple(getattr(r, "language") for r in reps)
-    result = tsne(reps, params)
+def project(matrix: SimilarityMatrix,
+            params: TsneParams = TsneParams()) -> Projection2D:
+    """t-SNE of ``matrix`` then min-max normalization, packaged with its
+    language codes."""
+    result = tsne(matrix, params)
     return Projection2D(
-        languages=languages,
+        languages=matrix.languages,
         points=minmax_normalize(result.points),
         params=params.to_json(),
     )
@@ -246,6 +264,21 @@ PALETTE = (
 MISSING_COLOR = "#999999"
 
 
+def check_plot_settings(registry: Registry, color_by: str,
+                        point_radius: float, font_size: int) -> None:
+    """Reject plot settings :func:`emit_plot` cannot draw: a radius or font
+    size that is not positive and finite (NaN included), or a ``color_by``
+    that is neither "family" nor one of the registry's syntax features."""
+    for name, value in (("point_radius", point_radius), ("font_size", font_size)):
+        if not 0 < value < math.inf:
+            raise ValidationError(
+                f"{name} must be positive and finite, got {value:g}")
+    if color_by != "family" and color_by not in registry.feature_names:
+        raise ValidationError(
+            f"unknown color_by attribute {color_by!r}; expected 'family' or "
+            f"one of {', '.join(registry.feature_names)}")
+
+
 def emit_plot(projection: Projection2D, registry: Registry,
               color_by: str = "family", *,
               point_radius: float = 5.0, font_size: int = 11,
@@ -256,13 +289,7 @@ def emit_plot(projection: Projection2D, registry: Registry,
     attribute ("family" or a syntax feature name); languages missing the
     attribute are gray. Output bytes are deterministic for fixed inputs.
     """
-    for name, value in (("point_radius", point_radius), ("font_size", font_size)):
-        if not value > 0:  # NaN fails too
-            raise ValidationError(f"{name} must be positive, got {value:g}")
-    if color_by != "family" and color_by not in registry.feature_names:
-        raise ValidationError(
-            f"unknown color_by attribute {color_by!r}; expected 'family' or "
-            f"one of {', '.join(registry.feature_names)}")
+    check_plot_settings(registry, color_by, point_radius, font_size)
     attrs = registry.labels(projection.languages, color_by)
     categories = sorted({v for v in attrs.values() if v is not None})
     colors = {cat: PALETTE[i % len(PALETTE)] for i, cat in enumerate(categories)}

@@ -18,7 +18,7 @@ from sprachbund.corpus import CorpusShard, SamplingPolicy, sample
 from sprachbund.embedding import LanguageRepresentation, SentenceEmbeddingSet, centroid
 from sprachbund.partition import select_pivot, sweep
 from sprachbund.projection import (TsneParams, conditional_affinities,
-                                   cosine_distances, joint_affinities, tsne)
+                                   joint_affinities, tsne)
 from sprachbund.registry import bundled_registry
 from sprachbund.simmatrix import SimilarityMatrix, build_matrix
 
@@ -176,9 +176,11 @@ def test_tsne_calibration():
     P symmetric, non-negative, sums to 1 +/- 1e-9; bitwise-identical runs."""
     rng = np.random.default_rng(13)
     vectors = rng.standard_normal((50, 24))
-    distances = cosine_distances(vectors)
+    reps = [LanguageRepresentation(CODES[i], vectors[i].astype(np.float32), 1)
+            for i in range(50)]
+    matrix = build_matrix(reps)
     perplexity = 10.0
-    cond = conditional_affinities(distances, perplexity)
+    cond = conditional_affinities(1.0 - matrix.values, perplexity)
     worst = max(abs(entropy_bits(cond[i]) - math.log2(perplexity))
                 for i in range(50))
     joint = joint_affinities(cond)
@@ -186,11 +188,9 @@ def test_tsne_calibration():
     symmetric = bool(np.array_equal(joint, joint.T))
     nonneg = bool(np.all(joint >= 0.0))
 
-    reps = [LanguageRepresentation(CODES[i], vectors[i].astype(np.float32), 1)
-            for i in range(50)]
     params = TsneParams(perplexity=perplexity, seed=21)
-    bitwise = bool(np.array_equal(tsne(reps, params).points,
-                                  tsne(reps, params).points))
+    bitwise = bool(np.array_equal(tsne(matrix, params).points,
+                                  tsne(matrix, params).points))
     ok = worst <= 1e-4 and sum_err <= 1e-9 and symmetric and nonneg and bitwise
     report("tsne-calibration", ok,
            f"max entropy error {worst:.2e} bits (limit 1e-4), "

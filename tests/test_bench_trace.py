@@ -1,0 +1,41 @@
+"""The benchmark's traced run still works against the package.
+
+``perfbench/trace_all.py`` wraps package functions by name and applies
+count lambdas to what they return (``len(r)`` of ``cli.ingest_shard``,
+``r.kl_trace[-1]`` of ``projection.tsne``), so a changed signature or return
+type breaks the traced benchmark run while every other test passes.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from sprachbund import cli, data
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_all_covers_every_stage(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "corpus_root": str(data.path("demo/corpus")),
+        "embeddings": str(data.path("demo/embeddings.jsonl")),
+        "k": 2, "seed": 7,
+        "tsne": {"perplexity": 2.0, "iterations": 300},
+    }), encoding="utf-8")
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_all.py"),
+         str(spans_path), "all", "--config", str(cfg),
+         "--out", str(tmp_path / "ws")],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans_path.read_text(encoding="utf-8"))
+    assert doc["rc"] == 0
+    names = [span["name"] for span in doc["spans"]]
+    for stage in cli.STAGE_ORDER:
+        assert names.count(f"cli.{stage}") == 1, stage
+    assert names.count("projection.tsne") == 1

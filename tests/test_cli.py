@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,7 +110,7 @@ class TestAllPipeline:
     def test_projection_params_rebuild_the_run_parameters(self, demo_config,
                                                           tmp_path):
         path = str(demo_config())
-        for stage in ("sample", "embed", "repr", "project"):
+        for stage in ("sample", "embed", "repr", "simmat", "project"):
             assert cli.main([stage, "--config", path]) == 0
         doc = json.loads((tmp_path / "ws" / "projection.json").read_text())
         args = cli.build_parser().parse_args(["project", "--config", path])
@@ -123,6 +124,26 @@ class TestStageOrder:
         rc = cli.main(["cluster", "--out", str(tmp_path / "empty")])
         assert rc == 2
         assert "missing input simmat.json" in capsys.readouterr().err
+
+    def test_project_without_simmat_exits_2(self, demo_config, tmp_path,
+                                            capsys):
+        cfg = str(demo_config())
+        for stage in ("sample", "embed", "repr"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        assert cli.main(["project", "--config", cfg]) == 2
+        assert "missing input simmat.json; run `sprachbund simmat` first" in \
+            capsys.readouterr().err
+
+    def test_project_reads_the_matrix_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "matrix": str(data.path("embedding_similarity.json")),
+            "tsne": {"perplexity": 2.0}, "out": str(tmp_path / "ws")}))
+        assert cli.main(["project", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "ws" / "projection.json").read_text())
+        assert doc["languages"] == list(
+            cli.load_matrix(data.path("embedding_similarity.json")).languages)
+        assert (tmp_path / "ws" / "projection.svg").exists()
 
     def test_repr_without_embeddings_exits_2(self, tmp_path, capsys):
         rc = cli.main(["repr", "--out", str(tmp_path / "empty")])
@@ -413,19 +434,42 @@ class TestDamagedArtifacts:
 
 
 class TestOutOfRangeProjectValues:
-    """Seeds outside [0, 2**64) and plot sizes that are not positive exit
-    2 with a message, never with a traceback."""
+    """Seeds outside [0, 2**64), t-SNE values outside their ranges and plot
+    sizes that are not positive exit 2 with a message, never with a
+    traceback."""
 
     @pytest.mark.parametrize("tsne, flags, message", [
         ({}, ["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
         ({"seed": -4}, [], "seed must be an unsigned 64-bit integer"),
         ({}, ["--point-radius", "-3"], "point_radius must be positive"),
         ({}, ["--font-size", "0"], "font_size must be positive"),
-    ], ids=["seed", "tsne-seed", "point-radius", "font-size"])
+        ({"iterations": 0}, [], "tsne.iterations must be >= 1, got 0"),
+        ({"exaggeration_iters": -5}, [],
+         "tsne.exaggeration_iters must be >= 0, got -5"),
+        ({"momentum_switch_iter": -1}, [],
+         "tsne.momentum_switch_iter must be >= 0, got -1"),
+        ({"learning_rate": -10}, [], "tsne.learning_rate must be > 0, got -10"),
+        ({"early_exaggeration": 0}, [],
+         "tsne.early_exaggeration must be > 0, got 0"),
+        ({"init_scale": 0}, [], "tsne.init_scale must be > 0, got 0"),
+        ({"min_gain": -1}, [], "tsne.min_gain must be >= 0, got -1"),
+        ({"initial_momentum": 1.0}, [],
+         "tsne.initial_momentum must be in [0, 1), got 1.0"),
+        ({"final_momentum": 5}, [],
+         "tsne.final_momentum must be in [0, 1), got 5"),
+        ({"final_momentum": -0.5}, [],
+         "tsne.final_momentum must be in [0, 1), got -0.5"),
+        ({"perplexity": 1}, [], "tsne.perplexity must be > 1, got 1"),
+        ({"perplexity": math.nan}, [], "tsne.perplexity must be > 1, got nan"),
+    ], ids=["seed", "tsne-seed", "point-radius", "font-size", "iterations",
+            "exaggeration-iters", "momentum-switch-iter", "learning-rate",
+            "early-exaggeration", "init-scale", "min-gain",
+            "initial-momentum", "final-momentum-high", "final-momentum-low",
+            "perplexity", "perplexity-nan"])
     def test_project_exits_2(self, demo_config, tmp_path, tsne, flags,
                              message):
         cfg = str(demo_config())
-        for stage in ("sample", "embed", "repr"):
+        for stage in ("sample", "embed", "repr", "simmat"):
             assert cli.main([stage, "--config", cfg]) == 0
         cfg = str(demo_config(tsne={"perplexity": 2.0, "iterations": 10,
                                     **tsne}))
@@ -439,6 +483,30 @@ class TestOutOfRangeProjectValues:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "ws" / "projection.svg").exists()
+
+
+class TestAllChecksProjectSettingsFirst:
+    """`all` rejects project settings that need no data before any stage
+    writes to the workspace."""
+
+    @pytest.mark.parametrize("overrides, flags, message", [
+        ({}, ["--point-radius", "-3"], "point_radius must be positive"),
+        ({}, ["--point-radius", "inf"],
+         "point_radius must be positive and finite, got inf"),
+        ({}, ["--font-size", "0"], "font_size must be positive"),
+        ({"color_by": "nope"}, [], "unknown color_by attribute 'nope'"),
+        ({"tsne": {"perplexity": 2.0, "init_scale": 0}}, [],
+         "tsne.init_scale must be > 0, got 0"),
+    ], ids=["point-radius", "point-radius-inf", "font-size", "color-by",
+            "tsne-init-scale"])
+    def test_all_exits_2_with_no_artifact(self, demo_config, tmp_path, capsys,
+                                          overrides, flags, message):
+        cfg = str(demo_config(**overrides))
+        assert cli.main(["all", "--config", cfg, *flags]) == 2
+        assert message in capsys.readouterr().err
+        ws = tmp_path / "ws"
+        assert not ws.exists() or \
+            [p.name for p in ws.iterdir()] in ([], ["run.log"])
 
 
 class TestUnreadableInputs:

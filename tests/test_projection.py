@@ -7,22 +7,25 @@ from reference import entropy_bits
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
 from sprachbund.projection import (Projection2D, TsneParams,
-                                   conditional_affinities, cosine_distances,
-                                   emit_plot, joint_affinities,
-                                   minmax_normalize, project, tsne)
+                                   conditional_affinities, emit_plot,
+                                   joint_affinities, minmax_normalize,
+                                   project, tsne)
 from sprachbund.registry import LanguageRecord, Registry, bundled_registry
+from sprachbund.simmatrix import build_matrix, cosine_matrix
 
 CODES = [a + b for a in "abcdefghijklmnopqrst" for b in "abcdefghijklmnopqrst"]
 
 
-def make_reps(vectors):
-    return [LanguageRepresentation(CODES[i], np.asarray(v, np.float32), 1)
-            for i, v in enumerate(vectors)]
+def make_matrix(vectors):
+    """The similarity matrix of float32 representations of ``vectors``."""
+    return build_matrix(
+        [LanguageRepresentation(CODES[i], np.asarray(v, np.float32), 1)
+         for i, v in enumerate(vectors)])
 
 
 def random_distances(m, seed, dim=10):
     rng = np.random.default_rng(seed)
-    return cosine_distances(rng.standard_normal((m, dim)))
+    return 1.0 - cosine_matrix(rng.standard_normal((m, dim)))
 
 
 class TestConditionalAffinities:
@@ -61,30 +64,38 @@ class TestJointAffinities:
         vectors = rng.standard_normal((8, 6))
         vectors[5] = vectors[2]  # coincident pair
         joint = joint_affinities(
-            conditional_affinities(cosine_distances(vectors), 2.0))
+            conditional_affinities(1.0 - cosine_matrix(vectors), 2.0))
         assert np.argmax(joint[2]) == 5
         assert np.argmax(joint[5]) == 2
 
 
+class TestTsneParams:
+    @pytest.mark.parametrize("key", [
+        k for k in TsneParams.__dataclass_fields__ if k != "seed"])
+    def test_nan_fails_every_rule(self, key):
+        with pytest.raises(ValidationError, match=f"tsne.{key} must be .*nan"):
+            TsneParams(**{key: math.nan})
+
+
 class TestTsne:
     def test_fixed_seed_is_bitwise_deterministic(self):
-        reps = make_reps(np.random.default_rng(5).standard_normal((12, 8)))
+        matrix = make_matrix(np.random.default_rng(5).standard_normal((12, 8)))
         params = TsneParams(perplexity=3.0, iterations=120, seed=42)
-        a = tsne(reps, params)
-        b = tsne(reps, params)
+        a = tsne(matrix, params)
+        b = tsne(matrix, params)
         assert np.array_equal(a.points, b.points)
 
     def test_different_seeds_differ(self):
-        reps = make_reps(np.random.default_rng(6).standard_normal((12, 8)))
-        a = tsne(reps, TsneParams(perplexity=3.0, iterations=60, seed=1))
-        b = tsne(reps, TsneParams(perplexity=3.0, iterations=60, seed=2))
+        matrix = make_matrix(np.random.default_rng(6).standard_normal((12, 8)))
+        a = tsne(matrix, TsneParams(perplexity=3.0, iterations=60, seed=1))
+        b = tsne(matrix, TsneParams(perplexity=3.0, iterations=60, seed=2))
         assert not np.array_equal(a.points, b.points)
 
     def test_kl_final_not_above_exaggeration_end(self):
-        reps = make_reps(np.random.default_rng(7).standard_normal((20, 10)))
+        matrix = make_matrix(np.random.default_rng(7).standard_normal((20, 10)))
         params = TsneParams(perplexity=4.0, iterations=500,
                             exaggeration_iters=100, seed=3)
-        result = tsne(reps, params)
+        result = tsne(matrix, params)
         trace = dict(result.kl_trace)
         assert trace[500] <= trace[100] + 1e-6
 
@@ -92,8 +103,8 @@ class TestTsne:
         rng = np.random.default_rng(8)
         vectors = rng.standard_normal((10, 12))
         vectors[7] = vectors[1]
-        reps = make_reps(vectors)
-        result = tsne(reps, TsneParams(perplexity=2.5, iterations=600, seed=9))
+        result = tsne(make_matrix(vectors),
+                      TsneParams(perplexity=2.5, iterations=600, seed=9))
         points = result.points
         dup_gap = np.linalg.norm(points[1] - points[7])
         for j in range(10):
@@ -103,19 +114,26 @@ class TestTsne:
             assert dup_gap < np.linalg.norm(points[7] - points[j])
 
     def test_too_few_points(self):
-        reps = make_reps(np.eye(3))
+        matrix = make_matrix(np.eye(3))
         with pytest.raises(ValidationError, match="at least 4"):
-            tsne(reps, TsneParams(perplexity=2.0))
+            tsne(matrix, TsneParams(perplexity=2.0))
 
     def test_perplexity_too_large(self):
-        reps = make_reps(np.random.default_rng(10).standard_normal((9, 4)))
+        matrix = make_matrix(np.random.default_rng(10).standard_normal((9, 4)))
         with pytest.raises(ValidationError, match="too large"):
-            tsne(reps, TsneParams(perplexity=3.0))  # needs < (9-1)/3
+            tsne(matrix, TsneParams(perplexity=3.0))  # needs < (9-1)/3
 
     def test_degenerate_identical_inputs(self):
-        reps = make_reps(np.tile([1.0, 2.0, 3.0], (8, 1)))
+        matrix = make_matrix(np.tile([1.0, 2.0, 3.0], (8, 1)))
         with pytest.raises(ValidationError, match="identical"):
-            tsne(reps, TsneParams(perplexity=2.0))
+            tsne(matrix, TsneParams(perplexity=2.0))
+
+
+class TestProjection2D:
+    def test_nan_point_says_tsne_diverged(self):
+        points = np.array([[0.0, 0.0], [math.nan, 0.5], [1.0, 1.0]])
+        with pytest.raises(ValidationError, match="t-SNE diverged"):
+            Projection2D(languages=("aa", "bb", "cc"), points=points)
 
 
 class TestMinmaxNormalize:
@@ -190,9 +208,10 @@ class TestEmitPlot:
 
 class TestProject:
     def test_projection_is_normalized_with_params(self):
-        reps = make_reps(np.random.default_rng(14).standard_normal((10, 6)))
-        projection = project(reps, TsneParams(perplexity=2.0, iterations=80,
-                                              seed=4))
+        matrix = make_matrix(np.random.default_rng(14).standard_normal((10, 6)))
+        projection = project(matrix, TsneParams(perplexity=2.0, iterations=80,
+                                                seed=4))
+        assert projection.languages == matrix.languages
         assert projection.points.shape == (10, 2)
         assert projection.points.min() >= 0.0
         assert projection.points.max() <= 1.0
