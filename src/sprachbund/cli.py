@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -67,9 +67,13 @@ class PipelineConfig:
     tsne: dict = field(default_factory=dict)
     out: str | None = None
 
+    def __post_init__(self):
+        self._registry: Registry | None = None
+
     def digest(self) -> str:
         """Digest of the semantic parameters (workspace location excluded)."""
-        payload = {k: v for k, v in self.__dict__.items() if k != "out"}
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "out"}
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
@@ -80,9 +84,12 @@ class PipelineConfig:
         return Path(self.out)
 
     def load_registry(self) -> Registry:
-        if self.registry:
-            return load_registry(self.registry)
-        return bundled_registry()
+        """The registry, read on the first call and kept: each stage of a
+        run asks for it, and the run reads it once."""
+        if self._registry is None:
+            self._registry = (load_registry(self.registry) if self.registry
+                              else bundled_registry())
+        return self._registry
 
     def load_lexical_table(self):
         if self.lexical_table:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import filterfalse
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -30,16 +32,40 @@ class CorpusShard:
     sentences: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sentences", tuple((int(i), t) for i, t in self.sentences))
-        ids = [i for i, _ in self.sentences]
-        if len(set(ids)) != len(ids):
+        # Each check is one pass in C over the whole shard; only a failed
+        # check walks the pairs in Python, to name what failed.
+        sentences = tuple(self.sentences)
+        if not ({tuple} >= set(map(type, sentences))
+                and {2} >= set(map(len, sentences))
+                and {int} >= set(map(type, map(itemgetter(0), sentences)))):
+            # a list for a pair, or an id that is not an exact int
+            sentences = tuple((int(i), t) for i, t in sentences)
+        object.__setattr__(self, "sentences", sentences)
+        if len(set(map(itemgetter(0), sentences))) != len(sentences):
             raise ValidationError(
                 f"shard for {self.language!r} has duplicate sentence ids")
-        for i, text in self.sentences:
-            if not text.strip():
-                raise ValidationError(
-                    f"shard for {self.language!r}: sentence {i} is blank")
+        texts = tuple(map(itemgetter(1), sentences))
+        if not ({str} >= set(map(type, texts)) and all(texts)
+                and not any(map(str.isspace, texts))):
+            for i, text in sentences:
+                if not isinstance(text, str):
+                    raise ValidationError(
+                        f"shard for {self.language!r}: sentence {i} is not "
+                        f"a string")
+                if not text or text.isspace():
+                    raise ValidationError(
+                        f"shard for {self.language!r}: sentence {i} is blank")
+
+    @classmethod
+    def _unchecked(cls, language: str,
+                   sentences: tuple[tuple[int, str], ...]) -> "CorpusShard":
+        """A shard of pairs that are valid by construction: (int, str)
+        tuples, unique ids, no blank text. ``__post_init__`` is skipped, as
+        its checks could not fail."""
+        shard = object.__new__(cls)
+        object.__setattr__(shard, "language", language)
+        object.__setattr__(shard, "sentences", sentences)
+        return shard
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -62,7 +88,9 @@ class SamplingPolicy:
 def ingest_shard(path: str | Path, language: str, registry: Registry) -> CorpusShard:
     """Read one sentence per line; blank lines are skipped.
 
-    Sentence ids run 0, 1, 2, ... over the kept lines.
+    Lines are split as ``str.splitlines`` splits them, and a line is blank
+    when it is empty or all whitespace (``str.isspace``, the set ``strip``
+    removes). Sentence ids run 0, 1, 2, ... over the kept lines.
     """
     if language not in registry:
         raise ValidationError(f"language {language!r} is not in the registry")
@@ -75,11 +103,8 @@ def ingest_shard(path: str | Path, language: str, registry: Registry) -> CorpusS
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-    sentences = []
-    for line in text.splitlines():
-        if line.strip():
-            sentences.append((len(sentences), line))
-    return CorpusShard(language=language, sentences=tuple(sentences))
+    lines = filterfalse(str.isspace, filter(None, text.splitlines()))
+    return CorpusShard._unchecked(language, tuple(enumerate(lines)))
 
 
 def _child_seed(seed: int, language: str) -> int:
@@ -93,20 +118,31 @@ def sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
     Under-cap shards pass through unchanged. Above the cap, Algorithm R picks
     each sentence with probability cap/n; the result is deterministic for a
     given (shard, policy).
+
+    Sentence ``m - 1`` replaces slot ``j`` for a draw ``j`` in [0, m) below
+    the cap. That draw is ``rng.randrange(m)`` written out as CPython's
+    ``Random._randbelow_with_getrandbits`` (3.10 to 3.13): take
+    ``m.bit_length()`` bits, and draw again while the value is ``>= m``. It
+    consumes the same Mersenne Twister words, so the selection is the one
+    ``randrange`` makes, without its per-call argument checks.
     """
     n = len(shard)
     cap = policy.cap
     if n <= cap:
         return shard
-    rng = random.Random(_child_seed(policy.seed, shard.language))
+    getrandbits = random.Random(
+        _child_seed(policy.seed, shard.language)).getrandbits
     chosen = list(range(cap))
-    for i in range(cap, n):
-        j = rng.randrange(i + 1)
+    for m in range(cap + 1, n + 1):
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
         if j < cap:
-            chosen[j] = i
+            chosen[j] = m - 1
     chosen.sort()
-    return CorpusShard(language=shard.language,
-                       sentences=tuple(shard.sentences[i] for i in chosen))
+    return CorpusShard._unchecked(
+        shard.language, tuple(map(shard.sentences.__getitem__, chosen)))
 
 
 def corpus_stats(shards: Iterable[CorpusShard]) -> dict:

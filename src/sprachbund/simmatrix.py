@@ -21,7 +21,11 @@ from .registry import LexicalSimilarityTable, artifact_keys, read_json
 
 @dataclass(eq=False)
 class SimilarityMatrix:
-    """Symmetric cosine-similarity matrix over an ordered language list."""
+    """Symmetric cosine-similarity matrix over an ordered language list.
+
+    Entries at most 1e-9 past -1 or 1 are rounding error and are clamped
+    into [-1, 1]; an entry further out is an error naming its pair.
+    """
 
     languages: tuple[str, ...]
     values: np.ndarray  # float64, shape (M, M)
@@ -40,8 +44,15 @@ class SimilarityMatrix:
             raise ValidationError("similarity matrix is not symmetric")
         if not np.all(np.diag(self.values) == 1.0):
             raise ValidationError("similarity matrix diagonal must be 1.0")
-        if np.any(np.abs(self.values) > 1.0 + 1e-9):
-            raise ValidationError("similarity values must lie in [-1, 1]")
+        magnitude = np.abs(self.values)
+        outside = np.argwhere(magnitude > 1.0 + 1e-9)
+        if len(outside):
+            i, j = outside[0]
+            raise ValidationError(
+                f"similarity of ({self.languages[i]!r}, {self.languages[j]!r}) "
+                f"is {float(self.values[i, j])!r}, outside [-1, 1]")
+        if (magnitude > 1.0).any():  # within the tolerance: rounding error
+            self.values = np.clip(self.values, -1.0, 1.0)
         self._index = {code: i for i, code in enumerate(self.languages)}
 
     def __len__(self) -> int:

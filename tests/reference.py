@@ -7,9 +7,16 @@ no code with the library paths it checks.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
+from pathlib import Path
 
 import numpy as np
+
+from sprachbund.corpus import CorpusShard, SamplingPolicy
+from sprachbund.errors import ValidationError
+from sprachbund.registry import Registry
 
 
 def naive_average_linkage(dist: np.ndarray):
@@ -135,3 +142,49 @@ def unit_vectors_with_cosines(sim: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(sim)
     x = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def loop_ingest_shard(path: str | Path, language: str,
+                      registry: Registry) -> CorpusShard:
+    """Corpus ingest as one Python loop over the lines, keeping a line when
+    ``line.strip()`` is non-empty; ids run 0, 1, 2, ... over the kept lines.
+    """
+    if language not in registry:
+        raise ValidationError(f"language {language!r} is not in the registry")
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+    sentences = []
+    for line in text.splitlines():
+        if line.strip():
+            sentences.append((len(sentences), line))
+    return CorpusShard(language=language, sentences=tuple(sentences))
+
+
+def _child_seed(seed: int, language: str) -> int:
+    digest = hashlib.sha256(f"{seed}:{language}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def randrange_sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
+    """Algorithm R drawing each index with ``random.Random.randrange``, from
+    the same per-(seed, language) SHA-256 child seed."""
+    n = len(shard)
+    cap = policy.cap
+    if n <= cap:
+        return shard
+    rng = random.Random(_child_seed(policy.seed, shard.language))
+    chosen = list(range(cap))
+    for i in range(cap, n):
+        j = rng.randrange(i + 1)
+        if j < cap:
+            chosen[j] = i
+    chosen.sort()
+    return CorpusShard(language=shard.language,
+                       sentences=tuple(shard.sentences[i] for i in chosen))

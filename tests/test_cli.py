@@ -107,6 +107,20 @@ class TestAllPipeline:
             (tmp_path / "ws" / "run.log").read_text()
 
 
+    @pytest.mark.parametrize("registry_file", [False, True])
+    def test_all_reads_the_registry_once(self, demo_config, monkeypatch,
+                                         registry_file):
+        reads = []
+        for name in ("load_registry", "bundled_registry"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, real=real, name=name:
+                                reads.append(name) or real(*args))
+        overrides = ({"registry": str(data.path("registry.json"))}
+                     if registry_file else {})
+        assert cli.main(["all", "--config", str(demo_config(**overrides))]) == 0
+        assert reads == ["load_registry" if registry_file
+                         else "bundled_registry"]
+
     def test_projection_params_rebuild_the_run_parameters(self, demo_config,
                                                           tmp_path):
         path = str(demo_config())
@@ -380,6 +394,21 @@ class TestDamagedArtifacts:
         assert cli.main([stage, "--config", cfg]) == 2
         assert f"{name}: missing key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (5, "sentence 0 is not a string"), ("  ", "sentence 0 is blank")])
+    def test_damaged_sentence_exits_2(self, demo_config, tmp_path, capsys,
+                                      text, message):
+        cfg = str(demo_config())
+        assert cli.main(["sample", "--config", cfg]) == 0
+        path = tmp_path / "ws" / "sampled.json"
+        doc = json.loads(path.read_text())
+        doc["shards"][0]["sentences"][0][1] = text
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["embed", "--config", cfg]) == 2
+        assert f"sampled.json: shard for 'ca': {message}" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("damage, message", [
         (lambda npy: npy.unlink(), "missing input embeddings.npy"),
         (lambda npy: npy.write_bytes(npy.read_bytes()[:-4]), "unreadable"),
@@ -425,6 +454,35 @@ class TestDamagedArtifacts:
                                    "out": str(tmp_path / "ws")}))
         assert cli.main(["cluster", "--config", str(cfg)]) == 2
         assert "expected a JSON object, got int" in capsys.readouterr().err
+
+    @staticmethod
+    def matrix_with(tmp_path, value: float) -> Path:
+        """The bundled matrix with its ('ca', 'fr') pair set to ``value``."""
+        doc = json.loads(data.path("embedding_similarity.json").read_text())
+        doc["values"][0][2] = doc["values"][2][0] = value
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_rounding_error_past_one_is_clamped(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "matrix": str(self.matrix_with(tmp_path, 1.0000000001)),
+            "tsne": {"perplexity": 2.0, "iterations": 300},
+            "out": str(tmp_path / "ws")}))
+        for stage in ("cluster", "project"):
+            assert cli.main([stage, "--config", str(cfg)]) == 0, stage
+
+    @pytest.mark.parametrize("stage", ["cluster", "project"])
+    def test_similarity_past_one_exits_2_naming_file_and_pair(
+            self, tmp_path, capsys, stage):
+        matrix = self.matrix_with(tmp_path, 1.01)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"matrix": str(matrix),
+                                   "out": str(tmp_path / "ws")}))
+        assert cli.main([stage, "--config", str(cfg)]) == 2
+        assert (f"{matrix}: similarity of ('ca', 'fr') is 1.01, "
+                f"outside [-1, 1]") in capsys.readouterr().err
 
     def test_source_digest_is_read_in_chunks(self, tmp_path):
         path = tmp_path / "big.bin"

@@ -1,0 +1,106 @@
+"""The corpus layer against its loop oracles in ``reference.py``.
+
+``ingest_shard`` splits and filters in C and ``sample`` inlines
+``randrange``; both must give the shard the plain loops give, or fail with
+the same message, on any bytes: every line break ``str.splitlines`` knows,
+Unicode whitespace, blank lines and invalid UTF-8.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from reference import loop_ingest_shard, randrange_sample
+
+from sprachbund.corpus import CorpusShard, SamplingPolicy, ingest_shard, sample
+from sprachbund.errors import ValidationError
+
+PIECES = [
+    # words, one with a two-byte character
+    b"a", b"xyz", "été".encode(),
+    # line breaks: \n, \r\n and a lone \r
+    b"\n", b"\r\n", b"\r",
+    # the other separators str.splitlines splits on
+    *(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    # whitespace that strip() removes, ASCII and Unicode
+    b" ", b"\t", "\xa0".encode(), "\u3000".encode(),
+    # bytes that are not UTF-8: a stray continuation byte, a truncated
+    # two-byte sequence, a byte never used
+    b"\x80", b"\xc3", b"\xff",
+]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pieces=st.lists(st.sampled_from(PIECES), max_size=80),
+       cap=st.integers(1, 12), seed=st.integers(0, 2 ** 64 - 1))
+@example(pieces=[b"a", "\x85".encode(), b"a", "\u2028".encode(), b"a"],
+         cap=1, seed=0)
+@example(pieces=[b"a", b"\r", b"\n", "\xa0".encode(), b"\r", b"a"],
+         cap=1, seed=0)
+@example(pieces=[b"a", b"\n", b"\xc3"], cap=1, seed=0)
+def test_ingest_and_sample_match_the_loops(tmp_path, toy_registry,
+                                           pieces, cap, seed):
+    path = tmp_path / "aa.txt"
+    path.write_bytes(b"".join(pieces))
+    got = outcome(ingest_shard, path, "aa", toy_registry)
+    want = outcome(loop_ingest_shard, path, "aa", toy_registry)
+    assert got == want
+    if isinstance(want, CorpusShard):
+        assert type(got.sentences) is tuple
+        assert {tuple} >= set(map(type, got.sentences))
+        policy = SamplingPolicy(cap=cap, seed=seed)
+        assert sample(got, policy) == randrange_sample(want, policy)
+
+
+@pytest.mark.parametrize("n", [2 ** k + d for k in range(1, 12)
+                               for d in (-1, 0, 1)])
+def test_sample_matches_randrange_across_powers_of_two(n):
+    shard = CorpusShard(language="aa",
+                        sentences=tuple((i, f"s{i}") for i in range(n)))
+    for cap in (1, 2, 3):
+        for seed in range(3):
+            policy = SamplingPolicy(cap=cap, seed=seed)
+            assert sample(shard, policy) == randrange_sample(shard, policy)
+
+
+def test_getrandbits_draw_is_randrange():
+    """The draw ``sample`` writes out is the one ``randrange`` makes on this
+    Python, on both sides of each power of two, past one 32-bit word too."""
+    bounds = [2 ** k + d for k in range(1, 70) for d in (-1, 0, 1)
+              if 2 ** k + d >= 1]
+    for seed in range(20):
+        rng = random.Random(seed)
+        getrandbits = random.Random(seed).getrandbits
+        for m in bounds:
+            k = m.bit_length()
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            assert j == rng.randrange(m), (seed, m)
+
+
+def test_shard_checks_name_what_failed():
+    with pytest.raises(ValidationError, match="duplicate"):
+        CorpusShard(language="aa", sentences=[(0, "x"), (0.0, "y")])
+    with pytest.raises(ValidationError, match="sentence 3 is blank"):
+        CorpusShard(language="aa", sentences=((1, "x"), (3, "\u3000")))
+    with pytest.raises(ValidationError, match="sentence 2 is blank"):
+        CorpusShard(language="aa", sentences=((1, "x"), (2, "")))
+    with pytest.raises(ValidationError, match="sentence 4 is not a string"):
+        CorpusShard(language="aa", sentences=((1, "x"), (4, 0)))
+
+
+def test_shard_normalizes_pairs_and_ids():
+    shard = CorpusShard(language="aa", sentences=[[True, "x"], ("2", "y")])
+    assert shard.sentences == ((1, "x"), (2, "y"))
+    assert [type(i) for i, _ in shard.sentences] == [int, int]
+    assert {tuple} >= set(map(type, shard.sentences))

@@ -123,6 +123,22 @@ class TestMatrixSerialization:
         with pytest.raises(ValidationError, match="symmetric"):
             SimilarityMatrix(("aa", "bb"), values)
 
+    def test_rounding_error_past_one_is_clamped(self):
+        values = np.array([[1.0, 1.0000000001, -1.0000000001],
+                           [1.0000000001, 1.0, 0.5],
+                           [-1.0000000001, 0.5, 1.0]])
+        mat = SimilarityMatrix(("aa", "bb", "cc"), values)
+        assert mat.values[0, 1] == 1.0 and mat.values[0, 2] == -1.0
+        assert values[0, 1] == 1.0000000001  # the caller's array is kept
+
+    def test_value_past_one_names_the_first_pair(self):
+        values = np.eye(3)
+        values[1, 2] = values[2, 1] = -1.5
+        values[0, 2] = values[2, 0] = 1.01
+        with pytest.raises(ValidationError,
+                           match=r"\('aa', 'cc'\) is 1\.01, outside \[-1, 1\]"):
+            SimilarityMatrix(("aa", "bb", "cc"), values)
+
 
 class TestPearson:
     def test_identical_sequences(self):
