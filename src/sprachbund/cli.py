@@ -431,6 +431,9 @@ def stage_project(cfg: PipelineConfig, ws: Path) -> None:
     (ws / "projection.svg").write_text(
         f"<!-- v=1 config_digest={cfg.digest()} -->\n" + svg,
         encoding="utf-8")
+    iterations, final_kl = projection.fit.kl_trace[-1]
+    _log(ws, f"project iterations={iterations} final_kl={final_kl:.6g} "
+             f"unconverged_rows={projection.fit.unconverged_rows}")
 
 
 _STAGES = {

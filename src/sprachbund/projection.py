@@ -8,6 +8,11 @@ Student-t Q with early exaggeration, momentum, and per-coordinate adaptive
 gains. Everything is seeded and pure numpy, so a fixed seed reproduces the
 embedding bit for bit.
 
+Both hot loops work on whole arrays. The bandwidth search bisects all rows
+at once, each with the arithmetic a one-row search would use, so P matches
+that search to the bit. A descent step gets every 1 + |y_i - y_j|^2 from one
+(M x 4) @ (4 x M) product and keeps its M x M work in two reused buffers.
+
 The input is the :class:`simmatrix.SimilarityMatrix` that clustering uses;
 t-SNE's distances are 1 minus its values, so a run computes the cosine
 matrix once.
@@ -26,6 +31,7 @@ from .registry import Registry
 from .simmatrix import SimilarityMatrix
 
 _EPS = 1e-12
+_TOL_BITS = 1e-6  # bandwidth search: entropy tolerance in bits
 
 
 @dataclass(frozen=True)
@@ -72,28 +78,56 @@ class TsneResult:
     points: np.ndarray  # float64, shape (M, 2), unnormalized
     kl_trace: tuple[tuple[int, float], ...]  # (iteration, KL against true P)
     params: TsneParams
+    unconverged_rows: int  # rows of P whose bandwidth search missed its target
 
 
-def _entropy_and_row(dist_row: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    """Shannon entropy (bits) and the conditional distribution for one bandwidth."""
-    logits = -dist_row * beta
-    logits -= logits.max()
-    p = np.exp(logits)
-    total = p.sum()
-    p /= total
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of ``p``.
+
+    Each row's sum of p*log(p) runs over its nonzero entries in index order,
+    so a row's entropy does not depend on the other rows it is computed with.
+    A row where some entry underflowed to 0 is summed over its nonzero
+    entries alone, because a 0 term in the row would regroup numpy's pairwise
+    sum and move the last bits.
+    """
     nz = p > 0
-    entropy_nats = -float(np.sum(p[nz] * np.log(p[nz])))
-    return entropy_nats / math.log(2.0), p
+    terms = p * np.log(np.where(nz, p, 1.0))
+    nats = terms.sum(axis=1)
+    for i in np.flatnonzero(~nz.all(axis=1)):
+        nats[i] = np.sum(terms[i, nz[i]])
+    return -nats / math.log(2.0)
+
+
+def _gaussian_rows(rows: np.ndarray,
+                   beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies (bits) and conditional distributions of the Gaussian kernel
+    exp(-d * beta_i) over each row of distances."""
+    logits = -rows * beta[:, None]
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    p /= p.sum(axis=1, keepdims=True)
+    return _entropy_bits(p), p
+
+
+def _off_diagonal(m: int) -> np.ndarray:
+    return ~np.eye(m, dtype=bool)
 
 
 def conditional_affinities(distances: np.ndarray, perplexity: float, *,
-                           tol: float = 1e-6, max_steps: int = 200) -> np.ndarray:
+                           tol: float = _TOL_BITS,
+                           max_steps: int = 200) -> np.ndarray:
     """Row-stochastic conditional affinities with per-row bandwidth search.
 
     For each row i the precision beta_i of the Gaussian kernel
-    exp(-d_ij * beta_i) is bisected until the conditional distribution's
-    Shannon entropy matches log2(perplexity) within ``tol`` bits. The
-    diagonal is zero.
+    exp(-d_ij * beta_i) over the other points is bisected until the
+    conditional distribution's Shannon entropy matches log2(perplexity)
+    within ``tol`` bits: beta doubles until some step overshoots, then
+    moves to the midpoint of its bracket. All rows are searched at once and
+    a row drops out of the search once it is within ``tol``; each row's
+    arithmetic is that of a search of the row alone. A row whose entropy
+    cannot reach the target (all its distances equal, say) stops after
+    ``max_steps`` steps; :func:`unconverged_rows` counts those. The diagonal
+    is zero.
     """
     d = np.asarray(distances, dtype=np.float64)
     m = d.shape[0]
@@ -106,25 +140,39 @@ def conditional_affinities(distances: np.ndarray, perplexity: float, *,
             f"perplexity must lie in (1, {m - 1}] for {m} points, "
             f"got {perplexity}")
     target_bits = math.log2(perplexity)
+    off = _off_diagonal(m)
+    rows = d[off].reshape(m, m - 1)
+    beta = np.ones(m)
+    beta_lo = np.zeros(m)
+    beta_hi = np.full(m, math.inf)
+    entropy, cond = _gaussian_rows(rows, beta)
+    todo = np.arange(m)  # the rows still searching; entropy holds theirs
+    for _ in range(max_steps):
+        diff = entropy - target_bits
+        missed = ~(np.abs(diff) <= tol)  # NaN misses, as in a scalar test
+        todo, diff = todo[missed], diff[missed]
+        if not todo.size:
+            break
+        b, lo, hi = beta[todo], beta_lo[todo], beta_hi[todo]
+        flat = diff > 0  # too flat: sharpen
+        beta_lo[todo] = np.where(flat, b, lo)
+        beta_hi[todo] = np.where(flat, hi, b)
+        beta[todo] = np.where(flat,
+                              np.where(np.isinf(hi), b * 2.0, (b + hi) / 2.0),
+                              (b + lo) / 2.0)
+        entropy, cond[todo] = _gaussian_rows(rows[todo], beta[todo])
     p = np.zeros((m, m), dtype=np.float64)
-    others = np.arange(m)
-    for i in range(m):
-        row = d[i, others != i]
-        beta, beta_lo, beta_hi = 1.0, 0.0, math.inf
-        entropy, cond = _entropy_and_row(row, beta)
-        for _ in range(max_steps):
-            diff = entropy - target_bits
-            if abs(diff) <= tol:
-                break
-            if diff > 0:  # too flat: sharpen
-                beta_lo = beta
-                beta = beta * 2.0 if math.isinf(beta_hi) else (beta + beta_hi) / 2.0
-            else:
-                beta_hi = beta
-                beta = (beta + beta_lo) / 2.0
-            entropy, cond = _entropy_and_row(row, beta)
-        p[i, others != i] = cond
+    p[off] = cond.ravel()
     return p
+
+
+def unconverged_rows(conditional: np.ndarray, perplexity: float) -> int:
+    """How many rows of :func:`conditional_affinities` output (at its default
+    ``tol``) miss the target entropy log2(perplexity) by more than ``tol``."""
+    m = conditional.shape[0]
+    rows = conditional[_off_diagonal(m)].reshape(m, m - 1)
+    miss = np.abs(_entropy_bits(rows) - math.log2(perplexity))
+    return int(np.count_nonzero(~(miss <= _TOL_BITS)))
 
 
 def joint_affinities(conditional: np.ndarray) -> np.ndarray:
@@ -134,8 +182,37 @@ def joint_affinities(conditional: np.ndarray) -> np.ndarray:
 
 
 def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(P || Q) in nats; ``q`` is clamped at _EPS, so no term divides by 0."""
     mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], _EPS))))
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def _student_t(y: np.ndarray, num: np.ndarray, q: np.ndarray) -> None:
+    """Fill ``num`` with the Student-t kernel 1 / (1 + |y_i - y_j|^2), zero on
+    the diagonal, and ``q`` with num / sum(num) clamped below at _EPS.
+
+    The squared distances plus one come from a single (M x 4) @ (4 x M)
+    product: [y, |y|^2, 1] . [-2y, 1, 1 + |y|^2] = 1 + |y_i|^2 - 2 y_i.y_j
+    + |y_j|^2.
+    """
+    sq = np.einsum("ij,ij->i", y, y)
+    left = np.column_stack((y, sq, np.ones_like(sq)))
+    right = np.vstack((-2.0 * y.T, np.ones_like(sq), 1.0 + sq))
+    np.matmul(left, right, out=num)
+    np.reciprocal(num, out=num)
+    np.fill_diagonal(num, 0.0)
+    np.multiply(num, 1.0 / num.sum(), out=q)
+    np.maximum(q, _EPS, out=q)
+
+
+def _gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray,
+              q: np.ndarray) -> np.ndarray:
+    """Gradient of KL(P || Q) at ``y``: 4 * sum_j w_ij (y_i - y_j) with
+    w = (p - q) * num, from the buffers :func:`_student_t` filled. Overwrites
+    ``q`` with w."""
+    w = np.subtract(p, q, out=q)
+    w *= num
+    return 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
 
 
 def tsne(matrix: SimilarityMatrix,
@@ -157,25 +234,25 @@ def tsne(matrix: SimilarityMatrix,
     if float(distances.max()) == 0.0:
         raise ValidationError("degenerate input: all points are identical")
 
-    p_true = joint_affinities(conditional_affinities(distances, params.perplexity))
+    cond = conditional_affinities(distances, params.perplexity)
+    p_true = joint_affinities(cond)
+    p_exaggerated = p_true * params.early_exaggeration
 
     rng = np.random.default_rng(params.seed)
     y = rng.standard_normal((m, 2)) * params.init_scale
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
+    num = np.empty((m, m))
+    q = np.empty((m, m))
     trace: list[tuple[int, float]] = []
 
     for it in range(params.iterations):
-        exaggerating = it < params.exaggeration_iters
-        p = p_true * params.early_exaggeration if exaggerating else p_true
-
-        sq = np.sum(np.square(y), axis=1)
-        num = 1.0 / (1.0 + np.add(np.add(-2.0 * (y @ y.T), sq).T, sq))
-        np.fill_diagonal(num, 0.0)
-        q = num / num.sum()
-
-        grad_coeff = (p - np.maximum(q, _EPS)) * num
-        grad = 4.0 * (np.diag(grad_coeff.sum(axis=1)) - grad_coeff) @ y
+        p = p_exaggerated if it < params.exaggeration_iters else p_true
+        _student_t(y, num, q)
+        last_exaggerated = it == params.exaggeration_iters - 1
+        if (it + 1) % 50 == 0 or last_exaggerated or it == params.iterations - 1:
+            trace.append((it + 1, _kl_divergence(p_true, q)))
+        grad = _gradient(p, y, num, q)
 
         momentum = (params.initial_momentum
                     if it < params.momentum_switch_iter
@@ -187,11 +264,8 @@ def tsne(matrix: SimilarityMatrix,
         y = y + velocity
         y = y - y.mean(axis=0)
 
-        last_exaggerated = it == params.exaggeration_iters - 1
-        if (it + 1) % 50 == 0 or last_exaggerated or it == params.iterations - 1:
-            trace.append((it + 1, _kl_divergence(p_true, np.maximum(q, _EPS))))
-
-    return TsneResult(points=y, kl_trace=tuple(trace), params=params)
+    return TsneResult(points=y, kl_trace=tuple(trace), params=params,
+                      unconverged_rows=unconverged_rows(cond, params.perplexity))
 
 
 def minmax_normalize(points: np.ndarray) -> np.ndarray:
@@ -213,11 +287,15 @@ def minmax_normalize(points: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class Projection2D:
-    """Normalized 2-D coordinates per language, with the run's parameters."""
+    """Normalized 2-D coordinates per language, with the run's parameters
+    and, from :func:`project`, the t-SNE fit they came from (its KL trace and
+    bandwidth misses are diagnostics for the run log, not part of the
+    artifact)."""
 
     languages: tuple[str, ...]
     points: np.ndarray  # float64, shape (M, 2), in [0, 1]^2
     params: Mapping[str, object] = field(default_factory=dict)
+    fit: TsneResult | None = None
 
     def __post_init__(self):
         self.languages = tuple(self.languages)
@@ -250,6 +328,7 @@ def project(matrix: SimilarityMatrix,
         languages=matrix.languages,
         points=minmax_normalize(result.points),
         params=params.to_json(),
+        fit=result,
     )
 
 
@@ -287,8 +366,12 @@ def emit_plot(projection: Projection2D, registry: Registry,
 
     Every point is labeled with its language code and colored by the chosen
     attribute ("family" or a syntax feature name); languages missing the
-    attribute are gray. Output bytes are deterministic for fixed inputs.
+    attribute are gray. Attribute values are XML-escaped (codes are
+    [a-z]{2,4} by construction). Output bytes are deterministic for fixed
+    inputs.
     """
+    from html import escape  # only plotting pays for this import
+
     check_plot_settings(registry, color_by, point_radius, font_size)
     attrs = registry.labels(projection.languages, color_by)
     categories = sorted({v for v in attrs.values() if v is not None})
@@ -319,7 +402,8 @@ def emit_plot(projection: Projection2D, registry: Registry,
             f'height="12" fill="{colors[cat]}"/>')
         parts.append(
             f'<text x="{size - margin * 3 + 16:.2f}" y="{ly + 10:.2f}" '
-            f'font-size="{font_size}" font-family="sans-serif">{cat}</text>')
+            f'font-size="{font_size}" font-family="sans-serif">'
+            f'{escape(cat, quote=False)}</text>')
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"
 

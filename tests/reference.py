@@ -144,6 +144,94 @@ def unit_vectors_with_cosines(sim: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def _loop_entropy_and_row(dist_row: np.ndarray,
+                          beta: float) -> tuple[float, np.ndarray]:
+    """Shannon entropy (bits) and the conditional distribution for one bandwidth."""
+    logits = -dist_row * beta
+    logits -= logits.max()
+    p = np.exp(logits)
+    total = p.sum()
+    p /= total
+    nz = p > 0
+    entropy_nats = -float(np.sum(p[nz] * np.log(p[nz])))
+    return entropy_nats / math.log(2.0), p
+
+
+def loop_conditional_affinities(distances: np.ndarray, perplexity: float, *,
+                                tol: float = 1e-6,
+                                max_steps: int = 200) -> np.ndarray:
+    """One row at a time, the Gaussian bandwidth bisection that
+    ``projection.conditional_affinities`` runs on all rows at once; its
+    result must agree to the bit."""
+    d = np.asarray(distances, dtype=np.float64)
+    m = d.shape[0]
+    target_bits = math.log2(perplexity)
+    p = np.zeros((m, m), dtype=np.float64)
+    others = np.arange(m)
+    for i in range(m):
+        row = d[i, others != i]
+        beta, beta_lo, beta_hi = 1.0, 0.0, math.inf
+        entropy, cond = _loop_entropy_and_row(row, beta)
+        for _ in range(max_steps):
+            diff = entropy - target_bits
+            if abs(diff) <= tol:
+                break
+            if diff > 0:  # too flat: sharpen
+                beta_lo = beta
+                beta = beta * 2.0 if math.isinf(beta_hi) else (beta + beta_hi) / 2.0
+            else:
+                beta_hi = beta
+                beta = (beta + beta_lo) / 2.0
+            entropy, cond = _loop_entropy_and_row(row, beta)
+        p[i, others != i] = cond
+    return p
+
+
+def diag_gradient(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The t-SNE gradient of KL(P || Q) at ``y`` written out as
+    4 (diag(W 1) - W) y with W = (P - Q) * num, and the clamped Q.
+
+    Every M x M intermediate is built afresh: no shared buffers, no GEMM
+    for the squared distances.
+    """
+    sq = np.sum(np.square(y), axis=1)
+    num = 1.0 / (1.0 + np.add(np.add(-2.0 * (y @ y.T), sq).T, sq))
+    np.fill_diagonal(num, 0.0)
+    q = np.maximum(num / num.sum(), 1e-12)
+    grad_coeff = (p - q) * num
+    grad = 4.0 * (np.diag(grad_coeff.sum(axis=1)) - grad_coeff) @ y
+    return grad, q
+
+
+def diag_tsne(matrix, params) -> tuple[np.ndarray, float]:
+    """Exact t-SNE built on :func:`loop_conditional_affinities` and
+    :func:`diag_gradient`, with the library's schedule: early exaggeration,
+    momentum switch, per-coordinate gains. Returns (points, final KL)."""
+    m = len(matrix)
+    cond = loop_conditional_affinities(1.0 - matrix.values, params.perplexity)
+    p_true = (cond + cond.T) / (2.0 * m)
+    rng = np.random.default_rng(params.seed)
+    y = rng.standard_normal((m, 2)) * params.init_scale
+    velocity = np.zeros_like(y)
+    gains = np.ones_like(y)
+    for it in range(params.iterations):
+        exaggerating = it < params.exaggeration_iters
+        p = p_true * params.early_exaggeration if exaggerating else p_true
+        grad, q = diag_gradient(p, y)
+        momentum = (params.initial_momentum
+                    if it < params.momentum_switch_iter
+                    else params.final_momentum)
+        same_sign = np.sign(grad) == np.sign(velocity)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        np.maximum(gains, params.min_gain, out=gains)
+        velocity = momentum * velocity - params.learning_rate * gains * grad
+        y = y + velocity
+        y = y - y.mean(axis=0)
+    mask = p_true > 0
+    kl = float(np.sum(p_true[mask] * np.log(p_true[mask] / q[mask])))
+    return y, kl
+
+
 def loop_ingest_shard(path: str | Path, language: str,
                       registry: Registry) -> CorpusShard:
     """Corpus ingest as one Python loop over the lines, keeping a line when

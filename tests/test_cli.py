@@ -106,6 +106,37 @@ class TestAllPipeline:
         assert "sample languages=8 sentences=96 bytes=3063\n" in \
             (tmp_path / "ws" / "run.log").read_text()
 
+    @staticmethod
+    def project_line(ws: Path) -> dict[str, str]:
+        lines = [line for line in (ws / "run.log").read_text().splitlines()
+                 if " project iterations=" in line]
+        assert len(lines) == 1, lines
+        return dict(field.split("=") for field in lines[0].split()[2:])
+
+    def test_project_logs_its_fit(self, demo_config, tmp_path):
+        assert cli.main(["all", "--config", str(demo_config())]) == 0
+        fit = self.project_line(tmp_path / "ws")
+        assert fit["iterations"] == "300"
+        assert 0.0 < float(fit["final_kl"]) < math.inf
+        assert fit["unconverged_rows"] == "0"
+
+    def test_project_logs_rows_off_the_target_perplexity(self, demo_config,
+                                                         tmp_path):
+        # one orthogonal vector per language: every distance is 1, so no
+        # bandwidth brings a row's 7 equal entries down to 1 bit
+        codes = sorted(p.stem for p in data.path("demo/corpus").iterdir())
+        lines = [json.dumps({"dim": 8, "v": 1})]
+        for i, code in enumerate(codes):
+            vec = [float(j == i) for j in range(8)]
+            lines += [json.dumps({"id": sid, "lang": code, "vec": vec})
+                      for sid in range(12)]
+        jsonl = tmp_path / "orthogonal.jsonl"
+        jsonl.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = str(demo_config(embeddings=str(jsonl)))
+        for stage in ("sample", "embed", "repr", "simmat", "project"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        assert self.project_line(tmp_path / "ws")["unconverged_rows"] == "8"
+
 
     @pytest.mark.parametrize("registry_file", [False, True])
     def test_all_reads_the_registry_once(self, demo_config, monkeypatch,

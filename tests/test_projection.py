@@ -1,15 +1,20 @@
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import entropy_bits
+from reference import (diag_gradient, diag_tsne, entropy_bits,
+                       loop_conditional_affinities)
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
-from sprachbund.projection import (Projection2D, TsneParams,
-                                   conditional_affinities, emit_plot,
-                                   joint_affinities, minmax_normalize,
-                                   project, tsne)
+from sprachbund.projection import (Projection2D, TsneParams, _gradient,
+                                   _student_t, conditional_affinities,
+                                   emit_plot, joint_affinities,
+                                   minmax_normalize, project, tsne,
+                                   unconverged_rows)
 from sprachbund.registry import LanguageRecord, Registry, bundled_registry
 from sprachbund.simmatrix import build_matrix, cosine_matrix
 
@@ -28,6 +33,17 @@ def random_distances(m, seed, dim=10):
     return 1.0 - cosine_matrix(rng.standard_normal((m, dim)))
 
 
+def search_input(m, seed, dim, rounded, coincident):
+    """Cosine distances of random vectors; ``rounded`` snaps them to integer
+    coordinates (many tied distances), and rows 1..coincident repeat row 0."""
+    vectors = np.random.default_rng(seed).standard_normal((m, dim))
+    if rounded:
+        vectors = np.round(vectors)
+        vectors[~vectors.any(axis=1), 0] = 1.0
+    vectors[1:1 + coincident] = vectors[0]
+    return 1.0 - cosine_matrix(vectors)
+
+
 class TestConditionalAffinities:
     def test_every_row_hits_target_entropy(self):
         distances = random_distances(30, 0)
@@ -37,6 +53,7 @@ class TestConditionalAffinities:
             assert cond[i, i] == 0.0
             assert entropy_bits(cond[i]) == pytest.approx(
                 math.log2(perplexity), abs=1e-4)
+        assert unconverged_rows(cond, perplexity) == 0
 
     def test_rows_are_distributions(self):
         cond = conditional_affinities(random_distances(20, 1), 5.0)
@@ -49,6 +66,42 @@ class TestConditionalAffinities:
             conditional_affinities(distances, 0.5)
         with pytest.raises(ValidationError, match="perplexity"):
             conditional_affinities(distances, 10.0)
+
+
+class TestBandwidthSearchOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(5, 80), seed=st.integers(0, 2**32 - 1),
+           dim=st.integers(2, 12), rounded=st.booleans(),
+           coincident=st.integers(0, 3), where=st.floats(0.0, 1.0))
+    def test_bit_equal_to_the_row_loop(self, m, seed, dim, rounded,
+                                       coincident, where):
+        distances = search_input(m, seed, dim, rounded, coincident)
+        perplexity = 1.01 + where * ((m - 1) / 3 - 1.01)
+        assert np.array_equal(
+            conditional_affinities(distances, perplexity),
+            loop_conditional_affinities(distances, perplexity))
+
+    def test_bit_equal_where_entries_underflow(self):
+        distances = search_input(12, 4, 3, rounded=True, coincident=0)
+        cond = conditional_affinities(distances, 1.05)
+        assert np.count_nonzero(cond == 0.0) > 12  # more than the diagonal
+        assert np.array_equal(
+            cond, loop_conditional_affinities(distances, 1.05))
+
+    def test_equidistant_rows_cannot_reach_the_target(self):
+        cond = conditional_affinities(1.0 - cosine_matrix(np.eye(8)), 2.0)
+        # every row stays uniform over 7 points: 2.81 bits against 1.00
+        assert entropy_bits(cond[0]) == pytest.approx(math.log2(7))
+        assert unconverged_rows(cond, 2.0) == 8
+
+    def test_coincident_triple_misses_the_target(self):
+        vectors = np.random.default_rng(1).standard_normal((8, 6))
+        vectors[1] = vectors[2] = vectors[0]
+        cond = conditional_affinities(1.0 - cosine_matrix(vectors), 1.5)
+        # two exact neighbours hold each triple row at 1 bit, against 0.585
+        for i in range(3):
+            assert entropy_bits(cond[i]) == pytest.approx(1.0)
+        assert unconverged_rows(cond, 1.5) == 3
 
 
 class TestJointAffinities:
@@ -112,6 +165,36 @@ class TestTsne:
                 continue
             assert dup_gap < np.linalg.norm(points[1] - points[j])
             assert dup_gap < np.linalg.norm(points[7] - points[j])
+
+    @pytest.mark.parametrize("seed, scale", [(0, 1e-4), (1, 1.0), (2, 10.0),
+                                             (3, 1e-4), (4, 1.0), (5, 10.0)])
+    def test_gradient_matches_the_diag_formula(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(4, 120))
+        y = rng.standard_normal((m, 2)) * scale
+        p = rng.random((m, m))
+        p += p.T
+        np.fill_diagonal(p, 0.0)
+        p /= p.sum()
+        num, q = np.empty((m, m)), np.empty((m, m))
+        _student_t(y, num, q)
+        want_grad, want_q = diag_gradient(p, y)
+        np.testing.assert_allclose(q, want_q, rtol=1e-12)
+        grad = _gradient(p, y, num, q)
+        # an entry whose terms cancel toward 0 keeps an error on the scale of
+        # the largest entry, not of its own
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_grad).max())
+
+    def test_final_kl_tracks_the_diag_descent(self):
+        new, old = [], []
+        for seed in range(8):
+            matrix = make_matrix(
+                np.random.default_rng(100 + seed).standard_normal((40, 10)))
+            params = TsneParams(perplexity=5.0, seed=seed)
+            new.append(tsne(matrix, params).kl_trace[-1][1])
+            old.append(diag_tsne(matrix, params)[1])
+        assert abs(np.median(new) - np.median(old)) <= 0.1 * np.median(old)
 
     def test_too_few_points(self):
         matrix = make_matrix(np.eye(3))
@@ -197,6 +280,19 @@ class TestEmitPlot:
                                   points=np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValidationError, match="'zz'"):
             emit_plot(projection, toy_registry, "family")
+
+    @pytest.mark.parametrize("color_by", ["family", "word_order"])
+    def test_labels_are_escaped(self, color_by):
+        registry = Registry([
+            LanguageRecord("aa", family="Khoe & Kwadi",
+                           syntax={"word_order": "V2 & SOV"}),
+            LanguageRecord("bb", family="<Isolate>",
+                           syntax={"word_order": "<free>"})])
+        svg, data = emit_plot(self.projection_for(registry), registry,
+                              color_by)
+        texts = [t.text for t in ET.fromstring(svg).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert set(data["categories"]) <= set(texts)
 
     def test_output_bytes_deterministic(self, toy_registry):
         projection = self.projection_for(toy_registry)
