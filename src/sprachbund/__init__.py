@@ -16,7 +16,9 @@ from .cluster import (Dendrogram, SprachbundAssignment, agglomerate, cut,
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
 from .embedding import (FetchStats, LanguageRepresentation,
                         SentenceEmbeddingSet, centroid, centroid_all,
-                        fetch_embeddings, load_embeddings, write_embeddings)
+                        fetch_embeddings, load_embeddings,
+                        load_representations, write_embeddings,
+                        write_representations)
 from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
                      UsageError, ValidationError)
 from .partition import (PartitionManifest, build_manifest, load_manifest,
@@ -45,8 +47,9 @@ __all__ = [
     "conditional_affinities", "corpus_stats", "cut", "emit_plot", "family_purity", "fetch_embeddings", "ingest_shard",
     "joint_affinities", "lexical_correlation", "load_embeddings",
     "load_lexical_table", "load_manifest", "load_matrix", "load_registry",
-    "minmax_normalize", "paired_similarity_vectors", "pearson", "project",
+    "load_representations", "minmax_normalize", "paired_similarity_vectors",
+    "pearson", "project",
     "random_baseline", "sample", "save_manifest", "save_registry",
     "select_pivot", "silhouette", "sweep", "syntax_agreement", "tsne",
-    "validate_feature_labels", "write_embeddings",
+    "validate_feature_labels", "write_embeddings", "write_representations",
 ]

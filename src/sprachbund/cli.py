@@ -2,9 +2,10 @@
 
 Subcommands run the stages sample -> embed -> repr -> simmat -> cluster ->
 partition -> analyze -> project individually or chained (``all``). Every
-stage reads the previous stage's artifact from the workspace, writes its own
-versioned JSON artifact stamped with the digest of the effective config, and
-appends a line to the run log. Reruns with identical inputs, config, and
+stage reads the previous stage's artifacts from the workspace, writes its own
+versioned artifacts (JSON documents, or a ``.npy`` matrix with a JSON index)
+stamped with the digest of the effective config, and appends a line to the
+run log. Reruns with identical inputs, config, and
 seed reproduce identical artifact bytes; timestamps live only in the log.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
@@ -29,15 +30,16 @@ from . import __version__
 from .analysis import build_report
 from .cluster import Dendrogram, agglomerate, cut
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
-from .embedding import (FetchStats, LanguageRepresentation,
-                        SentenceEmbeddingSet, centroid_all, fetch_embeddings,
-                        load_embeddings, write_embeddings)
+from .embedding import (FetchStats, SentenceEmbeddingSet, centroid_all,
+                        fetch_embeddings, load_embeddings,
+                        load_representations, write_embeddings,
+                        write_representations)
 from .errors import ServiceError, SprachbundError, UsageError, ValidationError
 from .partition import sweep
 from .projection import TsneParams, check_plot_settings, emit_plot, project
 from .registry import (Registry, artifact_keys, bundled_lexical_table,
                        bundled_registry, load_json, load_lexical_table,
-                       load_registry, read_json, write_json)
+                       load_registry, read_json, replacing, write_json)
 from .simmatrix import SimilarityMatrix, build_matrix, load_matrix
 
 AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
@@ -178,6 +180,11 @@ def _file_digest(path: Path) -> str:
     return digest.hexdigest()[:16]
 
 
+def _store_bytes(store: Path) -> int:
+    """Bytes of a ``.npy`` store and its ``.json`` index."""
+    return sum(p.stat().st_size for p in (store, store.with_suffix(".json")))
+
+
 def _log(workspace: Path, message: str) -> None:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with (workspace / "run.log").open("a", encoding="utf-8") as fh:
@@ -316,39 +323,24 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
                                 stats=stats)
     store = ws / "embeddings.npy"
     write_embeddings(sets, store, extra_header={"config_digest": cfg.digest()})
-    written = sum(p.stat().st_size for p in (store, store.with_suffix(".json")))
     _log(ws, f"embed http_requests={stats.requests} "
              f"http_retries={stats.retries} "
-             f"vectors={sum(len(s) for s in sets)} bytes_written={written}")
+             f"vectors={sum(len(s) for s in sets)} "
+             f"bytes_written={_store_bytes(store)}")
 
 
 def stage_repr(cfg: PipelineConfig, ws: Path) -> None:
     store = _require(ws / "embeddings.npy", "embed")
     reps = centroid_all(load_embeddings(store))
-    _write_json(ws / "representations.json", {
-        "representations": [
-            {"lang": r.language, "vec": [float(x) for x in r.vector],
-             "sample_count": r.sample_count}
-            for r in reps
-        ],
-    }, cfg.digest())
-
-
-def _load_reps(ws: Path) -> list[LanguageRepresentation]:
-    path = ws / "representations.json"
-    doc = _read_artifact(path, "repr")
-    with artifact_keys(path):
-        return [
-            LanguageRepresentation(language=r["lang"],
-                                   vector=np.asarray(r["vec"], dtype=np.float32),
-                                   sample_count=int(r["sample_count"]))
-            for r in doc["representations"]
-        ]
+    out = ws / "representations.npy"
+    write_representations(reps, out, extra_header={"config_digest": cfg.digest()})
+    _log(ws, f"repr languages={len(reps)} dim={reps[0].dim if reps else 0} "
+             f"bytes_written={_store_bytes(out)}")
 
 
 def stage_simmat(cfg: PipelineConfig, ws: Path) -> None:
-    matrix = build_matrix(_load_reps(ws))
-    _write_json(ws / "simmat.json", matrix.to_json(), cfg.digest())
+    reps = load_representations(_require(ws / "representations.npy", "repr"))
+    _write_json(ws / "simmat.json", build_matrix(reps).to_json(), cfg.digest())
 
 
 def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
@@ -428,9 +420,8 @@ def stage_project(cfg: PipelineConfig, ws: Path) -> None:
                               point_radius=cfg.point_radius,
                               font_size=cfg.font_size)
     _write_json(ws / "projection.json", data_doc, cfg.digest())
-    (ws / "projection.svg").write_text(
-        f"<!-- v=1 config_digest={cfg.digest()} -->\n" + svg,
-        encoding="utf-8")
+    with replacing(ws / "projection.svg") as fh:
+        fh.write(f"<!-- v=1 config_digest={cfg.digest()} -->\n" + svg)
     iterations, final_kl = projection.fit.kl_trace[-1]
     _log(ws, f"project iterations={iterations} final_kl={final_kl:.6g} "
              f"unconverged_rows={projection.fit.unconverged_rows}")

@@ -4,7 +4,8 @@ Embeddings arrive either from a JSON Lines file or from an HTTP service that
 embeds batches of sentences. They are kept in a binary store: one
 little-endian float32 ``.npy`` matrix holding every language's rows in turn,
 plus a small JSON index of languages and sentence ids. Each language is then
-reduced to the mean of its sentence vectors. Vectors are held in float32;
+reduced to the mean of its sentence vectors, and those centroids are kept in
+a store of the same layout, one row per language. Vectors are held in float32;
 sums are accumulated in float64 with compensated (Kahan) combination of
 block partial sums, so a 10k x 768 average does not drift.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .corpus import CorpusShard
 from .errors import PartialEmbeddingError, ServiceError, ValidationError
-from .registry import artifact_keys, load_json, write_json
+from .registry import artifact_keys, load_json, replacing, write_json
 
 _SUM_BLOCK = 256
 # threads that send (language, batch) requests to the embedding service at
@@ -160,28 +161,67 @@ def load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
     ]
 
 
-def _load_store(path: Path) -> list[SentenceEmbeddingSet]:
+def _one_dim(items: Sequence) -> int:
+    """The ``dim`` that every item shares, 0 for no items."""
+    dims = {x.dim for x in items}
+    if len(dims) > 1:
+        raise ValidationError(f"cannot mix dimensions in one file: {sorted(dims)}")
+    return dims.pop() if dims else 0
+
+
+def _write_store(path: Path, blocks: Iterable[np.ndarray],
+                 shape: tuple[int, int], index: dict) -> None:
+    """Write a store: ``path`` gets one ``.npy`` 1.0 C-order ``<f4`` matrix
+    of ``shape`` whose rows are ``blocks`` in turn, and ``path`` with suffix
+    ``.json`` gets ``index``. Each file replaces its old version only once
+    it is complete."""
+    with replacing(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": _STORE_DTYPE.str, "fortran_order": False, "shape": shape})
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype=_STORE_DTYPE).data)
+    write_json(path.with_suffix(".json"), index)
+
+
+def _read_store(path: Path, noun: str, parse_languages
+                ) -> tuple[int, list, np.ndarray]:
+    """The dimension and parsed index entries of a store written by
+    :func:`_write_store`, and its memory-mapped matrix.
+
+    ``parse_languages(index["languages"])`` returns the entries and the
+    number of matrix rows they describe. A missing file, an index without
+    a key, or a matrix that is not ``<f4``, C order and rows x dim raises
+    :class:`ValidationError` naming the file; ``noun`` names the store.
+    """
     index_path = path.with_suffix(".json")
     if not index_path.exists():
-        raise ValidationError(f"embedding index not found: {index_path}")
+        raise ValidationError(f"{noun} index not found: {index_path}")
     index = load_json(index_path)
     with artifact_keys(index_path):
         dim = int(index["dim"])
-        entries = [(e["lang"], tuple(int(i) for i in e["ids"]))
-                   for e in index["languages"]]
+        entries, rows = parse_languages(index["languages"])
     try:
         matrix = np.load(path, mmap_mode="r")
     except FileNotFoundError:
-        raise ValidationError(f"embedding store not found: {path}") from None
+        raise ValidationError(f"{noun} store not found: {path}") from None
     except (OSError, ValueError, EOFError) as exc:
-        raise ValidationError(f"{path}: unreadable embedding store: {exc}") from None
-    rows = sum(len(ids) for _, ids in entries)
+        raise ValidationError(f"{path}: unreadable {noun} store: {exc}") from None
     if (matrix.dtype != _STORE_DTYPE or matrix.shape != (rows, dim)
             or not matrix.flags.c_contiguous):
         raise ValidationError(
             f"{path}: holds a {matrix.dtype.str} matrix of shape "
             f"{matrix.shape}, but {index_path.name} lists {rows} rows of "
             f"{dim} {_STORE_DTYPE.str} values")
+    return dim, entries, matrix
+
+
+def _embedding_entries(languages: list) -> tuple[list, int]:
+    entries = [(e["lang"], tuple(int(i) for i in e["ids"])) for e in languages]
+    return entries, sum(len(ids) for _, ids in entries)
+
+
+def _load_store(path: Path) -> list[SentenceEmbeddingSet]:
+    dim, entries, matrix = _read_store(path, "embedding", _embedding_entries)
     sets, start = [], 0
     for lang, ids in entries:
         sets.append(SentenceEmbeddingSet(language=lang, dim=dim, ids=ids,
@@ -202,24 +242,15 @@ def write_embeddings(sets: Iterable[SentenceEmbeddingSet], path: str | Path,
     ``extra_header`` in its header line.
     """
     sets = list(sets)
-    dims = {s.dim for s in sets}
-    if len(dims) > 1:
-        raise ValidationError(f"cannot mix dimensions in one file: {sorted(dims)}")
-    header = {"v": 1, "dim": dims.pop() if dims else 0}
+    header = {"v": 1, "dim": _one_dim(sets)}
     if extra_header:
         header.update(extra_header)
     path = Path(path)
     if path.suffix == ".npy":
-        shape = (sum(len(s) for s in sets), header["dim"])
-        with path.open("wb") as fh:
-            np.lib.format.write_array_header_1_0(fh, {
-                "descr": _STORE_DTYPE.str, "fortran_order": False,
-                "shape": shape})
-            for s in sets:
-                fh.write(np.ascontiguousarray(s.matrix, dtype=_STORE_DTYPE).data)
         header["languages"] = [
             {"lang": s.language, "ids": list(s.ids)} for s in sets]
-        write_json(path.with_suffix(".json"), header)
+        _write_store(path, (s.matrix for s in sets),
+                     (sum(len(s) for s in sets), header["dim"]), header)
         return
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -485,3 +516,41 @@ def centroid_all(sets: Sequence[SentenceEmbeddingSet]) -> list[LanguageRepresent
         seen.add(s.language)
         out.append(centroid(s))
     return out
+
+
+def write_representations(reps: Sequence[LanguageRepresentation],
+                          path: str | Path,
+                          extra_header: dict | None = None) -> None:
+    """Write centroids as a store :func:`load_representations` reads.
+
+    ``path`` (ending in ``.npy``) is one C-order little-endian float32
+    matrix, one row per language, and ``path`` with suffix ``.json`` is the
+    index ``{"v": 1, "dim": D, "languages": [{"lang", "sample_count"}]}``
+    in row order, which also carries ``extra_header``.
+    """
+    path = Path(path)
+    if path.suffix != ".npy":
+        raise ValidationError(
+            f"a representation store's path must end in .npy, got {path}")
+    index = {"v": 1, "dim": _one_dim(reps), **(extra_header or {}),
+             "languages": [{"lang": r.language, "sample_count": r.sample_count}
+                           for r in reps]}
+    _write_store(path, (r.vector for r in reps), (len(reps), index["dim"]),
+                 index)
+
+
+def _representation_entries(languages: list) -> tuple[list, int]:
+    entries = [(e["lang"], int(e["sample_count"])) for e in languages]
+    return entries, len(entries)
+
+
+def load_representations(path: str | Path) -> list[LanguageRepresentation]:
+    """Centroids from a store written by :func:`write_representations`; each
+    vector is a row of the memory-mapped matrix."""
+    path = Path(path)
+    _, entries, matrix = _read_store(path, "representation",
+                                     _representation_entries)
+    with artifact_keys(path):
+        return [LanguageRepresentation(language=lang, vector=row,
+                                       sample_count=count)
+                for (lang, count), row in zip(entries, matrix)]

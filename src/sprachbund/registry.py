@@ -9,6 +9,7 @@ are simply absent, never imputed as zero.
 from __future__ import annotations
 
 import json
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -153,13 +154,36 @@ def artifact_keys(path: str | Path) -> Iterator[None]:
         raise ValidationError(f"{path}: malformed: {exc}") from None
 
 
+@contextmanager
+def replacing(path: str | Path, mode: str = "w") -> Iterator:
+    """Open a new file that replaces ``path`` only once it is fully written.
+
+    The caller writes to a temporary file beside ``path``; when the block
+    ends without an exception it is moved over ``path`` with ``os.replace``.
+    If the block raises, or the process dies inside it, ``path`` keeps its
+    previous bytes; on an exception the temporary file is removed. ``mode``
+    is ``"w"`` (UTF-8 text) or ``"wb"``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, doc: dict) -> None:
     """Write ``doc`` as indented, key-sorted UTF-8 JSON plus a newline.
 
-    The encoder's output is streamed into the file rather than joined into
-    one string first, so a large document is never held twice in memory.
+    The encoder's output is streamed into a temporary file rather than joined
+    into one string first, so a large document is never held twice in memory;
+    see :func:`replacing` for how it then takes the place of ``path``.
     """
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
 

@@ -8,6 +8,7 @@ no code with the library paths it checks.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from sprachbund.corpus import CorpusShard, SamplingPolicy
+from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
 from sprachbund.registry import Registry
 
@@ -276,3 +278,23 @@ def randrange_sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
     chosen.sort()
     return CorpusShard(language=shard.language,
                        sentences=tuple(shard.sentences[i] for i in chosen))
+
+
+def json_write_representations(reps, path: str | Path) -> None:
+    """Centroids as indented JSON text, one list of Python floats per
+    language: ``{"v": 1, "representations": [{"lang", "vec",
+    "sample_count"}]}``."""
+    doc = {"v": 1, "representations": [
+        {"lang": r.language, "vec": [float(x) for x in r.vector],
+         "sample_count": r.sample_count} for r in reps]}
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+def json_load_representations(path: str | Path) -> list[LanguageRepresentation]:
+    """Parse :func:`json_write_representations`'s text back to float32."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return [LanguageRepresentation(language=r["lang"],
+                                   vector=np.asarray(r["vec"], dtype=np.float32),
+                                   sample_count=int(r["sample_count"]))
+            for r in doc["representations"]]

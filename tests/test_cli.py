@@ -91,13 +91,16 @@ class TestAllPipeline:
         assert sorted(p.name for p in ws.iterdir()) == [
             "analysis.json", "dendrogram.json", "embeddings.json",
             "embeddings.npy", "manifest_k2.json", "projection.json",
-            "projection.svg", "representations.json", "run.log",
-            "sampled.json", "simmat.json"]
+            "projection.svg", "representations.json", "representations.npy",
+            "run.log", "sampled.json", "simmat.json"]
         sampled = json.loads((ws / "sampled.json").read_text())
         assert sorted(sampled) == ["config_digest", "policy", "shards", "v"]
         assert sorted(sampled["shards"][0]) == ["language", "sentences"]
         reps = json.loads((ws / "representations.json").read_text())
-        assert sorted(reps) == ["config_digest", "representations", "v"]
+        assert sorted(reps) == ["config_digest", "dim", "languages", "v"]
+        assert sorted(reps["languages"][0]) == ["lang", "sample_count"]
+        assert np.load(ws / "representations.npy").shape == \
+            (len(reps["languages"]), reps["dim"])
         manifest = json.loads((ws / "manifest_k2.json").read_text())
         assert "config_digest" not in manifest["provenance"]
 
@@ -105,6 +108,16 @@ class TestAllPipeline:
         assert cli.main(["sample", "--config", str(demo_config())]) == 0
         assert "sample languages=8 sentences=96 bytes=3063\n" in \
             (tmp_path / "ws" / "run.log").read_text()
+
+    def test_repr_logs_its_counts(self, demo_config, tmp_path):
+        cfg = str(demo_config())
+        for stage in ("sample", "embed", "repr"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        ws = tmp_path / "ws"
+        written = sum((ws / name).stat().st_size for name in
+                      ("representations.npy", "representations.json"))
+        assert f"repr languages=8 dim=8 bytes_written={written}\n" in \
+            (ws / "run.log").read_text()
 
     @staticmethod
     def project_line(ws: Path) -> dict[str, str]:
@@ -411,7 +424,7 @@ class TestDamagedArtifacts:
     @pytest.mark.parametrize("name, stage, key", [
         ("sampled.json", "embed", "shards"),
         ("embeddings.json", "repr", "dim"),
-        ("representations.json", "simmat", "representations"),
+        ("representations.json", "simmat", "dim"),
         ("simmat.json", "cluster", "languages"),
         ("dendrogram.json", "partition", "languages"),
     ])
@@ -454,6 +467,36 @@ class TestDamagedArtifacts:
         damage(tmp_path / "ws" / "embeddings.npy")
         assert cli.main(["repr", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+
+    @staticmethod
+    def drop_last_language(npy: Path) -> None:
+        index = json.loads(npy.with_suffix(".json").read_text())
+        index["languages"].pop()
+        npy.with_suffix(".json").write_text(json.dumps(index))
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda npy: npy.unlink(), "missing input representations.npy"),
+        (lambda npy: npy.write_bytes(npy.read_bytes()[:-4]),
+         "representations.npy: unreadable representation store"),
+        (lambda npy: np.save(npy, np.load(npy)[:, :-1]),
+         "representations.npy: holds a <f4 matrix of shape (8, 7)"),
+        (lambda npy: np.save(npy, np.load(npy).astype(np.float64)),
+         "representations.npy: holds a <f8 matrix"),
+        (lambda npy: np.save(npy, np.asfortranarray(np.load(npy))),
+         "representations.npy: holds a <f4 matrix of shape (8, 8)"),
+        (drop_last_language, "representations.json lists 7 rows of 8"),
+    ], ids=["missing", "truncated", "wrong-shape", "wrong-dtype",
+            "fortran-order", "rows-differ-from-index"])
+    def test_damaged_centroid_store_exits_2(self, demo_config, tmp_path,
+                                            capsys, damage, message):
+        cfg = str(demo_config())
+        for stage in ("sample", "embed", "repr"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        damage(tmp_path / "ws" / "representations.npy")
+        capsys.readouterr()
+        assert cli.main(["simmat", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ws" / "simmat.json").exists()
 
     @pytest.mark.parametrize("damage, message", [
         (lambda d: d["merges"][0].update(left=99), "merge 8 must join"),

@@ -6,17 +6,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reference import json_load_representations, json_write_representations
 from sprachbund.corpus import CorpusShard
 from sprachbund.embedding import (FETCH_WORKERS, FetchStats,
-                                  SentenceEmbeddingSet, _pooled, centroid,
-                                  centroid_all, fetch_embeddings,
-                                  load_embeddings, write_embeddings)
+                                  LanguageRepresentation, SentenceEmbeddingSet,
+                                  _pooled, centroid, centroid_all,
+                                  fetch_embeddings, load_embeddings,
+                                  load_representations, write_embeddings,
+                                  write_representations)
 from sprachbund.errors import (PartialEmbeddingError, ServiceError,
                                ValidationError)
+from sprachbund.simmatrix import build_matrix
 
 
 def make_set(language, matrix, ids=None):
@@ -365,6 +369,102 @@ class TestCentroidAll:
         reps = centroid_all(sets)
         assert len(reps) == 108
         assert all(r.dim == 768 for r in reps)
+
+
+F32 = np.finfo(np.float32)
+# the float32 values a text round trip is most likely to get wrong
+F32_EDGES = (0.0, -0.0, float(F32.max), -float(F32.max), float(F32.tiny),
+             float(F32.smallest_subnormal), -float(F32.smallest_subnormal),
+             float(np.float32(F32.tiny) - np.float32(F32.smallest_subnormal)))
+
+
+@st.composite
+def representations(draw, min_size=1):
+    """Centroids of 1-6 dims for up to six languages, mixing the float32
+    edges into arbitrary finite values."""
+    dim = draw(st.integers(1, 6))
+    count = draw(st.integers(min_size, 6))
+    elements = st.one_of(st.sampled_from(F32_EDGES),
+                         st.floats(width=32, allow_nan=False,
+                                   allow_infinity=False))
+    vectors = draw(hnp.arrays(np.float32, (count, dim), elements=elements))
+    samples = draw(st.lists(st.integers(1, 10 ** 6), min_size=count,
+                            max_size=count))
+    return [LanguageRepresentation(language=f"l{chr(ord('a') + i)}",
+                                   vector=v, sample_count=n)
+            for i, (v, n) in enumerate(zip(vectors, samples))]
+
+
+class TestRepresentationStore:
+    @settings(max_examples=80, deadline=None)
+    @given(representations())
+    def test_round_trip_keeps_every_bit(self, reps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "reps.npy"
+            write_representations(reps, path)
+            loaded = load_representations(path)
+            assert [(r.language, r.sample_count) for r in loaded] == \
+                [(r.language, r.sample_count) for r in reps]
+            for orig, back in zip(reps, loaded):
+                assert back.vector.dtype == np.float32
+                assert back.vector.tobytes() == orig.vector.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(representations(min_size=2))
+    def test_matrix_equals_json_text_oracle_bit_for_bit(self, reps):
+        assume(all(np.any(r.vector) for r in reps))
+        with tempfile.TemporaryDirectory() as tmp:
+            store, text = Path(tmp) / "reps.npy", Path(tmp) / "oracle.json"
+            write_representations(reps, store)
+            json_write_representations(reps, text)
+            ours = build_matrix(load_representations(store))
+            oracle = build_matrix(json_load_representations(text))
+        assert ours.languages == oracle.languages
+        assert ours.values.tobytes() == oracle.values.tobytes()
+
+    def test_layout_is_one_float32_row_per_language(self, tmp_path):
+        reps = [LanguageRepresentation("aa", [1.0, 2.0], 3),
+                LanguageRepresentation("bb", [-0.0, 5.5], 1)]
+        write_representations(reps, tmp_path / "reps.npy",
+                              extra_header={"config_digest": "abc"})
+        matrix = np.load(tmp_path / "reps.npy")
+        assert matrix.dtype == np.dtype("<f4") and matrix.flags.c_contiguous
+        assert matrix.tobytes() == np.array(
+            [[1.0, 2.0], [-0.0, 5.5]], "<f4").tobytes()
+        index = json.loads((tmp_path / "reps.json").read_text())
+        assert index == {"v": 1, "config_digest": "abc", "dim": 2,
+                         "languages": [{"lang": "aa", "sample_count": 3},
+                                       {"lang": "bb", "sample_count": 1}]}
+
+    @pytest.mark.parametrize("name, vectors, message", [
+        ("reps.npy", [[1.0, 2.0], [1.0, 2.0, 3.0]], "cannot mix dimensions"),
+        ("reps.json", [[1.0, 2.0]], "must end in .npy"),
+    ])
+    def test_bad_write_rejected(self, tmp_path, name, vectors, message):
+        reps = [LanguageRepresentation(f"l{i}", v, 1)
+                for i, v in enumerate(vectors)]
+        with pytest.raises(ValidationError, match=message):
+            write_representations(reps, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_store(self, tmp_path):
+        path = tmp_path / "reps.npy"
+        write_representations([LanguageRepresentation("aa", [1.0, 2.0], 1)],
+                              path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        class Unreadable:  # fails once the first row is on disk
+            language, sample_count, dim = "bb", 1, 2
+
+            @property
+            def vector(self):
+                raise OSError("read failed")
+
+        with pytest.raises(OSError, match="read failed"):
+            write_representations(
+                [LanguageRepresentation("aa", [5.0, 6.0], 1), Unreadable()],
+                path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestPooledFetch:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,7 +9,8 @@ from sprachbund.errors import ValidationError
 from sprachbund.registry import (LanguageRecord, Registry, bundled_lexical_table,
                                  bundled_registry, load_json,
                                  load_lexical_table, load_registry, read_json,
-                                 save_registry, validate_feature_labels)
+                                 replacing, save_registry,
+                                 validate_feature_labels, write_json)
 
 
 class TestBundledRegistry:
@@ -100,6 +104,51 @@ class TestReadJson:
         assert read_json(path) == {"out": "ws"}
         with pytest.raises(ValidationError, match="version"):
             load_json(path)
+
+
+class TestAtomicWrite:
+    """A write that does not finish leaves the previous file as it was."""
+
+    def test_failed_encode_keeps_previous_bytes(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"a": [1.0, 2.0]})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": [1.0, object()]})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_interrupt_inside_binary_write_keeps_previous_bytes(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(KeyboardInterrupt):
+            with replacing(path, "wb") as fh:
+                fh.write(b"new but unfinished")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+    def test_killed_writer_keeps_previous_bytes(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"a": 1})
+        before = path.read_bytes()
+        code = ("import os, sys\n"
+                "from sprachbund.registry import replacing\n"
+                "with replacing(sys.argv[1]) as fh:\n"
+                "    fh.write('{\"a\": [')\n"
+                "    fh.flush()\n"
+                "    os._exit(9)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  sys.path)}, timeout=60)
+        assert proc.returncode == 9
+        assert path.read_bytes() == before
+
+    def test_new_file_has_the_permissions_of_a_plain_open(self, tmp_path):
+        write_json(tmp_path / "doc.json", {"a": 1})
+        (tmp_path / "plain.json").write_text("{}")
+        assert (tmp_path / "doc.json").stat().st_mode == \
+            (tmp_path / "plain.json").stat().st_mode
 
 
 class TestLabels:
