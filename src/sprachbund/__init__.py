@@ -9,6 +9,16 @@ relate the similarity structure to lexical similarity, language families,
 and syntax features, and project the representations to 2-D for plotting.
 """
 
+import os
+
+# numpy's OpenBLAS starts one pool thread per CPU when numpy is first
+# imported. The pipeline's matrices are small (M x M for M languages, M in
+# the hundreds), so that pool spins and costs more CPU than it saves: on a
+# 2-vCPU Xeon VM, a 240x64 `a @ a.T` plus a (240x240) @ (240x2) product took
+# a median 0.3-8 ms threaded and 0.1-0.15 ms on one thread. This must run
+# before any submodule imports numpy; a value the user has set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (AnalysisReport, build_report, family_purity,
                        lexical_correlation, syntax_agreement)
 from .cluster import (Dendrogram, SprachbundAssignment, agglomerate, cut,

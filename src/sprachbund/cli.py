@@ -5,8 +5,11 @@ partition -> analyze -> project individually or chained (``all``). Every
 stage reads the previous stage's artifacts from the workspace, writes its own
 versioned artifacts (JSON documents, or a ``.npy`` matrix with a JSON index)
 stamped with the digest of the effective config, and appends a line to the
-run log. Reruns with identical inputs, config, and
-seed reproduce identical artifact bytes; timestamps live only in the log.
+run log. The one exception is the similarity matrix: under ``all``, the
+stages after ``simmat`` use the matrix it built, kept in memory, instead of
+re-parsing the ``simmat.json`` it just wrote. Reruns with identical inputs,
+config, and seed reproduce identical artifact bytes; timestamps live only in
+the log.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 external-service error.
@@ -71,6 +74,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         self._registry: Registry | None = None
+        self._matrix: SimilarityMatrix | None = None
 
     def digest(self) -> str:
         """Digest of the semantic parameters (workspace location excluded)."""
@@ -338,16 +342,36 @@ def stage_repr(cfg: PipelineConfig, ws: Path) -> None:
              f"bytes_written={_store_bytes(out)}")
 
 
+def _keep(cfg: PipelineConfig, matrix: SimilarityMatrix) -> SimilarityMatrix:
+    """Keep ``matrix`` for the later stages of this run, read-only, so a
+    stage that wrote into it would raise instead of changing what the next
+    stage sees."""
+    matrix.values.setflags(write=False)
+    cfg._matrix = matrix
+    return matrix
+
+
 def stage_simmat(cfg: PipelineConfig, ws: Path) -> None:
     reps = load_representations(_require(ws / "representations.npy", "repr"))
-    _write_json(ws / "simmat.json", build_matrix(reps).to_json(), cfg.digest())
+    matrix = build_matrix(reps)
+    path = ws / "simmat.json"
+    _write_json(path, matrix.to_json(), cfg.digest())
+    if not cfg.matrix:  # with a `matrix` file, the later stages read that
+        _keep(cfg, matrix)
+    _log(ws, f"simmat languages={len(matrix)} "
+             f"bytes_written={path.stat().st_size}")
 
 
 def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
+    """The run's similarity matrix: the `matrix` file if the config names
+    one, else the workspace's; read once per run and kept."""
+    if cfg._matrix is not None:
+        return cfg._matrix
     if cfg.matrix:
-        return load_matrix(cfg.matrix)
+        return _keep(cfg, load_matrix(cfg.matrix))
     path = ws / "simmat.json"
-    return SimilarityMatrix.from_json(_read_artifact(path, "simmat"), source=path)
+    return _keep(cfg, SimilarityMatrix.from_json(_read_artifact(path, "simmat"),
+                                                 source=path))
 
 
 def _load_dendrogram(ws: Path, matrix: SimilarityMatrix) -> Dendrogram:

@@ -13,6 +13,7 @@ from sprachbund import cli, data
 from sprachbund.cluster import Dendrogram, cut
 from sprachbund.corpus import CorpusShard
 from sprachbund.projection import TsneParams
+from sprachbund.simmatrix import SimilarityMatrix
 
 
 @pytest.fixture
@@ -117,6 +118,15 @@ class TestAllPipeline:
         written = sum((ws / name).stat().st_size for name in
                       ("representations.npy", "representations.json"))
         assert f"repr languages=8 dim=8 bytes_written={written}\n" in \
+            (ws / "run.log").read_text()
+
+    def test_simmat_logs_its_counts(self, demo_config, tmp_path):
+        cfg = str(demo_config())
+        for stage in ("sample", "embed", "repr", "simmat"):
+            assert cli.main([stage, "--config", cfg]) == 0
+        ws = tmp_path / "ws"
+        written = (ws / "simmat.json").stat().st_size
+        assert f"simmat languages=8 bytes_written={written}\n" in \
             (ws / "run.log").read_text()
 
     @staticmethod
@@ -255,6 +265,126 @@ class TestOneClustering:
         assert cli.main(["partition", "--config", cfg]) == 2
         assert "missing input dendrogram.json; run `sprachbund cluster` first" \
             in capsys.readouterr().err
+
+
+class TestMatrixHandOff:
+    """Under `all` the stages after `simmat` take the matrix it built from
+    memory; a single-stage command reads it from disk, once."""
+
+    @staticmethod
+    def count_parses(monkeypatch) -> list:
+        calls = []
+        real = SimilarityMatrix.from_json.__func__
+        monkeypatch.setattr(SimilarityMatrix, "from_json", classmethod(
+            lambda cls, doc, source="matrix JSON":
+            calls.append(str(source)) or real(cls, doc, source)))
+        return calls
+
+    def test_all_parses_no_matrix_and_a_lone_stage_one(self, demo_config,
+                                                       monkeypatch):
+        cfg = str(demo_config())
+        calls = self.count_parses(monkeypatch)
+        assert cli.main(["all", "--config", cfg]) == 0
+        assert calls == []
+        assert cli.main(["cluster", "--config", cfg]) == 0
+        assert [Path(source).name for source in calls] == ["simmat.json"]
+
+    def test_all_equals_the_stages_run_one_by_one(self, demo_config,
+                                                  tmp_path):
+        assert cli.main(["all", "--config",
+                         str(demo_config(out=str(tmp_path / "all")))]) == 0
+        cfg = str(demo_config(out=str(tmp_path / "stages")))
+        for stage in cli.STAGE_ORDER:
+            assert cli.main([stage, "--config", cfg]) == 0
+        assert artifacts_in(tmp_path / "all") == artifacts_in(tmp_path / "stages")
+
+    def test_all_feeds_the_matrix_file_to_later_stages(self, demo_config,
+                                                       tmp_path, monkeypatch):
+        matrix_file = data.path("embedding_similarity.json")
+        seen = {}
+        for name in ("agglomerate", "sweep", "build_report", "project"):
+            def spy(*args, real=getattr(cli, name), name=name, **kwargs):
+                seen[name] = args[1 if name == "sweep" else 0]  # the matrix
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        assert cli.main(["all", "--config",
+                         str(demo_config(matrix=str(matrix_file)))]) == 0
+        expected = cli.load_matrix(matrix_file)
+        built = json.loads((tmp_path / "ws" / "simmat.json").read_text())
+        assert tuple(built["languages"]) != expected.languages
+        assert sorted(seen) == ["agglomerate", "build_report", "project", "sweep"]
+        for matrix in seen.values():
+            assert matrix.languages == expected.languages
+            assert np.array_equal(matrix.values, expected.values)
+
+    @pytest.mark.parametrize("source", ["built", "simmat.json", "matrix"])
+    def test_kept_matrix_is_read_only(self, demo_config, tmp_path, source):
+        overrides = ({"matrix": str(data.path("embedding_similarity.json"))}
+                     if source == "matrix" else {})
+        path = str(demo_config(**overrides))
+        for stage in ("sample", "embed", "repr"):
+            assert cli.main([stage, "--config", path]) == 0
+        if source == "simmat.json":  # written by another run
+            assert cli.main(["simmat", "--config", path]) == 0
+        cfg = cli.resolve_config(
+            cli.build_parser().parse_args(["simmat", "--config", path]))
+        if source != "simmat.json":
+            cli.run("simmat", cfg)
+        ws = tmp_path / "ws"
+        matrix = cli._load_simmat(cfg, ws)
+        assert cli._load_simmat(cfg, ws) is matrix
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.values[0, 1] = 0.5
+
+
+def _python(args: list[str], openblas_threads: str | None):
+    """Run this checkout's package in a fresh interpreter, with
+    OPENBLAS_NUM_THREADS set to ``openblas_threads`` or unset for None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestBlasThreads:
+    """Importing the package pins OpenBLAS to one thread before numpy loads,
+    unless the user set the thread count."""
+
+    # prints OPENBLAS_NUM_THREADS as numpy's import finds it, then after
+    # the package import
+    PROBE = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+import sprachbund
+print(seen[0], os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+    def test_unset_becomes_one_before_numpy_loads(self):
+        proc = _python(["-c", self.PROBE], None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+
+    def test_user_setting_wins(self):
+        proc = _python(["-c", self.PROBE], "3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["3", "3"]
+
+    def test_thread_count_leaves_artifacts_unchanged(self, demo_config,
+                                                     tmp_path):
+        threads = ["1", str(max(2, os.cpu_count() or 1))]
+        for n in threads:
+            cfg = str(demo_config(out=str(tmp_path / f"ws{n}")))
+            proc = _python(["-m", "sprachbund.cli", "all", "--config", cfg], n)
+            assert proc.returncode == 0, proc.stderr
+        assert artifacts_in(tmp_path / f"ws{threads[0]}") == \
+            artifacts_in(tmp_path / f"ws{threads[1]}")
 
 
 class TestSweep:
