@@ -5,11 +5,14 @@ partition -> analyze -> project individually or chained (``all``). Every
 stage reads the previous stage's artifacts from the workspace, writes its own
 versioned artifacts (JSON documents, or a ``.npy`` matrix with a JSON index)
 stamped with the digest of the effective config, and appends a line to the
-run log. The one exception is the similarity matrix: under ``all``, the
-stages after ``simmat`` use the matrix it built, kept in memory, instead of
-re-parsing the ``simmat.json`` it just wrote. Reruns with identical inputs,
-config, and seed reproduce identical artifact bytes; timestamps live only in
-the log.
+run log. Under ``all`` there are two in-memory hand-offs instead of
+re-parsing what a stage just wrote: ``embed`` takes the shards ``sample``
+drew, and the stages after ``simmat`` take the matrix it built. With an
+``endpoint``, ``sample`` also sends each language's batches to the
+embedding service as soon as it is drawn; ``embed`` takes the vectors, or
+raises the service's error, as if it had fetched them itself. Reruns with
+identical inputs, config, and seed reproduce identical artifact bytes;
+timestamps live only in the log.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 external-service error.
@@ -75,6 +78,8 @@ class PipelineConfig:
     def __post_init__(self):
         self._registry: Registry | None = None
         self._matrix: SimilarityMatrix | None = None
+        self._shards: tuple[CorpusShard, ...] | None = None
+        self._fetch: _Fetch | None = None
 
     def digest(self) -> str:
         """Digest of the semantic parameters (workspace location excluded)."""
@@ -252,6 +257,16 @@ class _WorkspaceLock:
 # ---------------------------------------------------------------------------
 # stages
 
+@dataclass
+class _Fetch:
+    """Under `all` with an endpoint, `sample` runs the embed stage's fetch
+    while it draws the shards; this holds the outcome for `embed`."""
+
+    stats: FetchStats = field(default_factory=FetchStats)
+    sets: list[SentenceEmbeddingSet] | None = None
+    error: SprachbundError | None = None
+
+
 def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
     if not cfg.corpus_root:
         raise ValidationError("sample needs a corpus root: set 'corpus_root' "
@@ -270,19 +285,41 @@ def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
     if not codes:
         raise ValidationError(f"no <code>.txt corpus files found in {root}")
     policy = SamplingPolicy(cap=cfg.cap, seed=cfg.seed)
-    shards = [sample(ingest_shard(root / f"{c}.txt", c, registry), policy)
-              for c in codes]
-    _write_json(ws / "sampled.json", {
-        "policy": {"cap": policy.cap, "seed": policy.seed},
-        "shards": [
-            {"language": s.language,
-             "sentences": [[i, t] for i, t in s.sentences]}
-            for s in shards
-        ],
-    }, cfg.digest())
-    total = corpus_stats(shards)["total"]
-    _log(ws, f"sample languages={len(shards)} "
-             f"sentences={total['sentences']} bytes={total['bytes']}")
+    cfg._shards = None
+
+    def draw():
+        """Each language's shard as it is drawn; then the artifact and the
+        log line, and the shards kept for `embed`."""
+        shards = []
+        for c in codes:
+            shards.append(sample(ingest_shard(root / f"{c}.txt", c, registry),
+                                 policy))
+            yield shards[-1]
+        _write_json(ws / "sampled.json", {
+            "policy": {"cap": policy.cap, "seed": policy.seed},
+            "shards": [
+                {"language": s.language,
+                 "sentences": [[i, t] for i, t in s.sentences]}
+                for s in shards
+            ],
+        }, cfg.digest())
+        total = corpus_stats(shards)["total"]
+        _log(ws, f"sample languages={len(shards)} "
+                 f"sentences={total['sentences']} bytes={total['bytes']}")
+        cfg._shards = tuple(shards)
+
+    if cfg._fetch is None:
+        for _ in draw():
+            pass
+        return
+    try:  # the fetch drives `draw` and sends each shard's batches at once
+        cfg._fetch.sets = fetch_embeddings(
+            cfg.endpoint, draw(), cfg.batch,
+            auth_token=os.environ.get(AUTH_TOKEN_ENV), stats=cfg._fetch.stats)
+    except SprachbundError as exc:
+        if cfg._shards is None:  # sampling failed: that error wins
+            raise
+        cfg._fetch.error = exc  # the embed stage's to raise
 
 
 def _sampled_shards(ws: Path) -> list[CorpusShard]:
@@ -297,7 +334,8 @@ def _sampled_shards(ws: Path) -> list[CorpusShard]:
 
 
 def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
-    shards = _sampled_shards(ws)
+    shards = cfg._shards if cfg._shards is not None else _sampled_shards(ws)
+    cfg._shards = None  # handed over: no later stage reads them
     if bool(cfg.embeddings) == bool(cfg.endpoint):
         raise ValidationError("embed needs exactly one source: --embeddings "
                               "<file> or --endpoint <url>")
@@ -321,6 +359,12 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
             sets.append(SentenceEmbeddingSet(
                 language=shard.language, dim=source.dim, ids=ids,
                 matrix=np.vstack([by_id[i] for i in ids])))
+    elif cfg._fetch is not None:  # fetched while `sample` drew the shards
+        fetch, cfg._fetch = cfg._fetch, None  # kept no longer than the sets
+        stats = fetch.stats
+        if fetch.error is not None:
+            raise fetch.error
+        sets = fetch.sets
     else:
         sets = fetch_embeddings(cfg.endpoint, shards, cfg.batch,
                                 auth_token=os.environ.get(AUTH_TOKEN_ENV),
@@ -474,6 +518,8 @@ def run(subcommand: str, cfg: PipelineConfig) -> None:
         ws.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"output directory {ws} is not writable: {exc}")
+    cfg._fetch = (_Fetch() if subcommand == "all" and cfg.endpoint
+                  and not cfg.embeddings else None)
     with _WorkspaceLock(ws):
         for stage in stages:
             try:

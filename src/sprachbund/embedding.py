@@ -23,7 +23,8 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .corpus import CorpusShard
-from .errors import PartialEmbeddingError, ServiceError, ValidationError
+from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
+                     ValidationError)
 from .registry import artifact_keys, load_json, replacing, write_json
 
 _SUM_BLOCK = 256
@@ -368,44 +369,95 @@ def _embed_batch(conn: _Connection, chunk: Sequence[tuple[int, str]],
     return ids, matrix, missing
 
 
-def _pooled(conns: Sequence[_Connection], items: Sequence, task) -> list:
-    """``task(conn, item)`` for every item, on one thread per connection.
+class _Pool:
+    """Threads that run ``task(conn, item)`` on items as they are submitted.
 
-    Results are placed by the item's position. The first exception stops
-    new tasks; once the running ones return, the exception of the earliest
-    failed item is raised here, in the calling thread.
+    Each thread owns one connection: the n-th thread takes ``conns[n]``, and
+    ``connect()`` is appended to ``conns`` when it has no such entry. A
+    thread is started with each submitted item until there are
+    :data:`FETCH_WORKERS`. Results are placed by the order the items were
+    submitted. The first exception stops new tasks, and later items are
+    dropped; :meth:`results` waits for the running tasks and then raises the
+    exception of the earliest failed item in the calling thread. Leaving the
+    ``with`` block, on an exception too, drops the items not yet started and
+    joins every thread.
     """
-    results: list = [None] * len(items)
-    failures: dict[int, Exception] = {}
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
 
-    def work(conn: _Connection) -> None:
-        while True:
-            with lock:
-                j = None if failures else next(pending, None)
-            if j is None:
+    def __init__(self, conns: list, connect, task):
+        self._conns = conns
+        self._connect = connect
+        self._task = task
+        self._items: list = []
+        self._results: list = []
+        self._started = 0
+        self._failures: dict[int, Exception] = {}
+        self._closed = False
+        self._cond = threading.Condition()
+        self._threads: list[threading.Thread] = []
+
+    def submit(self, item) -> None:
+        with self._cond:
+            if self._failures:
                 return
+            self._items.append(item)
+            self._results.append(None)
+            self._cond.notify()
+        n = len(self._threads)
+        if n < FETCH_WORKERS:
+            if n == len(self._conns):
+                self._conns.append(self._connect())
+            thread = threading.Thread(target=self._work,
+                                      args=(self._conns[n],), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _take(self) -> int | None:
+        """The position of the next item to run, or None to stop."""
+        with self._cond:
+            while (self._started == len(self._items)
+                   and not (self._closed or self._failures)):
+                self._cond.wait()
+            if self._failures or self._started == len(self._items):
+                return None
+            self._started += 1
+            return self._started - 1
+
+    def _work(self, conn) -> None:
+        while (j := self._take()) is not None:
             try:
-                results[j] = task(conn, items[j])
+                self._results[j] = self._task(conn, self._items[j])
             except Exception as exc:  # kept, and raised by the calling thread
-                with lock:
-                    failures[j] = exc
+                with self._cond:
+                    self._failures[j] = exc
+                    self._cond.notify_all()
                 return
 
-    threads = [threading.Thread(target=work, args=(conn,), daemon=True)
-               for conn in conns]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
+    def _join(self, cancel: bool) -> None:
+        with self._cond:
+            self._closed = True
+            if cancel:
+                del self._items[self._started:]
+            self._cond.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+    def results(self) -> list:
+        """Every submitted item's result, once all have run."""
+        self._join(cancel=False)
+        if self._failures:
+            raise self._failures[min(self._failures)]
+        return self._results
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._join(cancel=True)
+        return False
 
 
-def fetch_embeddings(endpoint: str, shards: Sequence[CorpusShard], batch: int, *,
-                     retries: int = 3, timeout: float = 30.0,
+def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
+                     *, retries: int = 3, timeout: float = 30.0,
                      auth_token: str | None = None, retry_wait: float = 0.2,
                      stats: FetchStats | None = None
                      ) -> list[SentenceEmbeddingSet]:
@@ -417,8 +469,17 @@ def fetch_embeddings(endpoint: str, shards: Sequence[CorpusShard], batch: int, *
     ``batch``, and the batches of all shards are sent by a pool of
     :data:`FETCH_WORKERS` threads, each with its own connection. Transient
     failures (connection errors, 5xx, 429) are retried up to ``retries``
-    times per request. The first other failure stops new requests and is
-    raised once the requests in flight have returned.
+    times per request.
+
+    ``shards`` may be any iterable; it is driven on the calling thread, and
+    a shard's batches are queued as soon as it is drawn, so a generator that
+    reads and samples the shards runs while earlier batches are at the
+    service. The iterable is always consumed to its end. The first failure
+    (the ``/info`` request, a batch that is not retried or whose retries
+    ran out) stops new requests; once the iterable is consumed and the
+    requests in flight have returned, it is raised, or the earliest failed
+    batch's if several failed. An exception raised by the iterable itself
+    stops the pool and is raised as it is, before any failure of the fetch.
 
     Returns one set per shard, in shard order, with rows sorted by sentence
     id; replies are placed by position, so the result does not depend on
@@ -427,29 +488,38 @@ def fetch_embeddings(endpoint: str, shards: Sequence[CorpusShard], batch: int, *
     complete, :class:`PartialEmbeddingError` is raised for the first shard
     that has any. Request and retry counts are added to ``stats`` if given.
     """
-    if batch < 1:
-        raise ValidationError(f"batch size must be >= 1, got {batch}")
+    shards = iter(shards)
     base = endpoint.rstrip("/")
 
     def connect() -> _Connection:
         return _Connection(base, retries=retries, timeout=timeout,
                            auth_token=auth_token, retry_wait=retry_wait)
 
-    conns = [connect()]
+    conns: list[_Connection] = []
     try:
-        info = conns[0].call("GET", "/info")
-        if not isinstance(info.get("dim"), int) or info["dim"] < 1:
-            raise ServiceError(f"{base}/info did not declare a positive 'dim'")
+        try:
+            if batch < 1:
+                raise ValidationError(f"batch size must be >= 1, got {batch}")
+            conns.append(connect())
+            info = conns[0].call("GET", "/info")
+            if not isinstance(info.get("dim"), int) or info["dim"] < 1:
+                raise ServiceError(
+                    f"{base}/info did not declare a positive 'dim'")
+        except SprachbundError:
+            for _ in shards:  # consumed all the same
+                pass
+            raise
         dim = info["dim"]
-        owners = []
-        chunks = []
-        for k, shard in enumerate(shards):
-            for start in range(0, len(shard.sentences), batch):
-                owners.append(k)
-                chunks.append(shard.sentences[start:start + batch])
-        conns += [connect() for _ in range(min(FETCH_WORKERS, len(chunks)) - 1)]
-        replies = _pooled(conns[:len(chunks)], chunks,
-                          lambda conn, chunk: _embed_batch(conn, chunk, dim))
+        languages: list[str] = []
+        owners: list[int] = []
+        with _Pool(conns, connect,
+                   lambda conn, chunk: _embed_batch(conn, chunk, dim)) as pool:
+            for shard in shards:
+                for start in range(0, len(shard.sentences), batch):
+                    owners.append(len(languages))
+                    pool.submit(shard.sentences[start:start + batch])
+                languages.append(shard.language)
+            replies = pool.results()
     finally:
         for conn in conns:
             conn.close()
@@ -457,20 +527,22 @@ def fetch_embeddings(endpoint: str, shards: Sequence[CorpusShard], batch: int, *
                 stats.requests += conn.stats.requests
                 stats.retries += conn.stats.retries
 
-    parts: list[list] = [[] for _ in shards]
+    parts: list[list] = [[] for _ in languages]
     for k, reply in zip(owners, replies):
         parts[k].append(reply)
+    replies.clear()
     sets = []
-    for shard, answers in zip(shards, parts):
+    for language, answers in zip(languages, parts):
         missing = [sid for _, _, gone in answers for sid in gone]
         if missing:
-            raise PartialEmbeddingError(shard.language, missing)
+            raise PartialEmbeddingError(language, missing)
         ids = [sid for got, _, _ in answers for sid in got]
         order = np.argsort(ids, kind="stable")
         matrix = (np.vstack([rows for _, rows, _ in answers])[order] if ids
                   else np.zeros((0, dim), np.float32))
+        answers.clear()  # the set holds a copy of the rows
         sets.append(SentenceEmbeddingSet(
-            language=shard.language, dim=dim,
+            language=language, dim=dim,
             ids=tuple(ids[i] for i in order), matrix=matrix))
     return sets
 

@@ -37,26 +37,37 @@ class StubEmbeddingServer:
     """Tiny in-process embedding service for exercising the HTTP client.
 
     GET /info -> {"dim": dim}; POST /embed -> {"vectors": [...]} with
-    configurable misbehavior: fail the first N posts with ``fail_status``
-    (500 by default), truncate the response of a given batch, or answer null
-    for chosen texts. Requests are served one at a time, in arrival order.
+    configurable misbehavior: fail the first N posts, or every post holding
+    one of ``fail_texts``, with ``fail_status`` (500 by default); answer
+    without a vector list (every post if ``malformed``, else those holding
+    one of ``malformed_texts``); truncate the response of a given batch; or
+    answer null for chosen texts. ``on_post(texts)``, if given, runs before
+    each post is answered. Requests are served one at a time, in arrival
+    order; ``posts`` records each post's texts and answer status.
     """
 
     def __init__(self, dim: int = 4, fail_posts: int = 0,
                  fail_status: int = 500,
+                 fail_texts: frozenset[str] = frozenset(),
                  truncate_batch: int | None = None,
                  null_texts: frozenset[str] = frozenset(),
-                 malformed: bool = False, wrong_dim: int | None = None):
+                 malformed: bool = False,
+                 malformed_texts: frozenset[str] = frozenset(),
+                 wrong_dim: int | None = None, on_post=None):
         self.dim = dim
         self.fail_posts = fail_posts
         self.fail_status = fail_status
+        self.fail_texts = set(fail_texts)
         self.truncate_batch = truncate_batch
         self.null_texts = set(null_texts)
         self.malformed = malformed
+        self.malformed_texts = set(malformed_texts)
         self.wrong_dim = wrong_dim
+        self.on_post = on_post
         self.info_requests = 0
         self.embed_requests = 0
         self.batches: list[list[str]] = []
+        self.posts: list[tuple[list[str], int]] = []
         self.auth_headers: list[str | None] = []
         outer = self
 
@@ -85,14 +96,19 @@ class StubEmbeddingServer:
                     return
                 outer.embed_requests += 1
                 outer.auth_headers.append(self.headers.get("Authorization"))
-                if outer.embed_requests <= outer.fail_posts:
-                    self._send(outer.fail_status, {"error": "flaky"})
-                    return
-                if outer.malformed:
-                    self._send(200, {"unexpected": True})
-                    return
                 length = int(self.headers["Content-Length"])
                 texts = json.loads(self.rfile.read(length))["texts"]
+                if outer.on_post is not None:
+                    outer.on_post(texts)
+                if (outer.embed_requests <= outer.fail_posts
+                        or outer.fail_texts.intersection(texts)):
+                    outer.posts.append((texts, outer.fail_status))
+                    self._send(outer.fail_status, {"error": "flaky"})
+                    return
+                outer.posts.append((texts, 200))
+                if outer.malformed or outer.malformed_texts.intersection(texts):
+                    self._send(200, {"unexpected": True})
+                    return
                 outer.batches.append(texts)
                 vec_dim = outer.wrong_dim or outer.dim
                 vectors = [

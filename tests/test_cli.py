@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -335,6 +336,40 @@ class TestMatrixHandOff:
         assert cli._load_simmat(cfg, ws) is matrix
         with pytest.raises(ValueError, match="read-only"):
             matrix.values[0, 1] = 0.5
+
+
+class TestShardHandOff:
+    """Under `all` the embed stage takes the shards `sample` drew from
+    memory, for either embedding source; a lone `embed` reads
+    `sampled.json`, once."""
+
+    @pytest.mark.parametrize("source", ["embeddings", "endpoint"])
+    def test_all_parses_no_sample_and_a_lone_embed_one(
+            self, demo_config, embedding_server, monkeypatch, source):
+        overrides = ({} if source == "embeddings" else
+                     {"embeddings": None,
+                      "endpoint": embedding_server(dim=6).endpoint})
+        cfg = str(demo_config(**overrides))
+        calls = []
+        real = cli._sampled_shards
+        monkeypatch.setattr(cli, "_sampled_shards",
+                            lambda ws: calls.append(ws) or real(ws))
+        assert cli.main(["all", "--config", cfg]) == 0
+        assert calls == []
+        assert cli.main(["embed", "--config", cfg]) == 0
+        assert len(calls) == 1
+
+    def test_kept_shards_are_immutable(self, demo_config):
+        path = str(demo_config())
+        cfg = cli.resolve_config(
+            cli.build_parser().parse_args(["sample", "--config", path]))
+        cli.run("sample", cfg)
+        assert type(cfg._shards) is tuple and len(cfg._shards) == 8
+        for shard in cfg._shards:
+            assert type(shard.sentences) is tuple
+            assert {type(pair) for pair in shard.sentences} == {tuple}
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                shard.sentences = ()
 
 
 def _python(args: list[str], openblas_threads: str | None):

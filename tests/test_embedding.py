@@ -2,6 +2,7 @@ import json
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from reference import json_load_representations, json_write_representations
 from sprachbund.corpus import CorpusShard
 from sprachbund.embedding import (FETCH_WORKERS, FetchStats,
                                   LanguageRepresentation, SentenceEmbeddingSet,
-                                  _pooled, centroid, centroid_all,
+                                  _Pool, centroid, centroid_all,
                                   fetch_embeddings, load_embeddings,
                                   load_representations, write_embeddings,
                                   write_representations)
@@ -521,14 +522,23 @@ class TestPooledFetch:
         assert server.embed_requests == 8
 
 
+def _pooled(conns, items, task):
+    """``task(conn, item)`` for every item through a :class:`_Pool` whose
+    threads take their connections from ``conns``."""
+    with _Pool([], iter(conns).__next__, task) as pool:
+        for item in items:
+            pool.submit(item)
+        return pool.results()
+
+
 class TestPool:
-    def run_bounded(self, *args):
-        """``_pooled(*args)`` on a thread that must finish within 60 s."""
+    def run_bounded(self, *args, run=_pooled):
+        """``run(*args)`` on a thread that must finish within 60 s."""
         outcome = {}
 
         def target():
             try:
-                outcome["value"] = _pooled(*args)
+                outcome["value"] = run(*args)
             except Exception as exc:
                 outcome["error"] = exc
 
@@ -572,6 +582,82 @@ class TestPool:
                 raise ValueError(f"item {item}")
             return item
 
-        outcome = self.run_bounded(list(range(4)), list(range(1000)), task)
+        outcome = self.run_bounded(list(range(FETCH_WORKERS)),
+                                   list(range(1000)), task)
         assert str(outcome["error"]) == "item 5"
         assert len(started) < 1000
+
+    def test_failure_drops_the_items_already_queued(self):
+        started = []
+        go = threading.Event()
+
+        def task(conn, item):  # a request: it waits, off the GIL
+            started.append(item)
+            go.wait(timeout=30)
+            if item == 0:
+                raise ValueError("item 0")
+            time.sleep(0.001)
+            return item
+
+        def queue_all_then_fail(conns):
+            with _Pool([], iter(conns).__next__, task) as pool:
+                for item in range(1000):
+                    pool.submit(item)
+                go.set()  # every item is queued before the first one fails
+                return pool.results()
+
+        outcome = self.run_bounded(list(range(FETCH_WORKERS)),
+                                   run=queue_all_then_fail)
+        assert str(outcome["error"]) == "item 0"
+        assert len(started) < 1000
+
+    def test_items_run_while_later_ones_are_still_submitted(self):
+        done = [threading.Event() for _ in range(5)]
+
+        def task(conn, item):
+            done[item].set()
+            return item
+
+        def submit_after_each_ran(conns):
+            before = set(threading.enumerate())
+            with _Pool([], iter(conns).__next__, task) as pool:
+                for item in range(5):
+                    pool.submit(item)
+                    assert done[item].wait(timeout=30), item
+                results = pool.results()
+            assert set(threading.enumerate()) <= before
+            return results
+
+        outcome = self.run_bounded(list(range(FETCH_WORKERS)),
+                                   run=submit_after_each_ran)
+        assert outcome["value"] == [0, 1, 2, 3, 4]
+
+    def test_error_while_submitting_drops_queued_items_and_joins(self):
+        started = []
+        release = threading.Event()
+
+        def task(conn, item):
+            started.append(item)
+            release.wait(timeout=30)
+            return item
+
+        # the running items end once leaving the block has dropped the
+        # queued ones
+        timer = threading.Timer(0.5, release.set)
+
+        def fail_while_submitting(conns):
+            before = set(threading.enumerate())
+            try:
+                with _Pool([], iter(conns).__next__, task) as pool:
+                    for item in range(50):
+                        pool.submit(item)
+                    timer.start()
+                    raise KeyError("drawing failed")
+            finally:
+                assert not set(threading.enumerate()) - before - {timer}
+
+        outcome = self.run_bounded(list(range(FETCH_WORKERS)),
+                                   run=fail_while_submitting)
+        timer.join()
+        assert isinstance(outcome["error"], KeyError)
+        assert sorted(started) == list(range(FETCH_WORKERS))
