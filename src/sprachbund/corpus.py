@@ -67,8 +67,38 @@ class CorpusShard:
         object.__setattr__(shard, "sentences", sentences)
         return shard
 
+    @classmethod
+    def _of_lines(cls, language: str, lines: tuple[str, ...]) -> "CorpusShard":
+        """The shard of ``enumerate(lines)`` for lines that are not blank.
+
+        Its pairs are built when ``sentences`` is first read, so a shard
+        that is only sampled builds just the pairs :func:`sample` keeps.
+        """
+        shard = object.__new__(cls)
+        object.__setattr__(shard, "language", language)
+        object.__setattr__(shard, "_lines", lines)
+        return shard
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: the pairs of a
+        # shard from _of_lines, on their first read
+        lines = self.__dict__.get("_lines")
+        if name != "sentences" or lines is None:
+            raise AttributeError(name)
+        sentences = tuple(enumerate(lines))
+        object.__setattr__(self, "sentences", sentences)
+        return sentences
+
+    def _at(self, positions: list[int]) -> tuple[tuple[int, str], ...]:
+        """The pairs at ``positions``, in that order."""
+        lines = self.__dict__.get("_lines")
+        if lines is None:
+            return tuple(map(self.sentences.__getitem__, positions))
+        return tuple(zip(positions, map(lines.__getitem__, positions)))
+
     def __len__(self) -> int:
-        return len(self.sentences)
+        lines = self.__dict__.get("_lines")
+        return len(self.sentences) if lines is None else len(lines)
 
 
 @dataclass(frozen=True)
@@ -90,7 +120,9 @@ def ingest_shard(path: str | Path, language: str, registry: Registry) -> CorpusS
 
     Lines are split as ``str.splitlines`` splits them, and a line is blank
     when it is empty or all whitespace (``str.isspace``, the set ``strip``
-    removes). Sentence ids run 0, 1, 2, ... over the kept lines.
+    removes). Sentence ids run 0, 1, 2, ... over the kept lines. The
+    (id, line) pairs are built on their first read, so :func:`sample`
+    builds only those of the lines it keeps.
     """
     if language not in registry:
         raise ValidationError(f"language {language!r} is not in the registry")
@@ -104,7 +136,7 @@ def ingest_shard(path: str | Path, language: str, registry: Registry) -> CorpusS
         raise ValidationError(
             f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
     lines = filterfalse(str.isspace, filter(None, text.splitlines()))
-    return CorpusShard._unchecked(language, tuple(enumerate(lines)))
+    return CorpusShard._of_lines(language, tuple(lines))
 
 
 def _child_seed(seed: int, language: str) -> int:
@@ -117,7 +149,8 @@ def sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
 
     Under-cap shards pass through unchanged. Above the cap, Algorithm R picks
     each sentence with probability cap/n; the result is deterministic for a
-    given (shard, policy).
+    given (shard, policy). The picks depend only on the shard's length and
+    the policy, and only the picked pairs are built.
 
     Sentence ``m - 1`` replaces slot ``j`` for a draw ``j`` in [0, m) below
     the cap. That draw is ``rng.randrange(m)`` written out as CPython's
@@ -141,8 +174,7 @@ def sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
         if j < cap:
             chosen[j] = m - 1
     chosen.sort()
-    return CorpusShard._unchecked(
-        shard.language, tuple(map(shard.sentences.__getitem__, chosen)))
+    return CorpusShard._unchecked(shard.language, shard._at(chosen))
 
 
 def corpus_stats(shards: Iterable[CorpusShard]) -> dict:

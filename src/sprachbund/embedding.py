@@ -32,6 +32,9 @@ _SUM_BLOCK = 256
 # once; each owns one connection
 FETCH_WORKERS = 8
 _STORE_DTYPE = np.dtype("<f4")
+# vector components converted at once when a JSON Lines file is read
+_CHUNK_VALUES = 1 << 12
+_RECORD_KEYS = frozenset(("lang", "id", "vec"))
 
 
 @dataclass(eq=False)
@@ -88,6 +91,99 @@ class LanguageRepresentation:
         return int(self.vector.shape[0])
 
 
+def _vector(where: str, lang, sid, vec, dim: int) -> np.ndarray:
+    """One record's ``vec`` as float32, or the :class:`ValidationError` of a
+    ``vec`` that is not ``dim`` finite numbers. A number beyond float32's
+    range, an integer beyond float's among them, is not finite."""
+    try:
+        with np.errstate(over="ignore"):  # beyond float32: inf, caught below
+            arr = np.asarray(vec, dtype=np.float32)
+    except OverflowError:  # an integer beyond float's range
+        arr = np.full(dim, np.inf, np.float32)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (dim,):
+        raise ValidationError(
+            f"{where}: vector for lang={lang} id={sid} must be a "
+            f"list of {dim} numbers, as the header says")
+    if not np.isfinite(arr).all():
+        raise ValidationError(
+            f"{where}: non-finite value in vector for lang={lang} id={sid}")
+    return arr
+
+
+class _JsonlRecords:
+    """The records of a JSON Lines embedding file, with their vectors
+    converted to float32 and checked a chunk of lines at a time.
+
+    A chunk's vectors are converted in one call. Only when that call fails,
+    or gives a value that is not finite, are they converted one by one, to
+    raise the error of the first bad one. An error on a later line first
+    converts the pending chunk, so the error raised is always that of the
+    first bad line in file order.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.dim: int | None = None  # from the header line
+        self.langs: list[str] = []
+        self.ids: list[int] = []
+        self._blocks: list[np.ndarray] = []
+        self._lines: list[int] = []  # the pending records' line numbers
+        self._vecs: list = []  # and their vectors, as parsed
+
+    def add(self, lineno: int, lang: str, sid: int, vec) -> None:
+        self.langs.append(lang)
+        self.ids.append(sid)
+        self._lines.append(lineno)
+        self._vecs.append(vec)
+        if len(self._vecs) * self.dim >= _CHUNK_VALUES:
+            self._convert()
+
+    def _convert(self) -> None:
+        if not self._vecs:
+            return
+        try:
+            with np.errstate(over="ignore"):
+                block = np.array(self._vecs, dtype=np.float32)
+        except (TypeError, ValueError, OverflowError):
+            block = None
+        if (block is None or block.shape != (len(self._vecs), self.dim)
+                or not np.isfinite(block).all()):
+            first = len(self.ids) - len(self._vecs)
+            block = np.vstack([
+                _vector(f"{self.path}: line {lineno}", self.langs[first + k],
+                        self.ids[first + k], vec, self.dim)
+                for k, (lineno, vec) in enumerate(zip(self._lines, self._vecs))])
+        self._blocks.append(block)
+        self._lines.clear()
+        self._vecs.clear()
+
+    def error(self, lineno: int, what: str) -> ValidationError:
+        """The error of bad line ``lineno``; raises a pending earlier line's
+        vector error instead, if there is one."""
+        self._convert()
+        return ValidationError(f"{self.path}: line {lineno}: {what}")
+
+    def sets(self) -> list[SentenceEmbeddingSet]:
+        """One set per language, in order of first appearance. A language
+        whose records are consecutive lines gets a view of the rows."""
+        self._convert()
+        rows = (np.concatenate(self._blocks) if self._blocks
+                else np.zeros((0, self.dim), np.float32))
+        self._blocks.clear()
+        grouped: dict[str, list[int]] = {}
+        for row, lang in enumerate(self.langs):
+            grouped.setdefault(lang, []).append(row)
+        return [SentenceEmbeddingSet(
+                    language=lang, dim=self.dim,
+                    ids=tuple(map(self.ids.__getitem__, picks)),
+                    matrix=(rows[picks[0]:picks[-1] + 1]
+                            if picks[-1] - picks[0] == len(picks) - 1
+                            else rows[picks]))
+                for lang, picks in grouped.items()]
+
+
 def load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
     """Read embeddings from a ``.npy`` store or a JSON Lines file.
 
@@ -97,69 +193,54 @@ def load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
     ``{"v": 1, "dim": D}`` and every other line is
     ``{"lang": code, "id": int, "vec": [floats]}``. Records are grouped by
     language in order of first appearance.
+
+    Each line is parsed by one ``json.loads``, and the vectors are converted
+    to float32 and checked a chunk of lines at a time. A bad line raises
+    :class:`ValidationError` naming the file and the line; it is the first
+    bad line in file order, whatever is wrong with it.
     """
     path = Path(path)
     if path.suffix == ".npy":
         return _load_store(path)
     if not path.exists():
         raise ValidationError(f"embedding file not found: {path}")
-    grouped: dict[str, tuple[list[int], list[list[float]]]] = {}
-    dim: int | None = None
     try:
         fh = path.open("rb")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    records = _JsonlRecords(path)
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            where = f"{path}: line {lineno}"
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
-                raise ValidationError(f"{where}: invalid UTF-8") from None
+                raise records.error(lineno, "invalid UTF-8") from None
             if not line and lineno > 1:
                 continue
             try:
                 rec = json.loads(line) if line else None
             except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: {exc.msg}") from exc
+                raise records.error(lineno, exc.msg) from exc
             if lineno == 1:
                 header = rec if isinstance(rec, dict) else {}
                 dim = header.get("dim")
                 if header.get("v") != 1 or type(dim) is not int or dim < 1:
-                    raise ValidationError(
-                        f"{where}: expected the header {{\"v\": 1, "
-                        f"\"dim\": D}} with D a positive integer")
+                    raise records.error(
+                        1, 'expected the header {"v": 1, "dim": D} with D a '
+                        'positive integer')
+                records.dim = dim
                 continue
-            if not (isinstance(rec, dict) and {"lang", "id", "vec"} <= rec.keys()):
-                raise ValidationError(f"{where}: record needs lang, id, vec")
-            lang, sid, vec = rec["lang"], rec["id"], rec["vec"]
+            if not (isinstance(rec, dict) and _RECORD_KEYS <= rec.keys()):
+                raise records.error(lineno, "record needs lang, id, vec")
+            lang, sid = rec["lang"], rec["id"]
             if type(lang) is not str or type(sid) is not int:
-                raise ValidationError(
-                    f"{where}: lang must be a string and id an integer, "
-                    f"got {json.dumps(lang)} and {json.dumps(sid)}")
-            try:
-                arr = np.asarray(vec, dtype=np.float32)
-            except (TypeError, ValueError):
-                arr = None
-            if arr is None or arr.shape != (dim,):
-                raise ValidationError(
-                    f"{where}: vector for lang={lang} id={sid} must be a "
-                    f"list of {dim} numbers, as the header says")
-            if not np.isfinite(arr).all():
-                raise ValidationError(
-                    f"{where}: non-finite value in vector for "
-                    f"lang={lang} id={sid}")
-            ids, vecs = grouped.setdefault(lang, ([], []))
-            ids.append(sid)
-            vecs.append(arr)
-    if dim is None:
+                raise records.error(
+                    lineno, f"lang must be a string and id an integer, got "
+                    f"{json.dumps(lang)} and {json.dumps(sid)}")
+            records.add(lineno, lang, sid, rec["vec"])
+    if records.dim is None:
         raise ValidationError(f"{path}: empty embedding file (no header)")
-    return [
-        SentenceEmbeddingSet(
-            language=lang, dim=dim, ids=tuple(ids),
-            matrix=np.vstack(vecs) if vecs else np.zeros((0, dim), np.float32))
-        for lang, (ids, vecs) in grouped.items()
-    ]
+    return records.sets()
 
 
 def _one_dim(items: Sequence) -> int:
@@ -363,7 +444,11 @@ def _embed_batch(conn: _Connection, chunk: Sequence[tuple[int, str]],
         ids.append(sid)
         rows.append(vec)
     try:
-        matrix = np.asarray(rows, dtype=np.float32).reshape(-1, dim)
+        with np.errstate(over="ignore"):  # beyond float32: inf, refused later
+            matrix = np.asarray(rows, dtype=np.float32).reshape(-1, dim)
+    except OverflowError:  # an integer beyond float's range
+        raise ServiceError(
+            f"{where}: a vector holds a number beyond float range") from None
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"{where}: vectors are not lists of numbers: {exc}")
     return ids, matrix, missing

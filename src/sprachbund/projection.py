@@ -12,6 +12,10 @@ Both hot loops work on whole arrays. The bandwidth search bisects all rows
 at once, each with the arithmetic a one-row search would use, so P matches
 that search to the bit. A descent step gets every 1 + |y_i - y_j|^2 from one
 (M x 4) @ (4 x M) product and keeps its M x M work in two reused buffers.
+The kernel's sum and the product W y run over the whole buffers; Q, W and
+W's row sums are formed a cache-sized block of rows at a time, and Q's clamp
+at 1e-12 is skipped when a bound on max |y_i|^2 proves it would change
+nothing. Neither moves a bit of the result.
 
 The input is the :class:`simmatrix.SimilarityMatrix` that clustering uses;
 t-SNE's distances are 1 minus its values, so a run computes the cosine
@@ -32,6 +36,10 @@ from .simmatrix import SimilarityMatrix
 
 _EPS = 1e-12
 _TOL_BITS = 1e-6  # bandwidth search: entropy tolerance in bits
+# entries of an M x M array in one row block of a descent step: 512 KiB of
+# float64, so the blocks of the kernel, P and w that a step works on
+# together stay in a 2 MiB L2 cache
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -187,32 +195,71 @@ def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def _student_t(y: np.ndarray, num: np.ndarray, q: np.ndarray) -> None:
-    """Fill ``num`` with the Student-t kernel 1 / (1 + |y_i - y_j|^2), zero on
-    the diagonal, and ``q`` with num / sum(num) clamped below at _EPS.
+def _student_t(y: np.ndarray, num: np.ndarray) -> tuple[float, bool]:
+    """Fill ``num`` with the Student-t kernel 1 / (1 + |y_i - y_j|^2), zero
+    on the diagonal. Return the scale 1 / sum(num) that turns it into Q, and
+    whether Q needs its clamp below at _EPS.
 
     The squared distances plus one come from a single (M x 4) @ (4 x M)
     product: [y, |y|^2, 1] . [-2y, 1, 1 + |y|^2] = 1 + |y_i|^2 - 2 y_i.y_j
     + |y_j|^2.
+
+    The clamp is skipped when a bound proves it would change no
+    off-diagonal entry: with R^2 = max |y_i|^2, every |y_i - y_j|^2 is at
+    most 4 R^2, so every off-diagonal q is at least 1 / ((1 + 4 R^2) sum(num))
+    up to a few roundings, which the factor 2 in the test covers. A NaN or
+    infinite R^2 or sum fails the test, and Q is clamped.
     """
+    m = len(y)
     sq = np.einsum("ij,ij->i", y, y)
-    left = np.column_stack((y, sq, np.ones_like(sq)))
-    right = np.vstack((-2.0 * y.T, np.ones_like(sq), 1.0 + sq))
+    left = np.empty((m, 4))
+    left[:, :2] = y
+    left[:, 2] = sq
+    left[:, 3] = 1.0
+    right = np.empty((4, m))
+    np.multiply(y.T, -2.0, out=right[:2])
+    right[2] = 1.0
+    np.add(sq, 1.0, out=right[3])
     np.matmul(left, right, out=num)
     np.reciprocal(num, out=num)
     np.fill_diagonal(num, 0.0)
-    np.multiply(num, 1.0 / num.sum(), out=q)
-    np.maximum(q, _EPS, out=q)
+    total = num.sum()
+    return 1.0 / total, not (1.0 + 4.0 * sq.max()) * total <= 0.5 / _EPS
 
 
-def _gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray,
-              q: np.ndarray) -> np.ndarray:
+def _q(num: np.ndarray, scale: float, clamp: bool,
+       out: np.ndarray) -> np.ndarray:
+    """Q = num * scale, clamped below at _EPS if ``clamp``, into ``out``."""
+    np.multiply(num, scale, out=out)
+    if clamp:
+        np.maximum(out, _EPS, out=out)
+    return out
+
+
+def _gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray, w: np.ndarray,
+              scale: float, clamp: bool, *, w_is_q: bool = False
+              ) -> np.ndarray:
     """Gradient of KL(P || Q) at ``y``: 4 * sum_j w_ij (y_i - y_j) with
-    w = (p - q) * num, from the buffers :func:`_student_t` filled. Overwrites
-    ``q`` with w."""
-    w = np.subtract(p, q, out=q)
-    w *= num
-    return 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
+    w = (p - q) * num, from the kernel and scale of :func:`_student_t`.
+
+    ``w`` is filled with w a block of rows at a time, each block small
+    enough to stay in cache from Q to its row sums; with ``w_is_q``, it
+    holds Q already. A row's sum does not depend on the block it is in, and
+    ``w @ y`` runs over the whole buffer, so the gradient's bits do not
+    depend on the block size.
+    """
+    m = len(y)
+    rows = max(1, _BLOCK // m)
+    row_sums = np.empty(m)
+    for start in range(0, m, rows):
+        block = slice(start, start + rows)
+        wb = w[block]
+        if not w_is_q:
+            _q(num[block], scale, clamp, out=wb)
+        np.subtract(p[block], wb, out=wb)
+        wb *= num[block]
+        wb.sum(axis=1, out=row_sums[block])
+    return 4.0 * (row_sums[:, None] * y - w @ y)
 
 
 def tsne(matrix: SimilarityMatrix,
@@ -243,16 +290,19 @@ def tsne(matrix: SimilarityMatrix,
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     num = np.empty((m, m))
-    q = np.empty((m, m))
+    w = np.empty((m, m))
     trace: list[tuple[int, float]] = []
 
     for it in range(params.iterations):
         p = p_exaggerated if it < params.exaggeration_iters else p_true
-        _student_t(y, num, q)
+        scale, clamp = _student_t(y, num)
         last_exaggerated = it == params.exaggeration_iters - 1
-        if (it + 1) % 50 == 0 or last_exaggerated or it == params.iterations - 1:
-            trace.append((it + 1, _kl_divergence(p_true, q)))
-        grad = _gradient(p, y, num, q)
+        traced = ((it + 1) % 50 == 0 or last_exaggerated
+                  or it == params.iterations - 1)
+        if traced:  # the KL needs all of Q before w overwrites it
+            trace.append((it + 1, _kl_divergence(p_true,
+                                                 _q(num, scale, clamp, w))))
+        grad = _gradient(p, y, num, w, scale, clamp, w_is_q=traced)
 
         momentum = (params.initial_momentum
                     if it < params.momentum_switch_iter

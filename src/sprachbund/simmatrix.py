@@ -68,8 +68,9 @@ class SimilarityMatrix:
         return float(self.values[self.index(a), self.index(b)])
 
     def to_json(self) -> dict:
-        return {"languages": list(self.languages),
-                "values": [[float(x) for x in row] for row in self.values]}
+        """The matrix's document; ``values`` stays the float64 array, which
+        :func:`registry.write_json` writes as nested lists of floats."""
+        return {"languages": list(self.languages), "values": self.values}
 
     @classmethod
     def from_json(cls, doc: dict,

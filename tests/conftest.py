@@ -40,8 +40,10 @@ class StubEmbeddingServer:
     configurable misbehavior: fail the first N posts, or every post holding
     one of ``fail_texts``, with ``fail_status`` (500 by default); answer
     without a vector list (every post if ``malformed``, else those holding
-    one of ``malformed_texts``); truncate the response of a given batch; or
-    answer null for chosen texts. ``on_post(texts)``, if given, runs before
+    one of ``malformed_texts``); truncate the response of a given batch;
+    answer null for chosen texts; or answer a given list, such as one
+    holding a number no float can hold, for the texts in ``vectors_for``.
+    ``on_post(texts)``, if given, runs before
     each post is answered. Requests are served one at a time, in arrival
     order; ``posts`` records each post's texts and answer status.
     """
@@ -53,7 +55,8 @@ class StubEmbeddingServer:
                  null_texts: frozenset[str] = frozenset(),
                  malformed: bool = False,
                  malformed_texts: frozenset[str] = frozenset(),
-                 wrong_dim: int | None = None, on_post=None):
+                 wrong_dim: int | None = None, on_post=None,
+                 vectors_for: dict[str, list] | None = None):
         self.dim = dim
         self.fail_posts = fail_posts
         self.fail_status = fail_status
@@ -64,6 +67,7 @@ class StubEmbeddingServer:
         self.malformed_texts = set(malformed_texts)
         self.wrong_dim = wrong_dim
         self.on_post = on_post
+        self.vectors_for = dict(vectors_for or {})
         self.info_requests = 0
         self.embed_requests = 0
         self.batches: list[list[str]] = []
@@ -113,7 +117,7 @@ class StubEmbeddingServer:
                 vec_dim = outer.wrong_dim or outer.dim
                 vectors = [
                     None if t in outer.null_texts
-                    else _default_vector(t, vec_dim)
+                    else outer.vectors_for.get(t) or _default_vector(t, vec_dim)
                     for t in texts
                 ]
                 if outer.truncate_batch == len(outer.batches):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from sprachbund.corpus import CorpusShard, SamplingPolicy
-from sprachbund.embedding import LanguageRepresentation
+from sprachbund.embedding import LanguageRepresentation, SentenceEmbeddingSet
 from sprachbund.errors import ValidationError
 from sprachbund.registry import Registry
 
@@ -298,3 +298,133 @@ def json_load_representations(path: str | Path) -> list[LanguageRepresentation]:
                                    vector=np.asarray(r["vec"], dtype=np.float32),
                                    sample_count=int(r["sample_count"]))
             for r in doc["representations"]]
+
+
+def dump_write_json(path: str | Path, doc: dict) -> None:
+    """``doc`` through the standard library's indented encoder, with the
+    settings ``registry.write_json`` promises, and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+
+
+def line_load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
+    """A JSON Lines embedding file read one line at a time: each line is
+    parsed, checked and converted to float32 before the next is read."""
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"embedding file not found: {path}")
+    grouped: dict[str, tuple[list[int], list[np.ndarray]]] = {}
+    dim: int | None = None
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}: line {lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ValidationError(f"{where}: invalid UTF-8") from None
+            if not line and lineno > 1:
+                continue
+            try:
+                rec = json.loads(line) if line else None
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{where}: {exc.msg}") from exc
+            if lineno == 1:
+                header = rec if isinstance(rec, dict) else {}
+                dim = header.get("dim")
+                if header.get("v") != 1 or type(dim) is not int or dim < 1:
+                    raise ValidationError(
+                        f"{where}: expected the header {{\"v\": 1, "
+                        f"\"dim\": D}} with D a positive integer")
+                continue
+            if not (isinstance(rec, dict) and {"lang", "id", "vec"} <= rec.keys()):
+                raise ValidationError(f"{where}: record needs lang, id, vec")
+            lang, sid, vec = rec["lang"], rec["id"], rec["vec"]
+            if type(lang) is not str or type(sid) is not int:
+                raise ValidationError(
+                    f"{where}: lang must be a string and id an integer, "
+                    f"got {json.dumps(lang)} and {json.dumps(sid)}")
+            try:
+                arr = np.asarray(vec, dtype=np.float32)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.shape != (dim,):
+                raise ValidationError(
+                    f"{where}: vector for lang={lang} id={sid} must be a "
+                    f"list of {dim} numbers, as the header says")
+            if not np.isfinite(arr).all():
+                raise ValidationError(
+                    f"{where}: non-finite value in vector for "
+                    f"lang={lang} id={sid}")
+            ids, vecs = grouped.setdefault(lang, ([], []))
+            ids.append(sid)
+            vecs.append(arr)
+    if dim is None:
+        raise ValidationError(f"{path}: empty embedding file (no header)")
+    return [
+        SentenceEmbeddingSet(
+            language=lang, dim=dim, ids=tuple(ids),
+            matrix=np.vstack(vecs) if vecs else np.zeros((0, dim), np.float32))
+        for lang, (ids, vecs) in grouped.items()
+    ]
+
+
+def clamped_student_t(y: np.ndarray, num: np.ndarray, q: np.ndarray,
+                      eps: float = 1e-12) -> None:
+    """The Student-t kernel into ``num`` (zero diagonal) and Q = num /
+    sum(num) into ``q``, always clamped below at ``eps``, every pass over
+    the whole M x M buffers."""
+    sq = np.einsum("ij,ij->i", y, y)
+    left = np.column_stack((y, sq, np.ones_like(sq)))
+    right = np.vstack((-2.0 * y.T, np.ones_like(sq), 1.0 + sq))
+    np.matmul(left, right, out=num)
+    np.reciprocal(num, out=num)
+    np.fill_diagonal(num, 0.0)
+    np.multiply(num, 1.0 / num.sum(), out=q)
+    np.maximum(q, eps, out=q)
+
+
+def clamped_gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray,
+                     q: np.ndarray) -> np.ndarray:
+    """The KL gradient 4 * sum_j w_ij (y_i - y_j), w = (p - q) * num, from
+    the buffers of :func:`clamped_student_t`, whole-buffer passes only.
+    Overwrites ``q`` with w."""
+    w = np.subtract(p, q, out=q)
+    w *= num
+    return 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
+
+
+def clamped_tsne(matrix, params, eps: float = 1e-12) -> tuple[np.ndarray, tuple]:
+    """``projection.tsne``'s descent built on :func:`clamped_student_t` and
+    :func:`clamped_gradient`, with the same P, schedule and KL trace points.
+    Returns the points and the KL trace."""
+    from sprachbund.projection import conditional_affinities, joint_affinities
+    m = len(matrix)
+    p_true = joint_affinities(
+        conditional_affinities(1.0 - matrix.values, params.perplexity))
+    p_exaggerated = p_true * params.early_exaggeration
+    rng = np.random.default_rng(params.seed)
+    y = rng.standard_normal((m, 2)) * params.init_scale
+    velocity = np.zeros_like(y)
+    gains = np.ones_like(y)
+    num, q = np.empty((m, m)), np.empty((m, m))
+    trace = []
+    for it in range(params.iterations):
+        p = p_exaggerated if it < params.exaggeration_iters else p_true
+        clamped_student_t(y, num, q, eps)
+        if ((it + 1) % 50 == 0 or it == params.exaggeration_iters - 1
+                or it == params.iterations - 1):
+            mask = p_true > 0
+            trace.append((it + 1, float(np.sum(
+                p_true[mask] * np.log(p_true[mask] / q[mask])))))
+        grad = clamped_gradient(p, y, num, q)
+        momentum = (params.initial_momentum
+                    if it < params.momentum_switch_iter
+                    else params.final_momentum)
+        same_sign = np.sign(grad) == np.sign(velocity)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        np.maximum(gains, params.min_gain, out=gains)
+        velocity = momentum * velocity - params.learning_rate * gains * grad
+        y = y + velocity
+        y = y - y.mean(axis=0)
+    return y, tuple(trace)

@@ -907,3 +907,51 @@ class TestEmbedFromService:
         assert cli.main(["sample", "--config", str(cfg)]) == 0
         assert cli.main(["embed", "--config", str(cfg)]) == 0
         assert server.auth_headers == ["Bearer hunter2"]
+
+
+class TestNumberBeyondFloat:
+    """A vector entry no float32 can hold ends in the documented exit code
+    and a message: no traceback and no numpy warning on stderr."""
+
+    def run_all(self, config):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "sprachbund.cli", "all", "--config",
+             str(config)], capture_output=True, text=True, env=env,
+            timeout=120)
+
+    @pytest.mark.parametrize("number", ["1" + "0" * 400, "1e39"],
+                             ids=["int-1e400", "1e39"])
+    def test_embeddings_file_exits_2(self, demo_config, tmp_path, number):
+        lines = data.path("demo/embeddings.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        rec = json.loads(lines[4])
+        values = ", ".join([number] + [repr(x) for x in rec["vec"][1:]])
+        lines[4] = json.dumps({**rec, "vec": 0}).replace(
+            '"vec": 0', f'"vec": [{values}]')
+        jsonl = tmp_path / "emb.jsonl"
+        jsonl.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = self.run_all(demo_config(embeddings=str(jsonl)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"sprachbund: error: {jsonl}: line 5: non-finite value in vector "
+            f"for lang={rec['lang']} id={rec['id']}\n")
+
+    @pytest.mark.parametrize("number, code, message", [
+        (10 ** 400, 3, "{endpoint}/embed: a vector holds a number beyond "
+                       "float range"),
+        (1e39, 2, "non-finite component in vector for lang=")],
+        ids=["int-1e400", "1e39"])
+    def test_service_reply(self, demo_config, embedding_server, number, code,
+                           message):
+        texts = [line for path in data.path("demo/corpus").iterdir()
+                 for line in path.read_text(encoding="utf-8").splitlines()]
+        server = embedding_server(
+            dim=4, vectors_for={t: [number, 1.0, 1.0, 1.0] for t in texts})
+        proc = self.run_all(demo_config(embeddings=None,
+                                        endpoint=server.endpoint))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("sprachbund: error: " + message.format(
+            endpoint=server.endpoint))
+        assert proc.stderr.count("\n") == 1

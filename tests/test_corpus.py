@@ -37,6 +37,21 @@ class TestIngest:
         with pytest.raises(ValidationError, match="byte offset 3"):
             ingest_shard(path, "aa", toy_registry)
 
+    def test_sampling_builds_only_the_kept_pairs(self, tmp_path,
+                                                 toy_registry):
+        lines = [f"line {i}" for i in range(500)]
+        path = tmp_path / "aa.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        shard = ingest_shard(path, "aa", toy_registry)
+        policy = SamplingPolicy(cap=7, seed=3)
+        out = sample(shard, policy)
+        assert len(shard) == 500 and "sentences" not in vars(shard)
+        assert out == sample(CorpusShard("aa", tuple(enumerate(lines))),
+                             policy)
+        assert shard.sentences == tuple(enumerate(lines))  # on first read
+        assert shard.sentences is shard.sentences
+        assert shard == CorpusShard("aa", tuple(enumerate(lines)))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             CorpusShard(language="aa", sentences=((0, "x"), (0, "y")))

@@ -3,7 +3,9 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference import json_load_representations, json_write_representations
+from reference import (json_load_representations, json_write_representations,
+                       line_load_embeddings)
+from sprachbund import embedding
 from sprachbund.corpus import CorpusShard
 from sprachbund.embedding import (FETCH_WORKERS, FetchStats,
                                   LanguageRepresentation, SentenceEmbeddingSet,
@@ -102,6 +106,124 @@ class TestLoadEmbeddings:
             assert back.language == orig.language
             assert back.ids == orig.ids
             assert np.array_equal(back.matrix, orig.matrix)
+
+
+# faults a JSON Lines line can carry; "vector" ones are found only when the
+# line's vector is converted
+_LINE_FAULTS = {
+    "utf8": b'{"lang": "aa", "id": 0, "vec": [1.0]}\xff',
+    "json": b'{"lang": "aa", "id": 0, "vec": [1.0',
+    "extra": b'{"lang": "aa", "id": 0, "vec": [1.0]} {}',
+    "bom": '\ufeff{"lang": "aa", "id": 0, "vec": [1.0]}'.encode(),
+    "array": b"[1, 2]",
+    "null": b"null",
+    "keys": b'{"lang": "aa", "vec": [1.0]}',
+    "id": b'{"lang": "aa", "id": 1.5, "vec": [1.0]}',
+    "lang": b'{"lang": 7, "id": 0, "vec": [1.0]}',
+}
+_VECTOR_FAULTS = {
+    "short": lambda dim: [0.5] * (dim - 1),
+    "long": lambda dim: [0.5] * (dim + 1),
+    "ragged": lambda dim: [0.5] * (dim - 1) + [[0.5]],
+    "text": lambda dim: "0.5",
+    "object": lambda dim: {"x": 0.5},
+    "nested": lambda dim: [[0.5]] * dim,
+    "nan": lambda dim: [float("nan")] * dim,
+    "inf": lambda dim: [0.5] * (dim - 1) + [float("-inf")],
+    "f32-overflow": lambda dim: [1e39] + [0.5] * (dim - 1),
+    "null-entry": lambda dim: [None] * dim,
+}
+
+
+def _load_outcome(loader, path):
+    """``loader``'s sets as comparable tuples, or its error message."""
+    try:
+        with np.errstate(over="ignore"):  # the line loader warns on 1e39
+            sets = loader(path)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+    return [(s.language, s.dim, s.ids, s.matrix.dtype.str, s.matrix.shape,
+             s.matrix.tobytes()) for s in sets]
+
+
+@st.composite
+def jsonl_files(draw):
+    """A JSON Lines embedding file: a header, records of a few languages in
+    any order, blank lines, and line or vector faults at random lines."""
+    dim = draw(st.integers(1, 4))
+    number = (st.floats(-3e38, 3e38, allow_nan=False) | st.integers(-99, 99)
+              | st.booleans() | st.sampled_from([0.1, -0.0, 5e-324, 1e-46]))
+    lines = [json.dumps({"v": 1, "dim": dim}).encode()]
+    ids: dict[str, int] = {}
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from([b"", b"  ", b"\t"])))
+            continue
+        lang = draw(st.sampled_from(["aa", "bb", "cc"]))
+        ids[lang] = ids.get(lang, -1) + 1 + draw(st.integers(0, 2))
+        vec = draw(st.lists(number, min_size=dim, max_size=dim))
+        lines.append(json.dumps({"lang": lang, "id": ids[lang],
+                                 "vec": vec}).encode())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(lines)))
+        if draw(st.booleans()):
+            bad = _LINE_FAULTS[draw(st.sampled_from(sorted(_LINE_FAULTS)))]
+        else:
+            vec = _VECTOR_FAULTS[draw(st.sampled_from(sorted(_VECTOR_FAULTS)))]
+            bad = json.dumps({"lang": "zz", "id": at, "vec": vec(dim)}).encode()
+        lines.insert(at, bad)
+    return b"\n".join(lines) + b"\n"
+
+
+class TestJsonlOracle:
+    """``load_embeddings`` on JSON Lines against ``line_load_embeddings``
+    (reference.py), which converts and checks each line before reading the
+    next: the sets are equal to the bit, or the error message is."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=jsonl_files(), chunk=st.sampled_from([1, 3, 8, 1 << 12]))
+    @example(text=b'{"v": 1, "dim": 2}\n'
+                  b'{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n'
+                  b'{"lang": "aa", "id": 1, "vec": [1.0]}\n'
+                  b'{"lang": "aa", "id": 2, "vec": [1.0, 2.0]}\n'
+                  b'{"lang": "aa", "id": 3, "vec": [1.0, 2.0]\n',
+             chunk=1 << 12)
+    def test_sets_or_message_match_the_line_loader(self, text, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.jsonl"
+            path.write_bytes(text)
+            with mock.patch.object(embedding, "_CHUNK_VALUES", chunk):
+                got = _load_outcome(load_embeddings, path)
+            assert got == _load_outcome(line_load_embeddings, path)
+
+    @pytest.mark.parametrize("later", sorted(_LINE_FAULTS))
+    @pytest.mark.parametrize("earlier", sorted(_VECTOR_FAULTS))
+    def test_earlier_vector_fault_wins(self, tmp_path, earlier, later):
+        path = tmp_path / "emb.jsonl"
+        good = json.dumps({"lang": "aa", "id": 0, "vec": [0.5, 0.5]})
+        bad = json.dumps({"lang": "aa", "id": 1,
+                          "vec": _VECTOR_FAULTS[earlier](2)})
+        path.write_bytes(b"\n".join([b'{"v": 1, "dim": 2}', good.encode(),
+                                     bad.encode(), _LINE_FAULTS[later]]))
+        with pytest.raises(ValidationError, match=f"{path}: line 3: "):
+            load_embeddings(path)
+        assert _load_outcome(load_embeddings, path) == _load_outcome(
+            line_load_embeddings, path)
+
+    @pytest.mark.parametrize("number", ["1" + "0" * 400, "-1" + "0" * 400,
+                                        "1e39", "-3.5e38", "1e400"])
+    def test_number_beyond_float32_is_not_finite(self, tmp_path, number):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"v": 1, "dim": 2}\n'
+                        '{"lang": "aa", "id": 0, "vec": [0.5, 0.5]}\n'
+                        f'{{"lang": "aa", "id": 1, "vec": [{number}, 1.0]}}\n',
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                load_embeddings(path)
+        assert str(info.value) == (f"{path}: line 3: non-finite value in "
+                                   f"vector for lang=aa id=1")
 
 
 @st.composite
@@ -287,6 +409,22 @@ class TestFetchEmbeddings:
     def test_non_http_endpoint_rejected(self):
         with pytest.raises(ValidationError, match="http"):
             fetch_embeddings("localhost:9", [self.shard(2)], batch=2)
+
+    def test_integer_beyond_float_is_a_service_error(self, embedding_server):
+        server = embedding_server(
+            dim=2, vectors_for={"text 1": [10 ** 400, 1.0]})
+        with pytest.raises(ServiceError) as info:
+            fetch_embeddings(server.endpoint, [self.shard(3)], batch=2)
+        assert str(info.value) == (f"{server.endpoint}/embed: a vector holds "
+                                   f"a number beyond float range")
+
+    def test_float32_overflow_is_non_finite_without_warning(
+            self, embedding_server):
+        server = embedding_server(dim=2, vectors_for={"text 2": [1e39, 1.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite .* id=2"):
+                fetch_embeddings(server.endpoint, [self.shard(3)], batch=2)
 
     def test_vectors_reassembled_by_id(self, embedding_server):
         server = embedding_server(dim=4)

@@ -1,17 +1,21 @@
 import math
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (diag_gradient, diag_tsne, entropy_bits,
+from reference import (clamped_gradient, clamped_student_t, clamped_tsne,
+                       diag_gradient, diag_tsne, entropy_bits,
                        loop_conditional_affinities)
+from sprachbund import projection
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
 from sprachbund.projection import (Projection2D, TsneParams, _gradient,
-                                   _student_t, conditional_affinities,
+                                   _kl_divergence, _q, _student_t,
+                                   conditional_affinities,
                                    emit_plot, joint_affinities,
                                    minmax_normalize, project, tsne,
                                    unconverged_rows)
@@ -176,11 +180,11 @@ class TestTsne:
         p += p.T
         np.fill_diagonal(p, 0.0)
         p /= p.sum()
-        num, q = np.empty((m, m)), np.empty((m, m))
-        _student_t(y, num, q)
+        num, w = np.empty((m, m)), np.empty((m, m))
+        scale, clamp = _student_t(y, num)
         want_grad, want_q = diag_gradient(p, y)
-        np.testing.assert_allclose(q, want_q, rtol=1e-12)
-        grad = _gradient(p, y, num, q)
+        np.testing.assert_allclose(_q(num, scale, True, w), want_q, rtol=1e-12)
+        grad = _gradient(p, y, num, w, scale, clamp)
         # an entry whose terms cancel toward 0 keeps an error on the scale of
         # the largest entry, not of its own
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
@@ -210,6 +214,93 @@ class TestTsne:
         matrix = make_matrix(np.tile([1.0, 2.0, 3.0], (8, 1)))
         with pytest.raises(ValidationError, match="identical"):
             tsne(matrix, TsneParams(perplexity=2.0))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _descent_input(m, seed, scale, far):
+    """Points at ``scale`` with ``far`` of them ~1e7 away, where Q's clamp
+    changes entries, and a random symmetric P."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((m, 2)) * scale
+    y[:far] += rng.standard_normal((far, 2)) * 1e7
+    p = rng.random((m, m))
+    p += p.T
+    np.fill_diagonal(p, 0.0)
+    return y, p / p.sum()
+
+
+class TestDescentOracle:
+    """The descent step and the whole descent against the step that clamps
+    Q every time and makes every pass over the whole buffers
+    (``clamped_student_t``, ``clamped_gradient`` and ``clamped_tsne`` in
+    reference.py): kernel, gradient, KL, points and trace equal to the bit,
+    whatever the row block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(4, 160), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-4, 1.0, 40.0, 1e6]),
+           far=st.integers(0, 3), traced=st.booleans(),
+           block=st.sampled_from([1, 7, 100, 1 << 16]))
+    def test_step_matches_the_clamped_step(self, m, seed, scale, far, traced,
+                                           block):
+        y, p = _descent_input(m, seed, scale, min(far, m - 2))
+        want_num, want_q = np.empty((m, m)), np.empty((m, m))
+        clamped_student_t(y, want_num, want_q)
+        want_kl = _kl_divergence(p, want_q)
+        want_grad = clamped_gradient(p, y, want_num, want_q)
+
+        num, w = np.empty((m, m)), np.empty((m, m))
+        scale_, clamp = _student_t(y, num)
+        assert np.array_equal(_bits(num), _bits(want_num))
+        if traced:
+            assert _kl_divergence(p, _q(num, scale_, clamp, w)) == want_kl
+        with mock.patch.object(projection, "_BLOCK", block):
+            grad = _gradient(p, y, num, w, scale_, clamp, w_is_q=traced)
+        assert np.array_equal(_bits(grad), _bits(want_grad))
+
+    def test_far_points_are_clamped(self):
+        y, p = _descent_input(40, 1, 1.0, 2)
+        num, w = np.empty((40, 40)), np.empty((40, 40))
+        scale, clamp = _student_t(y, num)
+        assert clamp
+        unclamped = num * scale
+        assert (unclamped[~np.eye(40, dtype=bool)] < 1e-12).any()
+
+    def test_spread_points_skip_the_clamp(self):
+        y, _ = _descent_input(40, 1, 1e6, 0)
+        scale, clamp = _student_t(y, np.empty((40, 40)))
+        assert not clamp
+
+    @pytest.mark.parametrize("block, eps", [(1 << 16, 1e-12), (77, 1e-12),
+                                            (1 << 16, 1e-3), (31, 1e-3)])
+    def test_descent_matches_the_clamped_descent(self, block, eps):
+        """A run in several row blocks and one in a single block, with Q's
+        clamp skipped by the bound, and with a floor high enough that it
+        clamps entries at most steps."""
+        matrix = make_matrix(
+            np.random.default_rng(7).standard_normal((26, 6)))
+        params = TsneParams(perplexity=4.0, iterations=160,
+                            exaggeration_iters=60, momentum_switch_iter=60,
+                            seed=5)
+        clamps = []
+
+        def spy(y, num):
+            out = real(y, num)
+            clamps.append(out[1])
+            return out
+
+        real = projection._student_t
+        with mock.patch.object(projection, "_BLOCK", block), \
+                mock.patch.object(projection, "_EPS", eps), \
+                mock.patch.object(projection, "_student_t", spy):
+            result = tsne(matrix, params)
+        points, trace = clamped_tsne(matrix, params, eps)
+        assert np.array_equal(_bits(result.points), _bits(points))
+        assert result.kl_trace == trace
+        assert any(clamps) == (eps > 1e-12)
 
 
 class TestProjection2D:

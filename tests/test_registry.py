@@ -1,10 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from reference import dump_write_json
 from sprachbund.errors import ValidationError
 from sprachbund.registry import (LanguageRecord, Registry, bundled_lexical_table,
                                  bundled_registry, load_json,
@@ -221,3 +226,111 @@ class TestFeatureLabels:
 
     def test_empty_registry_is_empty_report(self):
         assert validate_feature_labels([]) == {}
+
+
+def _as_lists(value):
+    """``value`` with every NumPy array replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _written(writer, path, doc):
+    """The bytes ``writer`` leaves at ``path``, or the error it raises."""
+    path.unlink(missing_ok=True)
+    try:
+        writer(path, doc)
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return path.read_bytes()
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e16])
+_SCALARS = (st.none() | st.booleans() | _FLOATS | st.text()
+            | st.integers() | st.integers(-10 ** 40, 10 ** 40))
+_KEYS = st.text() | st.sampled_from(["", "v", "é", " ", "a\"b\\c"])
+
+
+def _symmetric(m, seed, zeros):
+    """A symmetric float64 matrix; ``zeros`` puts 0.0 on one side of the
+    diagonal and -0.0 on the other, so it is symmetric by value only."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m))
+    a = a + a.T
+    if zeros and m > 1:
+        a[0, 1], a[1, 0] = 0.0, -0.0
+    return a
+
+
+_ARRAYS = (st.builds(_symmetric, st.integers(0, 9), st.integers(0, 99),
+                     st.booleans())
+           | st.builds(lambda m, seed: np.random.default_rng(seed)
+                       .standard_normal((m, m + 1)),
+                       st.integers(0, 5), st.integers(0, 99))
+           | st.sampled_from([np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                              np.array([[np.inf, 2.0], [2.0, -np.inf]]),
+                              np.arange(6).reshape(2, 3),
+                              np.array([True, False]), np.zeros(0),
+                              np.array(2.5)]))
+_VALUES = st.recursive(
+    _SCALARS | _ARRAYS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=5)
+                   | st.dictionaries(st.integers() | st.floats(), inner,
+                                     max_size=3)
+                   | st.dictionaries(st.booleans() | st.none(), inner,
+                                     max_size=2)),
+    max_leaves=30)
+
+
+class TestWriteJsonOracle:
+    """``write_json`` writes the bytes of ``json.dump`` with its settings
+    (``dump_write_json`` in reference.py), on any document, arrays
+    written as their ``tolist()``, or fails as ``json.dump`` fails."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=st.dictionaries(_KEYS, _VALUES, max_size=6))
+    @example(doc={"values": _symmetric(4, 1, True), "v": 1})
+    @example(doc={"m": [[0.0, -0.0], [0.0, 1.0]], "e": [[], {}, ()]})
+    @example(doc={"mixed": [math.nan, math.inf, -math.inf, -0.0, 5e-324, []],
+                  "n": {"x": math.nan, "y": [True]},
+                  "k": {math.nan: [None], 10 ** 30: {}},
+                  "f": {-math.inf: [0], 0.5: [1]}})
+    def test_bytes_are_json_dumps(self, tmp_path, doc):
+        got = _written(write_json, tmp_path / "got.json", doc)
+        want = _written(dump_write_json, tmp_path / "want.json",
+                        _as_lists(doc))
+        assert got == want
+
+    def test_mirrored_zeros_keep_their_signs(self, tmp_path):
+        values = np.eye(3)
+        values[0, 2], values[2, 0] = 0.0, -0.0
+        write_json(tmp_path / "m.json", {"values": values})
+        assert json.loads((tmp_path / "m.json").read_text())["values"] == (
+            values.tolist())
+        text = (tmp_path / "m.json").read_text()
+        assert text.count("-0.0") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"a": object()}, {(1, 2): 1}, {1: 1, "a": 2}, {"a": [1, {2: set()}]},
+        {"a": np.float32(1.0)}], ids=repr)
+    def test_errors_are_json_dumps(self, tmp_path, doc):
+        got = _written(write_json, tmp_path / "got.json", doc)
+        assert got == _written(dump_write_json, tmp_path / "want.json", doc)
+        assert isinstance(got, str) and not (tmp_path / "got.json").exists()
+
+    def test_circular_container_is_refused(self, tmp_path):
+        loop: list = [1]
+        loop.append(loop)
+        doc = {"a": loop}
+        assert _written(write_json, tmp_path / "got.json", doc) == (
+            "ValueError: Circular reference detected")
+        assert _written(dump_write_json, tmp_path / "want.json", doc) == (
+            "ValueError: Circular reference detected")
