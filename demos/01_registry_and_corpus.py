@@ -2,8 +2,9 @@
 
 The toolkit ships a 108-language registry (22 families) and an 8-language
 lexical similarity table; both load with zero downloads. This script walks
-through lookups, the missing-data convention, and what reservoir sampling
-does to an over-cap shard.
+through lookups, the missing-data convention, and what capped sampling
+does to an over-cap shard: a uniform subset of ``cap`` sentences, drawn
+with Floyd's algorithm and kept in corpus order.
 """
 
 import sys

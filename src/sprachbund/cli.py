@@ -292,8 +292,13 @@ def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
         log line, and the shards kept for `embed`."""
         shards = []
         for c in codes:
-            shards.append(sample(ingest_shard(root / f"{c}.txt", c, registry),
-                                 policy))
+            path = root / f"{c}.txt"
+            shard = ingest_shard(path, c, registry)
+            if not len(shard):
+                raise ValidationError(
+                    f"{path}: no sentences (the file is empty or has only "
+                    f"blank lines)")
+            shards.append(sample(shard, policy))
             yield shards[-1]
         _write_json(ws / "sampled.json", {
             "policy": {"cap": policy.cap, "seed": policy.seed},

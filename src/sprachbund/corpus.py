@@ -1,8 +1,10 @@
 """Corpus shards and capped random sampling.
 
-A shard is one language's sentences, one per input line. Sampling keeps
-everything when a language is under the cap and otherwise draws a uniform
-subset with reservoir sampling (Algorithm R), preserving original order.
+A shard is one language's sentences, one per input line. Ingest indexes the
+lines of a file's bytes at C speed and decodes a line only when it is read.
+Sampling keeps everything when a language is under the cap and otherwise
+draws a uniform ``cap``-subset of positions with Floyd's algorithm, exactly
+``cap`` draws whatever the shard's length, and keeps original order.
 
 The PRNG is CPython's Mersenne Twister (``random.Random``), seeded per
 (seed, language) through SHA-256, so a fixed policy reproduces the same
@@ -12,16 +14,54 @@ draw independent streams.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import random
 from dataclasses import dataclass
 from itertools import filterfalse
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 from .registry import Registry
+
+# Every separator ``str.splitlines`` breaks on but ``\n``: six control
+# bytes, and three characters outside ASCII. A file without them splits at
+# its ``\n`` bytes alone.
+_RARE_CONTROLS = np.zeros(32, dtype=bool)
+_RARE_CONTROLS[list(b"\r\x0b\x0c\x1c\x1d\x1e")] = True
+_WIDE_BREAKS = "\x85\u2028\u2029"
+# The first UTF-8 byte of each character ``str.isspace`` accepts: a line
+# that starts with any other byte is not blank.
+_SPACE_LEAD = np.zeros(256, dtype=bool)
+_SPACE_LEAD[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \xc2\xe1\xe2\xe3")] = True
+# Bytes per pass of the UTF-8 check and the line-break search, so neither
+# builds a temporary the size of the file.
+_CHUNK = 1 << 20
+
+
+class _Lines:
+    """The lines ``raw[starts[i]:ends[i]]`` of a UTF-8 buffer, each decoded
+    when it is read."""
+
+    __slots__ = ("_raw", "_starts", "_ends")
+
+    def __init__(self, raw: bytes, starts: np.ndarray, ends: np.ndarray):
+        self._raw, self._starts, self._ends = raw, starts, ends
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, i: int) -> str:
+        return self._raw[self._starts[i]:self._ends[i]].decode("utf-8")
+
+    def __iter__(self):
+        raw = self._raw
+        for start, end in zip(self._starts.tolist(), self._ends.tolist()):
+            yield raw[start:end].decode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -68,8 +108,9 @@ class CorpusShard:
         return shard
 
     @classmethod
-    def _of_lines(cls, language: str, lines: tuple[str, ...]) -> "CorpusShard":
-        """The shard of ``enumerate(lines)`` for lines that are not blank.
+    def _of_lines(cls, language: str, lines: Sequence[str]) -> "CorpusShard":
+        """The shard of ``enumerate(lines)`` for a sequence of lines that are
+        not blank.
 
         Its pairs are built when ``sentences`` is first read, so a shard
         that is only sampled builds just the pairs :func:`sample` keeps.
@@ -115,14 +156,75 @@ class SamplingPolicy:
             raise ValidationError("seed must be an unsigned 64-bit integer")
 
 
+def _wide_breaks(raw: bytes, path: str | Path) -> bool:
+    """Whether ``raw`` holds a line break outside ASCII. Raise the
+    ValidationError that names the byte offset of the first invalid UTF-8
+    sequence. An ASCII file is not decoded, and any other at most
+    ``_CHUNK`` bytes at a time, so no decoded copy of the file is kept."""
+    if raw.isascii():
+        return False
+    view = memoryview(raw)
+    done = 0
+    found = False
+    while done < len(raw):
+        try:  # a sequence cut by the chunk's end is left for the next one
+            text, used = codecs.utf_8_decode(view[done:done + _CHUNK],
+                                             "strict",
+                                             done + _CHUNK >= len(raw))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: invalid UTF-8 at byte offset "
+                                  f"{done + exc.start}") from None
+        done += used
+        found = found or any(c in text for c in _WIDE_BREAKS)
+    return found
+
+
+def _line_bounds(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Start and end offsets of the lines of ``raw`` that are not blank,
+    for valid UTF-8 without a line break outside ASCII; None if ``raw``
+    holds a line break other than ``\\n``.
+
+    One pass finds the control bytes, among them the breaks. Only a line
+    whose first byte can start a whitespace character is decoded, to ask
+    ``str.isspace``.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    edges = [np.array([-1])]  # the break before the first line
+    for at in range(0, len(buf), _CHUNK):
+        chunk = buf[at:at + _CHUNK]
+        controls = np.flatnonzero(chunk < 32)
+        kinds = chunk[controls]
+        if _RARE_CONTROLS[kinds].any():
+            return None
+        edges.append(controls[kinds == 10] + at)
+    if raw and raw[-1] != 10:  # the last line has no break of its own
+        edges.append(np.array([len(buf)]))
+    edges = np.concatenate(edges)
+    starts, ends = edges[:-1] + 1, edges[1:]
+    keep = starts < ends
+    maybe = np.flatnonzero(keep & _SPACE_LEAD[buf[starts]])
+    for i, start, end in zip(maybe.tolist(), starts[maybe].tolist(),
+                             ends[maybe].tolist()):
+        keep[i] = not raw[start:end].decode("utf-8").isspace()
+    if keep.all():
+        return starts, ends
+    return starts[keep], ends[keep]
+
+
 def ingest_shard(path: str | Path, language: str, registry: Registry) -> CorpusShard:
     """Read one sentence per line; blank lines are skipped.
 
     Lines are split as ``str.splitlines`` splits them, and a line is blank
     when it is empty or all whitespace (``str.isspace``, the set ``strip``
-    removes). Sentence ids run 0, 1, 2, ... over the kept lines. The
-    (id, line) pairs are built on their first read, so :func:`sample`
-    builds only those of the lines it keeps.
+    removes). Sentence ids run 0, 1, 2, ... over the kept lines. An invalid
+    UTF-8 file fails with the byte offset of its first bad sequence.
+
+    A file whose only line break is ``\\n`` is indexed in C: its kept lines
+    are byte offsets into the file, and a line is decoded only when it is
+    read, so :func:`sample` decodes just the lines it keeps. A file with
+    any other separator ``str.splitlines`` knows (``\\r``, ``\\x0b``,
+    ``\\x0c``, ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) is decoded
+    and split whole.
     """
     if language not in registry:
         raise ValidationError(f"language {language!r} is not in the registry")
@@ -130,13 +232,13 @@ def ingest_shard(path: str | Path, language: str, registry: Registry) -> CorpusS
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-    lines = filterfalse(str.isspace, filter(None, text.splitlines()))
-    return CorpusShard._of_lines(language, tuple(lines))
+    bounds = None if _wide_breaks(raw, path) else _line_bounds(raw)
+    if bounds is None:
+        lines = tuple(filterfalse(
+            str.isspace, filter(None, raw.decode("utf-8").splitlines())))
+    else:
+        lines = _Lines(raw, *bounds)
+    return CorpusShard._of_lines(language, lines)
 
 
 def _child_seed(seed: int, language: str) -> int:
@@ -147,13 +249,15 @@ def _child_seed(seed: int, language: str) -> int:
 def sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
     """Uniform sample of at most ``policy.cap`` sentences, original order kept.
 
-    Under-cap shards pass through unchanged. Above the cap, Algorithm R picks
-    each sentence with probability cap/n; the result is deterministic for a
-    given (shard, policy). The picks depend only on the shard's length and
-    the policy, and only the picked pairs are built.
+    Under-cap shards pass through unchanged. Above the cap, Floyd's
+    algorithm (Bentley & Floyd 1987) draws a uniform ``cap``-subset of the
+    n positions with exactly ``cap`` draws: for m = n - cap + 1, ..., n it
+    draws j in [0, m) and adds j, or m - 1 if j is already chosen. The
+    result is deterministic for a given (shard, policy); the picks depend
+    only on the shard's length and the policy, and only the picked pairs
+    are built.
 
-    Sentence ``m - 1`` replaces slot ``j`` for a draw ``j`` in [0, m) below
-    the cap. That draw is ``rng.randrange(m)`` written out as CPython's
+    Each draw is ``rng.randrange(m)`` written out as CPython's
     ``Random._randbelow_with_getrandbits`` (3.10 to 3.13): take
     ``m.bit_length()`` bits, and draw again while the value is ``>= m``. It
     consumes the same Mersenne Twister words, so the selection is the one
@@ -165,16 +269,14 @@ def sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
         return shard
     getrandbits = random.Random(
         _child_seed(policy.seed, shard.language)).getrandbits
-    chosen = list(range(cap))
-    for m in range(cap + 1, n + 1):
+    chosen = set()
+    for m in range(n - cap + 1, n + 1):
         k = m.bit_length()
         j = getrandbits(k)
         while j >= m:
             j = getrandbits(k)
-        if j < cap:
-            chosen[j] = m - 1
-    chosen.sort()
-    return CorpusShard._unchecked(shard.language, shard._at(chosen))
+        chosen.add(m - 1 if j in chosen else j)
+    return CorpusShard._unchecked(shard.language, shard._at(sorted(chosen)))
 
 
 def corpus_stats(shards: Iterable[CorpusShard]) -> dict:

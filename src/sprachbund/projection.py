@@ -189,10 +189,18 @@ def joint_affinities(conditional: np.ndarray) -> np.ndarray:
     return (conditional + conditional.T) / (2.0 * m)
 
 
-def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(P || Q) in nats; ``q`` is clamped at _EPS, so no term divides by 0."""
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def _kl_divergence(p: np.ndarray, q: np.ndarray,
+                   support: np.ndarray | None = None) -> float:
+    """KL(P || Q) in nats; ``q`` is clamped at _EPS, so no term divides by 0.
+    ``support`` is ``p > 0``, if the caller has it."""
+    if support is None:
+        support = p > 0
+    terms = p[support]
+    # one buffer for the ratio, its log and the products: a trace point
+    # holds two gathered arrays at a time, not four
+    ratio = np.divide(terms, q[support])
+    np.log(ratio, out=ratio)
+    return float(np.sum(np.multiply(terms, ratio, out=ratio)))
 
 
 def _student_t(y: np.ndarray, num: np.ndarray) -> tuple[float, bool]:
@@ -284,6 +292,7 @@ def tsne(matrix: SimilarityMatrix,
     cond = conditional_affinities(distances, params.perplexity)
     p_true = joint_affinities(cond)
     p_exaggerated = p_true * params.early_exaggeration
+    p_support = p_true > 0  # once for every KL trace point
 
     rng = np.random.default_rng(params.seed)
     y = rng.standard_normal((m, 2)) * params.init_scale
@@ -300,8 +309,8 @@ def tsne(matrix: SimilarityMatrix,
         traced = ((it + 1) % 50 == 0 or last_exaggerated
                   or it == params.iterations - 1)
         if traced:  # the KL needs all of Q before w overwrites it
-            trace.append((it + 1, _kl_divergence(p_true,
-                                                 _q(num, scale, clamp, w))))
+            trace.append((it + 1, _kl_divergence(
+                p_true, _q(num, scale, clamp, w), p_support)))
         grad = _gradient(p, y, num, w, scale, clamp, w_is_q=traced)
 
         momentum = (params.initial_momentum

@@ -262,19 +262,20 @@ def _child_seed(seed: int, language: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def randrange_sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
-    """Algorithm R drawing each index with ``random.Random.randrange``, from
-    the same per-(seed, language) SHA-256 child seed."""
+def floyd_sample(shard: CorpusShard, policy: SamplingPolicy) -> CorpusShard:
+    """Floyd's subset draw with one ``random.Random.randrange`` call per
+    draw, from the same per-(seed, language) SHA-256 child seed: for m =
+    n - cap + 1, ..., n, add the draw j in [0, m), or m - 1 if j is already
+    in the subset."""
     n = len(shard)
     cap = policy.cap
     if n <= cap:
         return shard
     rng = random.Random(_child_seed(policy.seed, shard.language))
-    chosen = list(range(cap))
-    for i in range(cap, n):
-        j = rng.randrange(i + 1)
-        if j < cap:
-            chosen[j] = i
+    chosen = []
+    for m in range(n - cap + 1, n + 1):
+        j = rng.randrange(m)
+        chosen.append(m - 1 if j in chosen else j)
     chosen.sort()
     return CorpusShard(language=shard.language,
                        sentences=tuple(shard.sentences[i] for i in chosen))

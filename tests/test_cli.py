@@ -856,6 +856,33 @@ class TestUnreadableInputs:
             assert "invalid UTF-8" in proc.stderr
 
 
+class TestEmptyCorpusFile:
+    """A corpus file with no sentence makes `sample` exit 2 with one line
+    naming it, before any sentence is sent to a service and before any
+    artifact is written."""
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    @pytest.mark.parametrize("source", ["embeddings", "endpoint"])
+    def test_sample_refuses_it(self, demo_config, embedding_server, tmp_path,
+                               capsys, source, text):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for src in data.path("demo/corpus").iterdir():
+            (corpus / src.name).write_bytes(src.read_bytes())
+        (corpus / "ca.txt").write_text(text, encoding="utf-8")
+        server = embedding_server(dim=4)
+        overrides = ({} if source == "embeddings" else
+                     {"embeddings": None, "endpoint": server.endpoint})
+        cfg = str(demo_config(corpus_root=str(corpus), cap=4, **overrides))
+        assert cli.main(["all", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert str(corpus / "ca.txt") in err and "no sentences" in err
+        assert server.embed_requests == 0
+        ws = tmp_path / "ws"
+        assert [p.name for p in ws.iterdir()] == ["run.log"]
+
+
 class TestEmbedFromService:
     def test_endpoint_pipeline(self, tmp_path, embedding_server, monkeypatch):
         server = embedding_server(dim=6)

@@ -1,18 +1,22 @@
 """The corpus layer against its loop oracles in ``reference.py``.
 
-``ingest_shard`` splits and filters in C and ``sample`` inlines
-``randrange``; both must give the shard the plain loops give, or fail with
-the same message, on any bytes: every line break ``str.splitlines`` knows,
-Unicode whitespace, blank lines and invalid UTF-8.
+``ingest_shard`` indexes lines in C and ``sample`` inlines ``randrange``;
+both must give the shard the plain loops give, or fail with the same
+message, on any bytes: every line break ``str.splitlines`` knows, Unicode
+whitespace, blank lines and invalid UTF-8.
 """
 
+import itertools
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from reference import loop_ingest_shard, randrange_sample
+from reference import floyd_sample, loop_ingest_shard
 
+from sprachbund import corpus
 from sprachbund.corpus import CorpusShard, SamplingPolicy, ingest_shard, sample
 from sprachbund.errors import ValidationError
 
@@ -23,12 +27,20 @@ PIECES = [
     b"\n", b"\r\n", b"\r",
     # the other separators str.splitlines splits on
     *(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
-    # whitespace that strip() removes, ASCII and Unicode
-    b" ", b"\t", "\xa0".encode(), "\u3000".encode(),
+    # whitespace that strip() removes, ASCII and Unicode; \x1f is not a
+    # line break
+    b" ", b"\t", b"\x1f", "\xa0".encode(), "\u2000".encode(),
+    "\u3000".encode(),
+    # a byte order mark: a character like any other, not whitespace
+    "\ufeff".encode(),
     # bytes that are not UTF-8: a stray continuation byte, a truncated
     # two-byte sequence, a byte never used
     b"\x80", b"\xc3", b"\xff",
 ]
+RARE_BREAKS = [c.encode() for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+# what files without a rare line break are made of: the path that indexes
+# the lines in C
+COMMON_PIECES = [p for p in PIECES if not any(b in p for b in RARE_BREAKS)]
 
 
 def outcome(fn, *args):
@@ -44,6 +56,10 @@ def outcome(fn, *args):
        cap=st.integers(1, 12), seed=st.integers(0, 2 ** 64 - 1))
 @example(pieces=[b"a", "\x85".encode(), b"a", "\u2028".encode(), b"a"],
          cap=1, seed=0)
+# each line break outside ASCII alone in a file
+@example(pieces=[b"a", "\x85".encode(), b"a\n"], cap=1, seed=0)
+@example(pieces=[b"a", "\u2028".encode(), b"a\n"], cap=1, seed=0)
+@example(pieces=[b"a", "\u2029".encode(), b"a\n"], cap=1, seed=0)
 @example(pieces=[b"a", b"\r", b"\n", "\xa0".encode(), b"\r", b"a"],
          cap=1, seed=0)
 @example(pieces=[b"a", b"\n", b"\xc3"], cap=1, seed=0)
@@ -58,7 +74,64 @@ def test_ingest_and_sample_match_the_loops(tmp_path, toy_registry,
         assert type(got.sentences) is tuple
         assert {tuple} >= set(map(type, got.sentences))
         policy = SamplingPolicy(cap=cap, seed=seed)
-        assert sample(got, policy) == randrange_sample(want, policy)
+        assert sample(got, policy) == floyd_sample(want, policy)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pieces=st.lists(st.sampled_from(COMMON_PIECES), max_size=80),
+       cap=st.integers(1, 12), seed=st.integers(0, 2 ** 64 - 1),
+       chunk=st.sampled_from([4, 5, 7, 1 << 20]))
+@example(pieces=[b"\n", b"a", b"\n", b"\n", b" ", b"\t", b"\n", b"a"],
+         cap=1, seed=0, chunk=4)
+@example(pieces=[b"a", "\u2000".encode(), b"\n", "\u2000".encode(),
+                 "\xa0".encode(), b"\x1f", b"\n", b"a"],
+         cap=1, seed=0, chunk=4)
+def test_files_with_newlines_only_match_the_loops(tmp_path, toy_registry,
+                                                  pieces, cap, seed, chunk):
+    """No rare line break: the lines are indexed in C, the UTF-8 check and
+    the newline search run in chunks of ``chunk`` bytes."""
+    path = tmp_path / "aa.txt"
+    path.write_bytes(b"".join(pieces))
+    with mock.patch.object(corpus, "_CHUNK", chunk):
+        got = outcome(ingest_shard, path, "aa", toy_registry)
+    want = outcome(loop_ingest_shard, path, "aa", toy_registry)
+    assert got == want
+    if isinstance(want, CorpusShard):
+        assert type(vars(got)["_lines"]) is corpus._Lines
+        assert list(got._lines) == [t for _, t in want.sentences]
+        policy = SamplingPolicy(cap=cap, seed=seed)
+        assert sample(got, policy) == floyd_sample(want, policy)
+
+
+def test_space_lead_bytes_cover_every_whitespace_character():
+    leads = {chr(c).encode()[0] for c in range(0x110000)
+             if chr(c).isspace()}
+    assert set(corpus._SPACE_LEAD.nonzero()[0].tolist()) == leads
+
+
+def test_rare_breaks_are_every_other_separator():
+    breaks = {c for c in map(chr, range(0x110000))
+              if len(f"a{c}b".splitlines()) == 2} - {"\n"}
+    controls = corpus._RARE_CONTROLS.nonzero()[0].tolist()
+    assert ({chr(b) for b in controls}
+            | set(corpus._WIDE_BREAKS)) == breaks
+
+
+def test_every_subset_is_equally_likely():
+    """n=6, cap=3: each of the 20 subsets over 20,000 seeds, against a
+    chi-square bound (19 degrees of freedom, p = 0.001)."""
+    n, cap, trials = 6, 3, 20_000
+    shard = CorpusShard(language="aa",
+                        sentences=tuple((i, f"s{i}") for i in range(n)))
+    counts = Counter(
+        tuple(i for i, _ in sample(shard, SamplingPolicy(cap, seed)).sentences)
+        for seed in range(trials))
+    subsets = list(itertools.combinations(range(n), cap))
+    assert set(counts) == set(subsets)
+    expected = trials / len(subsets)
+    chi2 = sum((counts[s] - expected) ** 2 / expected for s in subsets)
+    assert chi2 < 43.82, counts
 
 
 @pytest.mark.parametrize("n", [2 ** k + d for k in range(1, 12)
@@ -69,7 +142,7 @@ def test_sample_matches_randrange_across_powers_of_two(n):
     for cap in (1, 2, 3):
         for seed in range(3):
             policy = SamplingPolicy(cap=cap, seed=seed)
-            assert sample(shard, policy) == randrange_sample(shard, policy)
+            assert sample(shard, policy) == floyd_sample(shard, policy)
 
 
 def test_getrandbits_draw_is_randrange():
