@@ -29,8 +29,8 @@ from .errors import ValidationError
 from .registry import Registry
 
 # Every separator ``str.splitlines`` breaks on but ``\n``: six control
-# bytes, and three characters outside ASCII. A file without them splits at
-# its ``\n`` bytes alone.
+# bytes, and three characters outside ASCII. A file without them, but for
+# the ``\r`` of ``\r\n`` pairs, splits at its ``\n`` bytes.
 _RARE_CONTROLS = np.zeros(32, dtype=bool)
 _RARE_CONTROLS[list(b"\r\x0b\x0c\x1c\x1d\x1e")] = True
 _WIDE_BREAKS = "\x85\u2028\u2029"
@@ -182,25 +182,35 @@ def _wide_breaks(raw: bytes, path: str | Path) -> bool:
 def _line_bounds(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """Start and end offsets of the lines of ``raw`` that are not blank,
     for valid UTF-8 without a line break outside ASCII; None if ``raw``
-    holds a line break other than ``\\n``.
+    holds a line break other than ``\\n`` and ``\\r\\n``.
 
-    One pass finds the control bytes, among them the breaks. Only a line
+    One pass finds the control bytes, among them the breaks. A ``\\r`` is
+    part of a ``\\r\\n`` break when the next byte, in this chunk or the
+    next, is ``\\n``; a line then ends before its ``\\r``. Only a line
     whose first byte can start a whitespace character is decoded, to ask
     ``str.isspace``.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
     edges = [np.array([-1])]  # the break before the first line
+    crlf = False
     for at in range(0, len(buf), _CHUNK):
         chunk = buf[at:at + _CHUNK]
         controls = np.flatnonzero(chunk < 32)
         kinds = chunk[controls]
-        if _RARE_CONTROLS[kinds].any():
-            return None
+        rare = kinds[_RARE_CONTROLS[kinds]]
+        if rare.size:
+            returns = controls[kinds == 13] + at + 1  # must each hold a \n
+            if (rare.size != returns.size or returns[-1] == len(buf)
+                    or (buf[returns] != 10).any()):
+                return None
+            crlf = True
         edges.append(controls[kinds == 10] + at)
     if raw and raw[-1] != 10:  # the last line has no break of its own
         edges.append(np.array([len(buf)]))
     edges = np.concatenate(edges)
     starts, ends = edges[:-1] + 1, edges[1:]
+    if crlf:  # a line before a \r\n ends at its \r
+        ends = ends - (buf[np.maximum(ends - 1, 0)] == 13)
     keep = starts < ends
     maybe = np.flatnonzero(keep & _SPACE_LEAD[buf[starts]])
     for i, start, end in zip(maybe.tolist(), starts[maybe].tolist(),
@@ -219,12 +229,13 @@ def ingest_shard(path: str | Path, language: str, registry: Registry) -> CorpusS
     removes). Sentence ids run 0, 1, 2, ... over the kept lines. An invalid
     UTF-8 file fails with the byte offset of its first bad sequence.
 
-    A file whose only line break is ``\\n`` is indexed in C: its kept lines
-    are byte offsets into the file, and a line is decoded only when it is
-    read, so :func:`sample` decodes just the lines it keeps. A file with
-    any other separator ``str.splitlines`` knows (``\\r``, ``\\x0b``,
-    ``\\x0c``, ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) is decoded
-    and split whole.
+    A file whose only line breaks are ``\\n`` and ``\\r\\n`` is indexed in
+    C: its kept lines are byte offsets into the file, and a line is decoded
+    only when it is read, so :func:`sample` decodes just the lines it
+    keeps. A file with any other separator ``str.splitlines`` knows (a
+    ``\\r`` not followed by ``\\n``, ``\\x0b``, ``\\x0c``,
+    ``\\x1c``-``\\x1e``, U+0085, U+2028, U+2029) is decoded and split
+    whole.
     """
     if language not in registry:
         raise ValidationError(f"language {language!r} is not in the registry")

@@ -568,10 +568,14 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
 
     Returns one set per shard, in shard order, with rows sorted by sentence
     id; replies are placed by position, so the result does not depend on
-    the order they arrive in. A response with fewer vectors than texts, or
-    null entries, leaves those sentences without vectors; after all batches
-    complete, :class:`PartialEmbeddingError` is raised for the first shard
-    that has any. Request and retry counts are added to ``stats`` if given.
+    the order they arrive in. A shard answered by one reply whose ids
+    ascend keeps that reply's float32 array as its matrix, uncopied; the
+    replies of a shard sent in several batches are stacked, and rows out of
+    id order are sorted, one copy each. A response with fewer vectors than
+    texts, or null entries, leaves those sentences without vectors; after
+    all batches complete, :class:`PartialEmbeddingError` is raised for the
+    first shard that has any. Request and retry counts are added to
+    ``stats`` if given.
     """
     shards = iter(shards)
     base = endpoint.rstrip("/")
@@ -622,13 +626,19 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
         if missing:
             raise PartialEmbeddingError(language, missing)
         ids = [sid for got, _, _ in answers for sid in got]
-        order = np.argsort(ids, kind="stable")
-        matrix = (np.vstack([rows for _, rows, _ in answers])[order] if ids
-                  else np.zeros((0, dim), np.float32))
-        answers.clear()  # the set holds a copy of the rows
-        sets.append(SentenceEmbeddingSet(
-            language=language, dim=dim,
-            ids=tuple(ids[i] for i in order), matrix=matrix))
+        blocks = [rows for _, rows, _ in answers]
+        answers.clear()
+        if len(blocks) == 1:  # the reply's rows become the set's
+            matrix = blocks[0]
+        elif blocks:
+            matrix = np.concatenate(blocks)
+        else:
+            matrix = np.zeros((0, dim), np.float32)
+        if any(a > b for a, b in zip(ids, ids[1:])):
+            order = np.argsort(ids, kind="stable")
+            matrix, ids = matrix[order], [ids[i] for i in order]
+        sets.append(SentenceEmbeddingSet(language=language, dim=dim,
+                                         ids=tuple(ids), matrix=matrix))
     return sets
 
 

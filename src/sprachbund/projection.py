@@ -8,10 +8,14 @@ Student-t Q with early exaggeration, momentum, and per-coordinate adaptive
 gains. Everything is seeded and pure numpy, so a fixed seed reproduces the
 embedding bit for bit.
 
-Both hot loops work on whole arrays. The bandwidth search bisects all rows
-at once, each with the arithmetic a one-row search would use, so P matches
-that search to the bit. A descent step gets every 1 + |y_i - y_j|^2 from one
-(M x 4) @ (4 x M) product and keeps its M x M work in two reused buffers.
+Both hot loops work on arrays, not single rows. The bandwidth search
+bisects a block of rows at a time, each with the arithmetic a one-row
+search would use, so P matches that search to the bit; it forms each
+block's distances from the similarities and counts the rows that miss
+their target as it goes, so the only M x M array it makes is P. The
+descent holds the joint P, its exaggerated copy and two buffers: no
+distances and no conditional P. A step gets every 1 + |y_i - y_j|^2 from
+one (M x 4) @ (4 x M) product and keeps its M x M work in the two buffers.
 The kernel's sum and the product W y run over the whole buffers; Q, W and
 W's row sums are formed a cache-sized block of rows at a time, and Q's clamp
 at 1e-12 is skipped when a bound on max |y_i|^2 proves it would change
@@ -36,6 +40,10 @@ from .simmatrix import SimilarityMatrix
 
 _EPS = 1e-12
 _TOL_BITS = 1e-6  # bandwidth search: entropy tolerance in bits
+# entries of the M x M distances in one row block of the bandwidth search:
+# 64 KiB of float64, so a block's distances and the search's arrays over
+# them stay small beside P
+_SEARCH_BLOCK = 1 << 13
 # entries of an M x M array in one row block of a descent step: 512 KiB of
 # float64, so the blocks of the kernel, P and w that a step works on
 # together stay in a 2 MiB L2 cache
@@ -117,50 +125,23 @@ def _gaussian_rows(rows: np.ndarray,
     return _entropy_bits(p), p
 
 
-def _off_diagonal(m: int) -> np.ndarray:
-    return ~np.eye(m, dtype=bool)
-
-
-def conditional_affinities(distances: np.ndarray, perplexity: float, *,
-                           tol: float = _TOL_BITS,
-                           max_steps: int = 200) -> np.ndarray:
-    """Row-stochastic conditional affinities with per-row bandwidth search.
-
-    For each row i the precision beta_i of the Gaussian kernel
-    exp(-d_ij * beta_i) over the other points is bisected until the
-    conditional distribution's Shannon entropy matches log2(perplexity)
-    within ``tol`` bits: beta doubles until some step overshoots, then
-    moves to the midpoint of its bracket. All rows are searched at once and
-    a row drops out of the search once it is within ``tol``; each row's
-    arithmetic is that of a search of the row alone. A row whose entropy
-    cannot reach the target (all its distances equal, say) stops after
-    ``max_steps`` steps; :func:`unconverged_rows` counts those. The diagonal
-    is zero.
-    """
-    d = np.asarray(distances, dtype=np.float64)
-    m = d.shape[0]
-    if d.ndim != 2 or d.shape != (m, m):
-        raise ValidationError("distance matrix must be square")
-    if np.any(d < 0):
-        raise ValidationError("distances must be non-negative")
-    if not 1.0 < perplexity <= m - 1:
-        raise ValidationError(
-            f"perplexity must lie in (1, {m - 1}] for {m} points, "
-            f"got {perplexity}")
-    target_bits = math.log2(perplexity)
-    off = _off_diagonal(m)
-    rows = d[off].reshape(m, m - 1)
-    beta = np.ones(m)
-    beta_lo = np.zeros(m)
-    beta_hi = np.full(m, math.inf)
+def _bandwidth_search(rows: np.ndarray, target_bits: float, tol: float,
+                      max_steps: int) -> tuple[np.ndarray, int]:
+    """The conditional distributions of a block of ``rows`` (each one
+    point's distances to the others), and how many of them end the search
+    more than ``tol`` bits from ``target_bits``."""
+    n = len(rows)
+    beta = np.ones(n)
+    beta_lo = np.zeros(n)
+    beta_hi = np.full(n, math.inf)
     entropy, cond = _gaussian_rows(rows, beta)
-    todo = np.arange(m)  # the rows still searching; entropy holds theirs
-    for _ in range(max_steps):
+    todo = np.arange(n)  # the rows still searching; entropy holds theirs
+    for step in range(max_steps + 1):
         diff = entropy - target_bits
         missed = ~(np.abs(diff) <= tol)  # NaN misses, as in a scalar test
         todo, diff = todo[missed], diff[missed]
-        if not todo.size:
-            break
+        if not todo.size or step == max_steps:
+            return cond, len(todo)
         b, lo, hi = beta[todo], beta_lo[todo], beta_hi[todo]
         flat = diff > 0  # too flat: sharpen
         beta_lo[todo] = np.where(flat, b, lo)
@@ -169,24 +150,70 @@ def conditional_affinities(distances: np.ndarray, perplexity: float, *,
                               np.where(np.isinf(hi), b * 2.0, (b + hi) / 2.0),
                               (b + lo) / 2.0)
         entropy, cond[todo] = _gaussian_rows(rows[todo], beta[todo])
+
+
+def conditional_affinities(distances: np.ndarray | SimilarityMatrix,
+                           perplexity: float, *, tol: float = _TOL_BITS,
+                           max_steps: int = 200, return_misses: bool = False
+                           ) -> np.ndarray | tuple[np.ndarray, int]:
+    """Row-stochastic conditional affinities with per-row bandwidth search.
+
+    For each row i the precision beta_i of the Gaussian kernel
+    exp(-d_ij * beta_i) over the other points is bisected until the
+    conditional distribution's Shannon entropy matches log2(perplexity)
+    within ``tol`` bits: beta doubles until some step overshoots, then
+    moves to the midpoint of its bracket. The rows are searched a block of
+    about :data:`_SEARCH_BLOCK` entries at a time, and within a block a row
+    drops out of the search once it is within ``tol``; each row's
+    arithmetic is that of a search of the row alone. A row whose entropy
+    cannot reach the target (all its distances equal, say) stops after
+    ``max_steps`` steps. The diagonal is zero.
+
+    ``distances`` is an M x M array, or a :class:`SimilarityMatrix`, whose
+    distances 1 - values are formed a block of rows at a time. With
+    ``return_misses``, the result is P and the number of rows that ended
+    the search more than ``tol`` bits from the target.
+    """
+    if isinstance(distances, SimilarityMatrix):
+        values = distances.values
+        m = len(values)
+
+        def block(start: int, stop: int) -> np.ndarray:
+            return 1.0 - values[start:stop]
+    else:
+        d = np.asarray(distances, dtype=np.float64)
+        m = d.shape[0]
+        if d.ndim != 2 or d.shape != (m, m):
+            raise ValidationError("distance matrix must be square")
+        if np.any(d < 0):
+            raise ValidationError("distances must be non-negative")
+
+        def block(start: int, stop: int) -> np.ndarray:
+            return d[start:stop]
+    if not 1.0 < perplexity <= m - 1:
+        raise ValidationError(
+            f"perplexity must lie in (1, {m - 1}] for {m} points, "
+            f"got {perplexity}")
+    target_bits = math.log2(perplexity)
     p = np.zeros((m, m), dtype=np.float64)
-    p[off] = cond.ravel()
-    return p
-
-
-def unconverged_rows(conditional: np.ndarray, perplexity: float) -> int:
-    """How many rows of :func:`conditional_affinities` output (at its default
-    ``tol``) miss the target entropy log2(perplexity) by more than ``tol``."""
-    m = conditional.shape[0]
-    rows = conditional[_off_diagonal(m)].reshape(m, m - 1)
-    miss = np.abs(_entropy_bits(rows) - math.log2(perplexity))
-    return int(np.count_nonzero(~(miss <= _TOL_BITS)))
+    misses = 0
+    step = max(1, _SEARCH_BLOCK // m)
+    for start in range(0, m, step):
+        rows = block(start, start + step)
+        off = np.ones(rows.shape, dtype=bool)
+        off[np.arange(len(rows)), np.arange(start, start + len(rows))] = False
+        cond, missed = _bandwidth_search(rows[off].reshape(len(rows), m - 1),
+                                         target_bits, tol, max_steps)
+        p[start:start + len(rows)][off] = cond.ravel()
+        misses += missed
+    return (p, misses) if return_misses else p
 
 
 def joint_affinities(conditional: np.ndarray) -> np.ndarray:
     """Symmetrized joint distribution: (P + P^T) / 2M. Sums to 1."""
-    m = conditional.shape[0]
-    return (conditional + conditional.T) / (2.0 * m)
+    joint = conditional + conditional.T
+    joint /= 2.0 * conditional.shape[0]
+    return joint
 
 
 def _kl_divergence(p: np.ndarray, q: np.ndarray,
@@ -285,12 +312,14 @@ def tsne(matrix: SimilarityMatrix,
         raise ValidationError(
             f"perplexity {params.perplexity} too large for {m} points; "
             f"needs perplexity < {(m - 1) / 3.0:.2f}")
-    distances = 1.0 - matrix.values
-    if float(distances.max()) == 0.0:
+    # the largest distance 1 - v is 1 - min(v): rounding is monotonic
+    if float(matrix.values.min()) == 1.0:
         raise ValidationError("degenerate input: all points are identical")
 
-    cond = conditional_affinities(distances, params.perplexity)
+    cond, misses = conditional_affinities(matrix, params.perplexity,
+                                          return_misses=True)
     p_true = joint_affinities(cond)
+    del cond  # the descent needs only the joint P
     p_exaggerated = p_true * params.early_exaggeration
     p_support = p_true > 0  # once for every KL trace point
 
@@ -324,7 +353,7 @@ def tsne(matrix: SimilarityMatrix,
         y = y - y.mean(axis=0)
 
     return TsneResult(points=y, kl_trace=tuple(trace), params=params,
-                      unconverged_rows=unconverged_rows(cond, params.perplexity))
+                      unconverged_rows=misses)
 
 
 def minmax_normalize(points: np.ndarray) -> np.ndarray:

@@ -163,7 +163,7 @@ def loop_conditional_affinities(distances: np.ndarray, perplexity: float, *,
                                 tol: float = 1e-6,
                                 max_steps: int = 200) -> np.ndarray:
     """One row at a time, the Gaussian bandwidth bisection that
-    ``projection.conditional_affinities`` runs on all rows at once; its
+    ``projection.conditional_affinities`` runs on blocks of rows; its
     result must agree to the bit."""
     d = np.asarray(distances, dtype=np.float64)
     m = d.shape[0]
@@ -187,6 +187,24 @@ def loop_conditional_affinities(distances: np.ndarray, perplexity: float, *,
             entropy, cond = _loop_entropy_and_row(row, beta)
         p[i, others != i] = cond
     return p
+
+
+def unconverged_rows(conditional: np.ndarray, perplexity: float, *,
+                     tol: float = 1e-6) -> int:
+    """How many rows of a conditional affinity matrix miss the target
+    entropy log2(perplexity) by more than ``tol`` bits, each row's entropy
+    summed over its nonzero entries as :func:`loop_conditional_affinities`
+    sums it: the count ``projection.conditional_affinities`` keeps while it
+    searches, recomputed from P one row at a time."""
+    m = len(conditional)
+    target_bits = math.log2(perplexity)
+    missed = 0
+    for i in range(m):
+        row = conditional[i, np.arange(m) != i]
+        nz = row[row > 0]
+        bits = -float(np.sum(nz * np.log(nz))) / math.log(2.0)
+        missed += not abs(bits - target_bits) <= tol
+    return missed
 
 
 def diag_gradient(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

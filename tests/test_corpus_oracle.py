@@ -38,9 +38,10 @@ PIECES = [
     b"\x80", b"\xc3", b"\xff",
 ]
 RARE_BREAKS = [c.encode() for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
-# what files without a rare line break are made of: the path that indexes
-# the lines in C
-COMMON_PIECES = [p for p in PIECES if not any(b in p for b in RARE_BREAKS)]
+# what files without a rare line break are made of, \r\n kept: the path
+# that indexes the lines in C
+COMMON_PIECES = [p for p in PIECES
+                 if p == b"\r\n" or not any(b in p for b in RARE_BREAKS)]
 
 
 def outcome(fn, *args):
@@ -63,6 +64,10 @@ def outcome(fn, *args):
 @example(pieces=[b"a", b"\r", b"\n", "\xa0".encode(), b"\r", b"a"],
          cap=1, seed=0)
 @example(pieces=[b"a", b"\n", b"\xc3"], cap=1, seed=0)
+# a lone \r beside a \r\n: before it, after it, and last in the file
+@example(pieces=[b"a", b"\r", b"\r\n", b"a"], cap=1, seed=0)
+@example(pieces=[b"a", b"\r\n", b"\r", b"a\n"], cap=1, seed=0)
+@example(pieces=[b"a", b"\r\n", b"a", b"\r"], cap=1, seed=0)
 def test_ingest_and_sample_match_the_loops(tmp_path, toy_registry,
                                            pieces, cap, seed):
     path = tmp_path / "aa.txt"
@@ -87,10 +92,15 @@ def test_ingest_and_sample_match_the_loops(tmp_path, toy_registry,
 @example(pieces=[b"a", "\u2000".encode(), b"\n", "\u2000".encode(),
                  "\xa0".encode(), b"\x1f", b"\n", b"a"],
          cap=1, seed=0, chunk=4)
+# a \r\n split by a chunk's end, a blank CRLF line, a CRLF-ended file
+@example(pieces=[b"xyz", b"\r\n", b"a"], cap=1, seed=0, chunk=4)
+@example(pieces=[b"a", b"\r\n", b" ", b"\r\n", b"\r\n", b"a", b"\r\n"],
+         cap=1, seed=0, chunk=5)
 def test_files_with_newlines_only_match_the_loops(tmp_path, toy_registry,
                                                   pieces, cap, seed, chunk):
-    """No rare line break: the lines are indexed in C, the UTF-8 check and
-    the newline search run in chunks of ``chunk`` bytes."""
+    """No rare line break (a \\r\\n is not one): the lines are indexed in
+    C, the UTF-8 check and the newline search run in chunks of ``chunk``
+    bytes."""
     path = tmp_path / "aa.txt"
     path.write_bytes(b"".join(pieces))
     with mock.patch.object(corpus, "_CHUNK", chunk):
@@ -102,6 +112,19 @@ def test_files_with_newlines_only_match_the_loops(tmp_path, toy_registry,
         assert list(got._lines) == [t for _, t in want.sentences]
         policy = SamplingPolicy(cap=cap, seed=seed)
         assert sample(got, policy) == floyd_sample(want, policy)
+
+
+@pytest.mark.parametrize("text", [b"xyz\rab\r\n", b"xyz\r", b"xy\r\r\na"])
+@pytest.mark.parametrize("chunk", [4, 1 << 20])
+def test_lone_return_is_decoded_whole(tmp_path, toy_registry, text, chunk):
+    """A \\r that no \\n follows, at a chunk's end or the file's, sends
+    the file down the path that decodes it whole."""
+    path = tmp_path / "aa.txt"
+    path.write_bytes(text)
+    with mock.patch.object(corpus, "_CHUNK", chunk):
+        got = ingest_shard(path, "aa", toy_registry)
+    assert type(vars(got)["_lines"]) is tuple
+    assert got == loop_ingest_shard(path, "aa", toy_registry)
 
 
 def test_space_lead_bytes_cover_every_whitespace_character():

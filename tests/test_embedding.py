@@ -433,6 +433,52 @@ class TestFetchEmbeddings:
         [out] = fetch_embeddings(server.endpoint, [shard], batch=2)
         assert out.ids == (2, 5, 9)
 
+    @staticmethod
+    def spy_replies(monkeypatch) -> list[np.ndarray]:
+        """Collects the float32 rows of every reply, as they are parsed."""
+        replies = []
+        parse = embedding._embed_batch
+
+        def spy(conn, chunk, dim):
+            ids, rows, missing = parse(conn, chunk, dim)
+            replies.append(rows)
+            return ids, rows, missing
+        monkeypatch.setattr(embedding, "_embed_batch", spy)
+        return replies
+
+    def test_one_reply_in_id_order_becomes_the_set(self, embedding_server,
+                                                   monkeypatch):
+        server = embedding_server(dim=4)
+        replies = self.spy_replies(monkeypatch)
+        shards = [self.shard(3),
+                  CorpusShard(language="bb",
+                              sentences=((0, "x"), (4, "y"), (7, "z")))]
+        outs = fetch_embeddings(server.endpoint, shards, batch=4)
+        assert len(replies) == 2
+        for out in outs:
+            assert sum(np.shares_memory(out.matrix, rows)
+                       for rows in replies) == 1
+
+    @pytest.mark.parametrize("order, batch", [
+        ((0, 1, 2, 3, 4, 5, 6), 3),  # in order, three batches
+        ((6, 2, 5, 0, 4), 9),  # out of order, one batch
+        ((9, 2, 5, 0, 7, 1), 2),  # out of order, three batches
+    ])
+    def test_batches_and_order_come_back_sorted(self, embedding_server,
+                                                monkeypatch, order, batch):
+        server = embedding_server(dim=4)
+        shard = CorpusShard(language="aa",
+                            sentences=tuple((i, f"text {i}") for i in order))
+        by_id = CorpusShard(language="aa",
+                            sentences=tuple(sorted(shard.sentences)))
+        [want] = fetch_embeddings(server.endpoint, [by_id], batch=len(order))
+        replies = self.spy_replies(monkeypatch)
+        [got] = fetch_embeddings(server.endpoint, [shard], batch=batch)
+        assert got.ids == want.ids == tuple(sorted(order))
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        # stacked or sorted: the set owns a copy
+        assert not any(np.shares_memory(got.matrix, rows) for rows in replies)
+
 
 class TestCentroid:
     def test_single_vector_identity(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from reference import (clamped_gradient, clamped_student_t, clamped_tsne,
                        diag_gradient, diag_tsne, entropy_bits,
-                       loop_conditional_affinities)
+                       loop_conditional_affinities, unconverged_rows)
 from sprachbund import projection
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
@@ -17,10 +18,10 @@ from sprachbund.projection import (Projection2D, TsneParams, _gradient,
                                    _kl_divergence, _q, _student_t,
                                    conditional_affinities,
                                    emit_plot, joint_affinities,
-                                   minmax_normalize, project, tsne,
-                                   unconverged_rows)
+                                   minmax_normalize, project, tsne)
 from sprachbund.registry import LanguageRecord, Registry, bundled_registry
-from sprachbund.simmatrix import build_matrix, cosine_matrix
+from sprachbund.simmatrix import (SimilarityMatrix, build_matrix,
+                                  cosine_matrix)
 
 CODES = [a + b for a in "abcdefghijklmnopqrst" for b in "abcdefghijklmnopqrst"]
 
@@ -37,15 +38,26 @@ def random_distances(m, seed, dim=10):
     return 1.0 - cosine_matrix(rng.standard_normal((m, dim)))
 
 
-def search_input(m, seed, dim, rounded, coincident):
-    """Cosine distances of random vectors; ``rounded`` snaps them to integer
-    coordinates (many tied distances), and rows 1..coincident repeat row 0."""
+def search_vectors(m, seed, dim, rounded, coincident, lonely=0):
+    """Random vectors; ``rounded`` snaps them to integer coordinates (many
+    tied distances), rows 1..coincident repeat row 0, and the last
+    ``lonely`` rows are orthogonal to every other row: all their distances
+    are 1, so their search never reaches a perplexity below M - 1."""
     vectors = np.random.default_rng(seed).standard_normal((m, dim))
     if rounded:
         vectors = np.round(vectors)
         vectors[~vectors.any(axis=1), 0] = 1.0
     vectors[1:1 + coincident] = vectors[0]
-    return 1.0 - cosine_matrix(vectors)
+    if lonely:
+        vectors = np.hstack([vectors, np.zeros((m, lonely))])
+        vectors[m - lonely:] = np.eye(lonely, dim + lonely, dim)
+    return vectors
+
+
+def search_input(m, seed, dim, rounded, coincident):
+    """Cosine distances of :func:`search_vectors`."""
+    return 1.0 - cosine_matrix(
+        search_vectors(m, seed, dim, rounded, coincident))
 
 
 class TestConditionalAffinities:
@@ -76,14 +88,47 @@ class TestBandwidthSearchOracle:
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(5, 80), seed=st.integers(0, 2**32 - 1),
            dim=st.integers(2, 12), rounded=st.booleans(),
-           coincident=st.integers(0, 3), where=st.floats(0.0, 1.0))
+           coincident=st.integers(0, 3), lonely=st.integers(0, 3),
+           where=st.floats(0.0, 1.0), rows=st.sampled_from([1, 7, "M"]))
     def test_bit_equal_to_the_row_loop(self, m, seed, dim, rounded,
-                                       coincident, where):
-        distances = search_input(m, seed, dim, rounded, coincident)
+                                       coincident, lonely, where, rows):
+        """Searched ``rows`` rows at a time, from the distances or from the
+        similarity matrix: P to the bit, and the count of rows that miss
+        the target, ``lonely`` rows among them."""
+        matrix = SimilarityMatrix(CODES[:m], cosine_matrix(
+            search_vectors(m, seed, dim, rounded, coincident, lonely)))
+        distances = 1.0 - matrix.values
         perplexity = 1.01 + where * ((m - 1) / 3 - 1.01)
-        assert np.array_equal(
-            conditional_affinities(distances, perplexity),
-            loop_conditional_affinities(distances, perplexity))
+        want = loop_conditional_affinities(distances, perplexity)
+        block = (m if rows == "M" else rows) * m
+        with mock.patch.object(projection, "_SEARCH_BLOCK", block):
+            got, misses = conditional_affinities(matrix, perplexity,
+                                                 return_misses=True)
+            assert np.array_equal(
+                conditional_affinities(distances, perplexity), want)
+        assert np.array_equal(got, want)
+        assert misses == unconverged_rows(want, perplexity) >= lonely
+
+    def test_step_cap_counts_rows_that_miss_after_the_last_step(self):
+        """Under each cap, some rows reach the target at the last step
+        allowed: the count checks them once more."""
+        distances = random_distances(12, 5)
+        counts = []
+        for max_steps in range(40):
+            got, misses = conditional_affinities(
+                distances, 3.0, max_steps=max_steps, return_misses=True)
+            want = loop_conditional_affinities(distances, 3.0,
+                                               max_steps=max_steps)
+            assert np.array_equal(got, want)
+            assert misses == unconverged_rows(want, 3.0)
+            counts.append(misses)
+        assert counts[0] == 12 and counts[-1] == 0
+
+    def test_fit_reports_the_count_of_the_search(self):
+        matrix = make_matrix(search_vectors(30, 2, 6, False, 0, lonely=4))
+        fit = tsne(matrix, TsneParams(perplexity=5.0, iterations=1))
+        want = loop_conditional_affinities(1.0 - matrix.values, 5.0)
+        assert fit.unconverged_rows == unconverged_rows(want, 5.0) == 4
 
     def test_bit_equal_where_entries_underflow(self):
         distances = search_input(12, 4, 3, rounded=True, coincident=0)
@@ -214,6 +259,22 @@ class TestTsne:
         matrix = make_matrix(np.tile([1.0, 2.0, 3.0], (8, 1)))
         with pytest.raises(ValidationError, match="identical"):
             tsne(matrix, TsneParams(perplexity=2.0))
+
+    def test_descent_holds_no_distances_or_conditional_p(self):
+        """At M = 200, the peak was 9.3 M x M float64 arrays while the
+        distances and the conditional P lived through the descent. The
+        descent holds the joint P, its exaggerated copy, the support mask
+        and two buffers, plus the KL trace's three gathers: 7.2."""
+        m = 200
+        matrix = make_matrix(
+            np.random.default_rng(0).standard_normal((m, 16)))
+        tracemalloc.start()
+        try:
+            tsne(matrix, TsneParams(perplexity=10.0, iterations=60))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m * 8, peak / (m * m * 8)
 
 
 def _bits(a):
