@@ -31,14 +31,13 @@ from .embedding import (FetchStats, LanguageRepresentation,
                         write_representations)
 from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
                      UsageError, ValidationError)
-from .partition import (PartitionManifest, build_manifest, load_manifest,
-                        save_manifest, select_pivot, sweep)
+from .partition import PartitionManifest, build_manifest, select_pivot, sweep
 from .projection import (Projection2D, TsneParams, TsneResult,
                          conditional_affinities, emit_plot, joint_affinities,
                          minmax_normalize, project, tsne)
 from .registry import (LanguageRecord, LexicalSimilarityTable, Registry,
                        bundled_lexical_table, bundled_registry, load_lexical_table,
-                       load_registry, save_registry, validate_feature_labels)
+                       load_registry, validate_feature_labels)
 from .simmatrix import (SimilarityMatrix, build_matrix,
                         bundled_embedding_similarity, load_matrix,
                         paired_similarity_vectors, pearson)
@@ -56,10 +55,10 @@ __all__ = [
     "bundled_lexical_table", "bundled_registry", "centroid", "centroid_all",
     "conditional_affinities", "corpus_stats", "cut", "emit_plot", "family_purity", "fetch_embeddings", "ingest_shard",
     "joint_affinities", "lexical_correlation", "load_embeddings",
-    "load_lexical_table", "load_manifest", "load_matrix", "load_registry",
+    "load_lexical_table", "load_matrix", "load_registry",
     "load_representations", "minmax_normalize", "paired_similarity_vectors",
     "pearson", "project",
-    "random_baseline", "sample", "save_manifest", "save_registry",
+    "random_baseline", "sample",
     "select_pivot", "silhouette", "sweep", "syntax_agreement", "tsne",
     "validate_feature_labels", "write_embeddings", "write_representations",
 ]

@@ -9,12 +9,10 @@ attribute the run to one specific clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .cluster import Dendrogram, SprachbundAssignment, cut
 from .errors import ValidationError
-from .registry import artifact_keys, load_json, write_json
 from .simmatrix import SimilarityMatrix
 
 
@@ -85,29 +83,6 @@ class PartitionManifest:
             "provenance": dict(self.provenance),
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "PartitionManifest":
-        if doc.get("v") != 1:
-            raise ValidationError("manifest schema version must be 1")
-        return cls(
-            k=int(doc["k"]),
-            clusters=tuple(
-                ManifestCluster(tuple(c["members"]), c["pivot"],
-                                tuple(c["shards"]))
-                for c in doc["clusters"]
-            ),
-            provenance=doc.get("provenance", {}),
-        )
-
-
-def load_manifest(path: str | Path) -> PartitionManifest:
-    doc = load_json(path)
-    with artifact_keys(path):
-        return PartitionManifest.from_json(doc)
-
-
-def save_manifest(manifest: PartitionManifest, path: str | Path) -> None:
-    write_json(path, manifest.to_json())
 
 
 def build_manifest(assignment: SprachbundAssignment,

@@ -13,13 +13,15 @@ bisects a block of rows at a time, each with the arithmetic a one-row
 search would use, so P matches that search to the bit; it forms each
 block's distances from the similarities and counts the rows that miss
 their target as it goes, so the only M x M array it makes is P. The
-descent holds the joint P, its exaggerated copy and two buffers: no
-distances and no conditional P. A step gets every 1 + |y_i - y_j|^2 from
+descent holds the joint P and two buffers: no distances, no conditional P
+and no exaggerated copy of P. A step gets every 1 + |y_i - y_j|^2 from
 one (M x 4) @ (4 x M) product and keeps its M x M work in the two buffers.
 The kernel's sum and the product W y run over the whole buffers; Q, W and
-W's row sums are formed a cache-sized block of rows at a time, and Q's clamp
-at 1e-12 is skipped when a bound on max |y_i|^2 proves it would change
-nothing. Neither moves a bit of the result.
+W's row sums are formed a cache-sized block of rows at a time, P's block
+is exaggerated there, and Q's clamp at 1e-12 is skipped when a bound on
+max |y_i|^2 proves it would change nothing. None of this moves a bit of
+the result. The KL(P || Q) that a run reports is computed once, at the
+last step.
 
 The input is the :class:`simmatrix.SimilarityMatrix` that clustering uses;
 t-SNE's distances are 1 minus its values, so a run computes the cosine
@@ -92,7 +94,8 @@ class TsneParams:
 @dataclass(eq=False)
 class TsneResult:
     points: np.ndarray  # float64, shape (M, 2), unnormalized
-    kl_trace: tuple[tuple[int, float], ...]  # (iteration, KL against true P)
+    # ((iterations, KL(P || Q) at the last step),): the run's final KL
+    kl_trace: tuple[tuple[int, float], ...]
     params: TsneParams
     unconverged_rows: int  # rows of P whose bandwidth search missed its target
 
@@ -125,11 +128,11 @@ def _gaussian_rows(rows: np.ndarray,
     return _entropy_bits(p), p
 
 
-def _bandwidth_search(rows: np.ndarray, target_bits: float, tol: float,
+def _bandwidth_search(rows: np.ndarray, target_bits: float,
                       max_steps: int) -> tuple[np.ndarray, int]:
     """The conditional distributions of a block of ``rows`` (each one
     point's distances to the others), and how many of them end the search
-    more than ``tol`` bits from ``target_bits``."""
+    more than :data:`_TOL_BITS` bits from ``target_bits``."""
     n = len(rows)
     beta = np.ones(n)
     beta_lo = np.zeros(n)
@@ -138,7 +141,7 @@ def _bandwidth_search(rows: np.ndarray, target_bits: float, tol: float,
     todo = np.arange(n)  # the rows still searching; entropy holds theirs
     for step in range(max_steps + 1):
         diff = entropy - target_bits
-        missed = ~(np.abs(diff) <= tol)  # NaN misses, as in a scalar test
+        missed = ~(np.abs(diff) <= _TOL_BITS)  # NaN misses, as a scalar test
         todo, diff = todo[missed], diff[missed]
         if not todo.size or step == max_steps:
             return cond, len(todo)
@@ -152,44 +155,27 @@ def _bandwidth_search(rows: np.ndarray, target_bits: float, tol: float,
         entropy, cond[todo] = _gaussian_rows(rows[todo], beta[todo])
 
 
-def conditional_affinities(distances: np.ndarray | SimilarityMatrix,
-                           perplexity: float, *, tol: float = _TOL_BITS,
-                           max_steps: int = 200, return_misses: bool = False
-                           ) -> np.ndarray | tuple[np.ndarray, int]:
-    """Row-stochastic conditional affinities with per-row bandwidth search.
+def conditional_affinities(matrix: SimilarityMatrix, perplexity: float, *,
+                           max_steps: int = 200) -> tuple[np.ndarray, int]:
+    """Row-stochastic conditional affinities P over the distances
+    d = 1 - ``matrix.values``, with per-row bandwidth search, and the number
+    of rows that ended the search more than :data:`_TOL_BITS` bits from
+    their target.
 
     For each row i the precision beta_i of the Gaussian kernel
     exp(-d_ij * beta_i) over the other points is bisected until the
     conditional distribution's Shannon entropy matches log2(perplexity)
-    within ``tol`` bits: beta doubles until some step overshoots, then
-    moves to the midpoint of its bracket. The rows are searched a block of
-    about :data:`_SEARCH_BLOCK` entries at a time, and within a block a row
-    drops out of the search once it is within ``tol``; each row's
-    arithmetic is that of a search of the row alone. A row whose entropy
-    cannot reach the target (all its distances equal, say) stops after
-    ``max_steps`` steps. The diagonal is zero.
-
-    ``distances`` is an M x M array, or a :class:`SimilarityMatrix`, whose
-    distances 1 - values are formed a block of rows at a time. With
-    ``return_misses``, the result is P and the number of rows that ended
-    the search more than ``tol`` bits from the target.
+    within :data:`_TOL_BITS` bits: beta doubles until some step
+    overshoots, then moves to the midpoint of its bracket. The rows are
+    searched a block of about :data:`_SEARCH_BLOCK` entries at a time, their
+    distances formed with the block, and within a block a row drops out of
+    the search once it is within the tolerance; each row's arithmetic is
+    that of a search of the row alone. A row whose entropy cannot reach the
+    target (all its distances equal, say) stops after ``max_steps`` steps.
+    The diagonal is zero.
     """
-    if isinstance(distances, SimilarityMatrix):
-        values = distances.values
-        m = len(values)
-
-        def block(start: int, stop: int) -> np.ndarray:
-            return 1.0 - values[start:stop]
-    else:
-        d = np.asarray(distances, dtype=np.float64)
-        m = d.shape[0]
-        if d.ndim != 2 or d.shape != (m, m):
-            raise ValidationError("distance matrix must be square")
-        if np.any(d < 0):
-            raise ValidationError("distances must be non-negative")
-
-        def block(start: int, stop: int) -> np.ndarray:
-            return d[start:stop]
+    values = matrix.values
+    m = len(values)
     if not 1.0 < perplexity <= m - 1:
         raise ValidationError(
             f"perplexity must lie in (1, {m - 1}] for {m} points, "
@@ -199,14 +185,14 @@ def conditional_affinities(distances: np.ndarray | SimilarityMatrix,
     misses = 0
     step = max(1, _SEARCH_BLOCK // m)
     for start in range(0, m, step):
-        rows = block(start, start + step)
+        rows = 1.0 - values[start:start + step]
         off = np.ones(rows.shape, dtype=bool)
         off[np.arange(len(rows)), np.arange(start, start + len(rows))] = False
         cond, missed = _bandwidth_search(rows[off].reshape(len(rows), m - 1),
-                                         target_bits, tol, max_steps)
+                                         target_bits, max_steps)
         p[start:start + len(rows)][off] = cond.ravel()
         misses += missed
-    return (p, misses) if return_misses else p
+    return p, misses
 
 
 def joint_affinities(conditional: np.ndarray) -> np.ndarray:
@@ -216,15 +202,13 @@ def joint_affinities(conditional: np.ndarray) -> np.ndarray:
     return joint
 
 
-def _kl_divergence(p: np.ndarray, q: np.ndarray,
-                   support: np.ndarray | None = None) -> float:
-    """KL(P || Q) in nats; ``q`` is clamped at _EPS, so no term divides by 0.
-    ``support`` is ``p > 0``, if the caller has it."""
-    if support is None:
-        support = p > 0
+def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(P || Q) in nats; ``q`` is clamped at _EPS, so no term divides
+    by 0."""
+    support = p > 0
     terms = p[support]
-    # one buffer for the ratio, its log and the products: a trace point
-    # holds two gathered arrays at a time, not four
+    # one buffer for the ratio, its log and the products: the KL holds two
+    # gathered arrays at a time, not four
     ratio = np.divide(terms, q[support])
     np.log(ratio, out=ratio)
     return float(np.sum(np.multiply(terms, ratio, out=ratio)))
@@ -272,14 +256,14 @@ def _q(num: np.ndarray, scale: float, clamp: bool,
 
 
 def _gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray, w: np.ndarray,
-              scale: float, clamp: bool, *, w_is_q: bool = False
-              ) -> np.ndarray:
-    """Gradient of KL(P || Q) at ``y``: 4 * sum_j w_ij (y_i - y_j) with
-    w = (p - q) * num, from the kernel and scale of :func:`_student_t`.
+              scale: float, clamp: bool, exaggeration: float) -> np.ndarray:
+    """Gradient of KL(P' || Q) at ``y``, with P' = ``exaggeration`` * p:
+    4 * sum_j w_ij (y_i - y_j) with w = (p' - q) * num, from the kernel and
+    scale of :func:`_student_t`.
 
     ``w`` is filled with w a block of rows at a time, each block small
-    enough to stay in cache from Q to its row sums; with ``w_is_q``, it
-    holds Q already. A row's sum does not depend on the block it is in, and
+    enough to stay in cache from Q and P' to its row sums; P' exists only a
+    block at a time. A row's sum does not depend on the block it is in, and
     ``w @ y`` runs over the whole buffer, so the gradient's bits do not
     depend on the block size.
     """
@@ -289,9 +273,9 @@ def _gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray, w: np.ndarray,
     for start in range(0, m, rows):
         block = slice(start, start + rows)
         wb = w[block]
-        if not w_is_q:
-            _q(num[block], scale, clamp, out=wb)
-        np.subtract(p[block], wb, out=wb)
+        _q(num[block], scale, clamp, out=wb)
+        pb = p[block] if exaggeration == 1.0 else p[block] * exaggeration
+        np.subtract(pb, wb, out=wb)
         wb *= num[block]
         wb.sum(axis=1, out=row_sums[block])
     return 4.0 * (row_sums[:, None] * y - w @ y)
@@ -316,12 +300,9 @@ def tsne(matrix: SimilarityMatrix,
     if float(matrix.values.min()) == 1.0:
         raise ValidationError("degenerate input: all points are identical")
 
-    cond, misses = conditional_affinities(matrix, params.perplexity,
-                                          return_misses=True)
-    p_true = joint_affinities(cond)
+    cond, misses = conditional_affinities(matrix, params.perplexity)
+    p = joint_affinities(cond)
     del cond  # the descent needs only the joint P
-    p_exaggerated = p_true * params.early_exaggeration
-    p_support = p_true > 0  # once for every KL trace point
 
     rng = np.random.default_rng(params.seed)
     y = rng.standard_normal((m, 2)) * params.init_scale
@@ -329,18 +310,14 @@ def tsne(matrix: SimilarityMatrix,
     gains = np.ones_like(y)
     num = np.empty((m, m))
     w = np.empty((m, m))
-    trace: list[tuple[int, float]] = []
 
     for it in range(params.iterations):
-        p = p_exaggerated if it < params.exaggeration_iters else p_true
         scale, clamp = _student_t(y, num)
-        last_exaggerated = it == params.exaggeration_iters - 1
-        traced = ((it + 1) % 50 == 0 or last_exaggerated
-                  or it == params.iterations - 1)
-        if traced:  # the KL needs all of Q before w overwrites it
-            trace.append((it + 1, _kl_divergence(
-                p_true, _q(num, scale, clamp, w), p_support)))
-        grad = _gradient(p, y, num, w, scale, clamp, w_is_q=traced)
+        if it == params.iterations - 1:  # Q at the last step, before w
+            final_kl = _kl_divergence(p, _q(num, scale, clamp, w))
+        exaggeration = (params.early_exaggeration
+                        if it < params.exaggeration_iters else 1.0)
+        grad = _gradient(p, y, num, w, scale, clamp, exaggeration)
 
         momentum = (params.initial_momentum
                     if it < params.momentum_switch_iter
@@ -352,8 +329,8 @@ def tsne(matrix: SimilarityMatrix,
         y = y + velocity
         y = y - y.mean(axis=0)
 
-    return TsneResult(points=y, kl_trace=tuple(trace), params=params,
-                      unconverged_rows=misses)
+    return TsneResult(points=y, kl_trace=((params.iterations, final_kl),),
+                      params=params, unconverged_rows=misses)
 
 
 def minmax_normalize(points: np.ndarray) -> np.ndarray:
@@ -376,8 +353,8 @@ def minmax_normalize(points: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class Projection2D:
     """Normalized 2-D coordinates per language, with the run's parameters
-    and, from :func:`project`, the t-SNE fit they came from (its KL trace and
-    bandwidth misses are diagnostics for the run log, not part of the
+    and, from :func:`project`, the t-SNE fit they came from (its final KL
+    and bandwidth misses are diagnostics for the run log, not part of the
     artifact)."""
 
     languages: tuple[str, ...]

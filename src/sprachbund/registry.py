@@ -96,15 +96,6 @@ class Registry:
                          else record.syntax.get(attribute))
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "v": 1,
-            "languages": [
-                {"code": r.code, "family": r.family, "syntax": dict(r.syntax)}
-                for r in self
-            ],
-        }
-
 
 def read_json(path: str | Path) -> dict:
     """The JSON object in a UTF-8 file. A missing or unreadable file, bytes
@@ -332,10 +323,6 @@ def load_registry(path: str | Path) -> Registry:
     return Registry(records)
 
 
-def save_registry(registry: Registry, path: str | Path) -> None:
-    write_json(path, registry.to_json())
-
-
 class LexicalSimilarityTable:
     """Unordered-pair map of lexical similarity values in [0, 1].
 
@@ -362,22 +349,12 @@ class LexicalSimilarityTable:
     def get(self, a: str, b: str) -> float | None:
         return self._entries.get((a, b) if a <= b else (b, a))
 
-    def pairs(self) -> Iterator[tuple[str, str, float]]:
-        for (a, b), sim in sorted(self._entries.items()):
-            yield a, b, sim
-
     @property
     def languages(self) -> tuple[str, ...]:
         return tuple(sorted({c for key in self._entries for c in key}))
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def to_json(self) -> dict:
-        return {
-            "v": 1,
-            "pairs": [{"a": a, "b": b, "sim": sim} for a, b, sim in self.pairs()],
-        }
 
 
 def load_lexical_table(path: str | Path) -> LexicalSimilarityTable:

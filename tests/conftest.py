@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import (BaseHTTPRequestHandler, HTTPServer,
+                         ThreadingHTTPServer)
 
 import numpy as np
 import pytest
@@ -45,7 +46,10 @@ class StubEmbeddingServer:
     holding a number no float can hold, for the texts in ``vectors_for``.
     ``on_post(texts)``, if given, runs before
     each post is answered. Requests are served one at a time, in arrival
-    order; ``posts`` records each post's texts and answer status.
+    order, and each connection is closed after its answer (HTTP/1.0);
+    ``posts`` records each post's texts and answer status. With
+    ``keep_alive``, connections stay open until the client closes them
+    (HTTP/1.1), each served by its own thread.
     """
 
     def __init__(self, dim: int = 4, fail_posts: int = 0,
@@ -56,7 +60,8 @@ class StubEmbeddingServer:
                  malformed: bool = False,
                  malformed_texts: frozenset[str] = frozenset(),
                  wrong_dim: int | None = None, on_post=None,
-                 vectors_for: dict[str, list] | None = None):
+                 vectors_for: dict[str, list] | None = None,
+                 keep_alive: bool = False):
         self.dim = dim
         self.fail_posts = fail_posts
         self.fail_status = fail_status
@@ -76,6 +81,8 @@ class StubEmbeddingServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def log_message(self, *args):
                 pass
 
@@ -124,7 +131,10 @@ class StubEmbeddingServer:
                     vectors = vectors[:-1]
                 self._send(200, {"vectors": vectors})
 
-        self._server = _QueuedHTTPServer(("127.0.0.1", 0), Handler)
+        if keep_alive:
+            self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        else:
+            self._server = _QueuedHTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         daemon=True)
         self._thread.start()

@@ -415,12 +415,13 @@ def clamped_gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray,
 
 def clamped_tsne(matrix, params, eps: float = 1e-12) -> tuple[np.ndarray, tuple]:
     """``projection.tsne``'s descent built on :func:`clamped_student_t` and
-    :func:`clamped_gradient`, with the same P, schedule and KL trace points.
-    Returns the points and the KL trace."""
+    :func:`clamped_gradient`, with the same P and schedule, and the KL at
+    every 50th step, at the last exaggerated step and at the last step.
+    Returns the points and that KL trace."""
     from sprachbund.projection import conditional_affinities, joint_affinities
     m = len(matrix)
     p_true = joint_affinities(
-        conditional_affinities(1.0 - matrix.values, params.perplexity))
+        conditional_affinities(matrix, params.perplexity)[0])
     p_exaggerated = p_true * params.early_exaggeration
     rng = np.random.default_rng(params.seed)
     y = rng.standard_normal((m, 2)) * params.init_scale

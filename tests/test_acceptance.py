@@ -180,7 +180,7 @@ def test_tsne_calibration():
             for i in range(50)]
     matrix = build_matrix(reps)
     perplexity = 10.0
-    cond = conditional_affinities(1.0 - matrix.values, perplexity)
+    cond, _ = conditional_affinities(matrix, perplexity)
     worst = max(abs(entropy_bits(cond[i]) - math.log2(perplexity))
                 for i in range(50))
     joint = joint_affinities(cond)

@@ -338,6 +338,15 @@ class TestFetchEmbeddings:
         assert len(out) == 10 and out.dim == 4
         assert out.ids == tuple(range(10))
 
+    def test_keep_alive_connections_are_closed(self, embedding_server):
+        """A service that keeps connections open: every socket the fetch
+        opened is closed when it returns (one left open fails the test as
+        a ResourceWarning)."""
+        server = embedding_server(dim=4, keep_alive=True)
+        [out] = fetch_embeddings(server.endpoint, [self.shard(10)], batch=4)
+        assert server.embed_requests == 3
+        assert out.ids == tuple(range(10))
+
     def test_empty_shard_zero_embed_requests(self, embedding_server):
         server = embedding_server(dim=4)
         [out] = fetch_embeddings(server.endpoint, [self.shard(0)], batch=4)

