@@ -25,7 +25,8 @@ from .cluster import (Dendrogram, SprachbundAssignment, agglomerate, cut,
                       random_baseline, silhouette)
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
 from .embedding import (FetchStats, LanguageRepresentation,
-                        SentenceEmbeddingSet, centroid, centroid_all,
+                        SentenceEmbeddingSet, StoredEmbeddingSet, StoreWriter,
+                        centroid, centroid_all,
                         fetch_embeddings, load_embeddings,
                         load_representations, write_embeddings,
                         write_representations)
@@ -49,7 +50,8 @@ __all__ = [
     "LanguageRepresentation", "LexicalSimilarityTable", "PartialEmbeddingError",
     "PartitionManifest", "Projection2D", "Registry", "SamplingPolicy",
     "SentenceEmbeddingSet", "ServiceError", "SimilarityMatrix",
-    "SprachbundAssignment", "SprachbundError", "TsneParams", "TsneResult",
+    "SprachbundAssignment", "SprachbundError", "StoreWriter",
+    "StoredEmbeddingSet", "TsneParams", "TsneResult",
     "UsageError", "ValidationError", "agglomerate", "build_manifest",
     "build_matrix", "build_report", "bundled_embedding_similarity",
     "bundled_lexical_table", "bundled_registry", "centroid", "centroid_all",

@@ -9,7 +9,8 @@ run log. Under ``all`` there are two in-memory hand-offs instead of
 re-parsing what a stage just wrote: ``embed`` takes the shards ``sample``
 drew, and the stages after ``simmat`` take the matrix it built. With an
 ``endpoint``, ``sample`` also sends each language's batches to the
-embedding service as soon as it is drawn; ``embed`` takes the vectors, or
+embedding service as soon as it is drawn, and the vectors go straight into
+the temporary file of ``embed``'s store; ``embed`` finishes that store, or
 raises the service's error, as if it had fetched them itself. Reruns with
 identical inputs, config, and seed reproduce identical artifact bytes;
 timestamps live only in the log.
@@ -36,10 +37,10 @@ from . import __version__
 from .analysis import build_report
 from .cluster import Dendrogram, agglomerate, cut
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
-from .embedding import (FetchStats, SentenceEmbeddingSet, centroid_all,
-                        fetch_embeddings, load_embeddings,
-                        load_representations, write_embeddings,
-                        write_representations)
+from .embedding import (FetchStats, SentenceEmbeddingSet, StoreWriter,
+                        StoredEmbeddingSet, centroid_all, fetch_embeddings,
+                        load_embeddings, load_representations,
+                        write_embeddings, write_representations)
 from .errors import ServiceError, SprachbundError, UsageError, ValidationError
 from .partition import sweep
 from .projection import TsneParams, check_plot_settings, emit_plot, project
@@ -181,11 +182,12 @@ def _read_artifact(path: Path, produced_by: str) -> dict:
 
 
 def _file_digest(path: Path) -> str:
-    """SHA-256 prefix of a file, read in 1 MiB chunks."""
+    """SHA-256 prefix of a file, read through one reused 64 KiB buffer."""
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(1 << 16))
+    with path.open("rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.hexdigest()[:16]
 
 
@@ -259,12 +261,20 @@ class _WorkspaceLock:
 
 @dataclass
 class _Fetch:
-    """Under `all` with an endpoint, `sample` runs the embed stage's fetch
-    while it draws the shards; this holds the outcome for `embed`."""
+    """The embed stage's fetch from the service, whose rows go straight into
+    the temporary file of the store `writer`. Under `all`, `sample` runs it
+    while it draws the shards, and this holds the outcome for `embed`."""
 
+    writer: StoreWriter
     stats: FetchStats = field(default_factory=FetchStats)
-    sets: list[SentenceEmbeddingSet] | None = None
+    sets: list[StoredEmbeddingSet] | None = None
     error: SprachbundError | None = None
+
+    def run(self, cfg: PipelineConfig, shards) -> None:
+        self.sets = fetch_embeddings(
+            cfg.endpoint, shards, cfg.batch,
+            auth_token=os.environ.get(AUTH_TOKEN_ENV), stats=self.stats,
+            writer=self.writer)
 
 
 def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
@@ -318,9 +328,7 @@ def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
             pass
         return
     try:  # the fetch drives `draw` and sends each shard's batches at once
-        cfg._fetch.sets = fetch_embeddings(
-            cfg.endpoint, draw(), cfg.batch,
-            auth_token=os.environ.get(AUTH_TOKEN_ENV), stats=cfg._fetch.stats)
+        cfg._fetch.run(cfg, draw())
     except SprachbundError as exc:
         if cfg._shards is None:  # sampling failed: that error wins
             raise
@@ -344,9 +352,10 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
     if bool(cfg.embeddings) == bool(cfg.endpoint):
         raise ValidationError("embed needs exactly one source: --embeddings "
                               "<file> or --endpoint <url>")
-    sets: list[SentenceEmbeddingSet] = []
-    stats = FetchStats()
+    store = ws / "embeddings.npy"
+    header = {"config_digest": cfg.digest()}
     if cfg.embeddings:
+        sets = []
         available = {s.language: s for s in load_embeddings(cfg.embeddings)}
         for shard in shards:
             source = available.get(shard.language)
@@ -364,18 +373,22 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
             sets.append(SentenceEmbeddingSet(
                 language=shard.language, dim=source.dim, ids=ids,
                 matrix=np.vstack([by_id[i] for i in ids])))
-    elif cfg._fetch is not None:  # fetched while `sample` drew the shards
-        fetch, cfg._fetch = cfg._fetch, None  # kept no longer than the sets
-        stats = fetch.stats
-        if fetch.error is not None:
-            raise fetch.error
-        sets = fetch.sets
+        write_embeddings(sets, store, extra_header=header)
+        stats = FetchStats()
     else:
-        sets = fetch_embeddings(cfg.endpoint, shards, cfg.batch,
-                                auth_token=os.environ.get(AUTH_TOKEN_ENV),
-                                stats=stats)
-    store = ws / "embeddings.npy"
-    write_embeddings(sets, store, extra_header={"config_digest": cfg.digest()})
+        # fetched while `sample` drew the shards, or by a lone `embed` now
+        fetch, cfg._fetch = cfg._fetch, None
+        lone = fetch is None
+        if lone:
+            fetch = _Fetch(StoreWriter(store))
+        with fetch.writer:  # removes the file of a store left unfinished
+            if lone:
+                fetch.run(cfg, shards)
+            if fetch.error is not None:
+                raise fetch.error
+            write_embeddings(fetch.sets, store, extra_header=header,
+                             writer=fetch.writer)
+        sets, stats = fetch.sets, fetch.stats
     _log(ws, f"embed http_requests={stats.requests} "
              f"http_retries={stats.retries} "
              f"vectors={sum(len(s) for s in sets)} "
@@ -523,16 +536,23 @@ def run(subcommand: str, cfg: PipelineConfig) -> None:
         ws.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"output directory {ws} is not writable: {exc}")
-    cfg._fetch = (_Fetch() if subcommand == "all" and cfg.endpoint
-                  and not cfg.embeddings else None)
     with _WorkspaceLock(ws):
-        for stage in stages:
-            try:
-                _STAGES[stage](cfg, ws)
-            except SprachbundError as exc:
-                _log(ws, f"{stage} digest={cfg.digest()} status=error: {exc}")
-                raise
-            _log(ws, f"{stage} digest={cfg.digest()} status=ok")
+        cfg._fetch = (_Fetch(StoreWriter(ws / "embeddings.npy"))
+                      if subcommand == "all" and cfg.endpoint
+                      and not cfg.embeddings else None)
+        try:
+            for stage in stages:
+                try:
+                    _STAGES[stage](cfg, ws)
+                except SprachbundError as exc:
+                    _log(ws, f"{stage} digest={cfg.digest()} status=error: "
+                             f"{exc}")
+                    raise
+                _log(ws, f"{stage} digest={cfg.digest()} status=ok")
+        finally:
+            if cfg._fetch is not None:  # a stage before `embed` failed
+                cfg._fetch.writer.discard()
+                cfg._fetch = None
 
 
 # ---------------------------------------------------------------------------

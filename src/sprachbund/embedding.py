@@ -3,16 +3,23 @@
 Embeddings arrive either from a JSON Lines file or from an HTTP service that
 embeds batches of sentences. They are kept in a binary store: one
 little-endian float32 ``.npy`` matrix holding every language's rows in turn,
-plus a small JSON index of languages and sentence ids. Each language is then
-reduced to the mean of its sentence vectors, and those centroids are kept in
-a store of the same layout, one row per language. Vectors are held in float32;
-sums are accumulated in float64 with compensated (Kahan) combination of
-block partial sums, so a 10k x 768 average does not drift.
+plus a small JSON index of languages and sentence ids. A fetch for a store
+writes each reply's rows into the store's file as the reply arrives, and a
+store is read back one language at a time, so neither holds more than the
+replies in flight or one language's rows; a JSON Lines file is still parsed
+whole. Each language is then reduced to the mean of its sentence vectors,
+and those centroids are kept in a store of the same layout, one row per
+language. Vectors are held in float32; sums are accumulated in float64 with
+compensated (Kahan) combination of block partial sums, so a 10k x 768
+average does not drift.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -25,13 +32,17 @@ import numpy as np
 from .corpus import CorpusShard
 from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
                      ValidationError)
-from .registry import artifact_keys, load_json, replacing, write_json
+from .registry import (artifact_keys, load_json, temporary_beside,
+                       write_json)
 
 _SUM_BLOCK = 256
 # threads that send (language, batch) requests to the embedding service at
 # once; each owns one connection
 FETCH_WORKERS = 8
 _STORE_DTYPE = np.dtype("<f4")
+# the .npy 1.0 header numpy writes for any 2-D <f4 shape, padded to this
+# length: a row's place in a store is known before its shape is
+_HEADER_BYTES = 128
 # vector components converted at once when a JSON Lines file is read
 _CHUNK_VALUES = 1 << 12
 _RECORD_KEYS = frozenset(("lang", "id", "vec"))
@@ -55,17 +66,59 @@ class SentenceEmbeddingSet:
                 f"{len(self.ids)} x {self.dim}, got {self.matrix.shape}")
         if self.dim < 1:
             raise ValidationError("embedding dimension must be positive")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValidationError(
-                f"duplicate sentence ids in embedding set for {self.language!r}")
-        if self.matrix.size and not np.isfinite(self.matrix).all():
-            bad = int(np.argwhere(~np.isfinite(self.matrix))[0][0])
-            raise ValidationError(
-                f"non-finite component in vector for lang={self.language} "
-                f"id={self.ids[bad]}")
+        _check_unique(self.language, self.ids)
+        _check_finite(self.language, self.ids, self.matrix)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _check_unique(language: str, ids: tuple[int, ...]) -> None:
+    if len(set(ids)) != len(ids):
+        raise ValidationError(
+            f"duplicate sentence ids in embedding set for {language!r}")
+
+
+def _non_finite(language: str, sid: int) -> ValidationError:
+    return ValidationError(
+        f"non-finite component in vector for lang={language} id={sid}")
+
+
+def _check_finite(language: str, ids: Sequence[int],
+                  matrix: np.ndarray) -> None:
+    """Raise for the first row of ``matrix`` with a non-finite component;
+    row i is the vector of ``ids[i]``."""
+    if matrix.size and not np.isfinite(matrix).all():
+        bad = int(np.argwhere(~np.isfinite(matrix))[0][0])
+        raise _non_finite(language, ids[bad])
+
+
+@dataclass(eq=False)
+class StoredEmbeddingSet:
+    """One language's sentence ids, whose vectors are rows of the store
+    ``path`` from byte ``offset`` on. :attr:`matrix` reads and checks them
+    at each use, so the set itself holds no vector."""
+
+    language: str
+    dim: int
+    ids: tuple[int, ...]
+    path: Path
+    offset: int
+
+    def __post_init__(self):
+        self.ids = tuple(int(i) for i in self.ids)
+        _check_unique(self.language, self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The float32 rows, shape (len(ids), dim), read from the file."""
+        rows = _read_rows(self.path, self.offset, (len(self.ids), self.dim),
+                          "embedding")
+        _check_finite(self.language, self.ids, rows)
+        return rows
 
 
 @dataclass(eq=False)
@@ -91,13 +144,39 @@ class LanguageRepresentation:
         return int(self.vector.shape[0])
 
 
+def _float32(values) -> np.ndarray:
+    """JSON numbers in (nested) lists as a float32 array; a number beyond
+    float32's range becomes inf.
+
+    Raises TypeError or ValueError for anything that is not numbers, a
+    string among them too, though numpy would parse it, and OverflowError
+    for an integer beyond float's range. The type numpy infers tells
+    strings apart without a loop over the values: floats, with any ints or
+    bools among them, infer float64, which is cast once; any other values
+    are converted as numpy converts them to float32 directly, which gives
+    the same bits.
+    """
+    try:
+        inferred = np.asarray(values)
+    except (TypeError, ValueError, OverflowError):
+        inferred = None  # the conversion below raises the error
+    with np.errstate(over="ignore"):  # beyond float32: inf
+        if inferred is not None:
+            if inferred.dtype == np.float64:
+                return inferred.astype(np.float32)
+            if inferred.dtype.kind in "SU" or (
+                    inferred.dtype.kind == "O"
+                    and any(isinstance(v, str) for v in inferred.flat)):
+                raise TypeError("a vector component is a string")
+        return np.asarray(values, dtype=np.float32)
+
+
 def _vector(where: str, lang, sid, vec, dim: int) -> np.ndarray:
     """One record's ``vec`` as float32, or the :class:`ValidationError` of a
     ``vec`` that is not ``dim`` finite numbers. A number beyond float32's
     range, an integer beyond float's among them, is not finite."""
     try:
-        with np.errstate(over="ignore"):  # beyond float32: inf, caught below
-            arr = np.asarray(vec, dtype=np.float32)
+        arr = _float32(vec)
     except OverflowError:  # an integer beyond float's range
         arr = np.full(dim, np.inf, np.float32)
     except (TypeError, ValueError):
@@ -144,8 +223,7 @@ class _JsonlRecords:
         if not self._vecs:
             return
         try:
-            with np.errstate(over="ignore"):
-                block = np.array(self._vecs, dtype=np.float32)
+            block = _float32(self._vecs)
         except (TypeError, ValueError, OverflowError):
             block = None
         if (block is None or block.shape != (len(self._vecs), self.dim)
@@ -184,14 +262,17 @@ class _JsonlRecords:
                 for lang, picks in grouped.items()]
 
 
-def load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
+def load_embeddings(path: str | Path
+                    ) -> list[SentenceEmbeddingSet] | list[StoredEmbeddingSet]:
     """Read embeddings from a ``.npy`` store or a JSON Lines file.
 
-    A path ending in ``.npy`` is a store written by :func:`write_embeddings`;
-    its matrix is memory-mapped, and each set's matrix is a row slice of it.
-    Any other path is JSON Lines: the first line is a header
-    ``{"v": 1, "dim": D}`` and every other line is
-    ``{"lang": code, "id": int, "vec": [floats]}``. Records are grouped by
+    A path ending in ``.npy`` is a store written by :func:`write_embeddings`.
+    Its index and header are read and checked, and each language becomes a
+    :class:`StoredEmbeddingSet` that reads its own rows when its ``matrix``
+    is used, so a caller that takes one language at a time holds one
+    language's rows. Any other path is JSON Lines, parsed whole: the first
+    line is a header ``{"v": 1, "dim": D}`` and every other line is
+    ``{"lang": code, "id": int, "vec": [numbers]}``. Records are grouped by
     language in order of first appearance.
 
     Each line is parsed by one ``json.loads``, and the vectors are converted
@@ -251,28 +332,93 @@ def _one_dim(items: Sequence) -> int:
     return dims.pop() if dims else 0
 
 
+def _pwrite(fd: int, data: memoryview, at: int) -> None:
+    while data:
+        done = os.pwrite(fd, data, at)
+        data, at = data[done:], at + done
+
+
+class StoreWriter:
+    """A store being written: its ``.npy`` matrix goes to a temporary file
+    beside ``path``, which :meth:`finish` moves into place.
+
+    :meth:`write` puts rows where the finished matrix has them, in any order
+    and from several threads at once, so a producer need not hold them.
+    :meth:`finish` adds the ``.npy`` 1.0 header, moves the file over
+    ``path`` and then writes the ``.json`` index. Leaving a ``with`` block
+    before that, or :meth:`discard`, removes the temporary file, and
+    ``path`` keeps its previous bytes.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._tmp, self._fd = temporary_beside(self.path)
+
+    def write(self, row: int, block: np.ndarray) -> None:
+        """Put the rows of the 2-D ``block`` at rows ``row`` onwards."""
+        block = np.ascontiguousarray(block, dtype=_STORE_DTYPE)
+        if block.size:
+            _pwrite(self._fd, memoryview(block).cast("B"),
+                    _HEADER_BYTES + row * block[0].nbytes)
+
+    def finish(self, shape: tuple[int, int], index: dict) -> None:
+        """Complete the store as a ``shape`` matrix whose every row has been
+        written, with ``index`` beside it."""
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": _STORE_DTYPE.str, "fortran_order": False, "shape": shape})
+        if len(header.getvalue()) != _HEADER_BYTES:  # rows were placed after it
+            raise RuntimeError(f"numpy wrote a .npy header of "
+                               f"{len(header.getvalue())} bytes for {shape}")
+        with self:
+            _pwrite(self._fd, header.getbuffer(), 0)
+            os.close(self._fd)
+            self._fd = None
+            os.replace(self._tmp, self.path)
+            self._tmp = None
+        write_json(self.path.with_suffix(".json"), index)
+
+    def discard(self) -> None:
+        """Remove the temporary file, unless :meth:`finish` moved it."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self._tmp is not None:
+            self._tmp.unlink(missing_ok=True)
+            self._tmp = None
+
+    def __enter__(self) -> "StoreWriter":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.discard()
+        return False
+
+
 def _write_store(path: Path, blocks: Iterable[np.ndarray],
                  shape: tuple[int, int], index: dict) -> None:
     """Write a store: ``path`` gets one ``.npy`` 1.0 C-order ``<f4`` matrix
-    of ``shape`` whose rows are ``blocks`` in turn, and ``path`` with suffix
-    ``.json`` gets ``index``. Each file replaces its old version only once
-    it is complete."""
-    with replacing(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, {
-            "descr": _STORE_DTYPE.str, "fortran_order": False, "shape": shape})
+    of ``shape`` whose rows are the 2-D ``blocks`` in turn, and ``path``
+    with suffix ``.json`` gets ``index``. Each file replaces its old version
+    only once it is complete."""
+    with StoreWriter(path) as writer:
+        row = 0
         for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype=_STORE_DTYPE).data)
-    write_json(path.with_suffix(".json"), index)
+            writer.write(row, block)
+            row += len(block)
+        writer.finish(shape, index)
 
 
 def _read_store(path: Path, noun: str, parse_languages
-                ) -> tuple[int, list, np.ndarray]:
+                ) -> tuple[int, list, int]:
     """The dimension and parsed index entries of a store written by
-    :func:`_write_store`, and its memory-mapped matrix.
+    :class:`StoreWriter`, and the byte offset of its first row; no row is
+    read.
 
     ``parse_languages(index["languages"])`` returns the entries and the
     number of matrix rows they describe. A missing file, an index without
-    a key, or a matrix that is not ``<f4``, C order and rows x dim raises
+    a key, a file whose length is not what its ``.npy`` header says, or a
+    matrix that is not ``<f4``, C order and rows x dim raises
     :class:`ValidationError` naming the file; ``noun`` names the store.
     """
     index_path = path.with_suffix(".json")
@@ -283,18 +429,48 @@ def _read_store(path: Path, noun: str, parse_languages
         dim = int(index["dim"])
         entries, rows = parse_languages(index["languages"])
     try:
-        matrix = np.load(path, mmap_mode="r")
+        with path.open("rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not a .npy file of version 1.0")
+            shape, fortran_order, dtype = \
+                np.lib.format.read_array_header_1_0(fh)
+            offset = fh.tell()
+            size = os.fstat(fh.fileno()).st_size
     except FileNotFoundError:
         raise ValidationError(f"{noun} store not found: {path}") from None
     except (OSError, ValueError, EOFError) as exc:
         raise ValidationError(f"{path}: unreadable {noun} store: {exc}") from None
-    if (matrix.dtype != _STORE_DTYPE or matrix.shape != (rows, dim)
-            or not matrix.flags.c_contiguous):
+    need = offset + math.prod(shape) * dtype.itemsize
+    if size != need:
         raise ValidationError(
-            f"{path}: holds a {matrix.dtype.str} matrix of shape "
-            f"{matrix.shape}, but {index_path.name} lists {rows} rows of "
-            f"{dim} {_STORE_DTYPE.str} values")
-    return dim, entries, matrix
+            f"{path}: unreadable {noun} store: it has {size} bytes, but its "
+            f"header describes {need}")
+    if dtype != _STORE_DTYPE or shape != (rows, dim) or fortran_order:
+        raise ValidationError(
+            f"{path}: holds a {dtype.str} matrix of shape {shape}, but "
+            f"{index_path.name} lists {rows} rows of {dim} "
+            f"{_STORE_DTYPE.str} values")
+    return dim, entries, offset
+
+
+def _read_rows(path: Path, offset: int, shape: tuple[int, int],
+               noun: str) -> np.ndarray:
+    """A new float32 array of ``shape`` read from the store ``path`` at
+    byte ``offset``; ``noun`` names the store in the error of a file that
+    ends or fails before the rows do."""
+    rows = np.empty(shape, _STORE_DTYPE)
+    if not rows.size:
+        return rows
+    try:
+        with path.open("rb") as fh:
+            fh.seek(offset)
+            got = fh.readinto(memoryview(rows).cast("B"))
+    except OSError as exc:
+        raise ValidationError(f"{path}: unreadable {noun} store: {exc}") from None
+    if got != rows.nbytes:
+        raise ValidationError(
+            f"{path}: unreadable {noun} store: it ends inside its rows")
+    return rows
 
 
 def _embedding_entries(languages: list) -> tuple[list, int]:
@@ -302,18 +478,19 @@ def _embedding_entries(languages: list) -> tuple[list, int]:
     return entries, sum(len(ids) for _, ids in entries)
 
 
-def _load_store(path: Path) -> list[SentenceEmbeddingSet]:
-    dim, entries, matrix = _read_store(path, "embedding", _embedding_entries)
-    sets, start = [], 0
+def _load_store(path: Path) -> list[StoredEmbeddingSet]:
+    dim, entries, offset = _read_store(path, "embedding", _embedding_entries)
+    sets = []
     for lang, ids in entries:
-        sets.append(SentenceEmbeddingSet(language=lang, dim=dim, ids=ids,
-                                         matrix=matrix[start:start + len(ids)]))
-        start += len(ids)
+        sets.append(StoredEmbeddingSet(language=lang, dim=dim, ids=ids,
+                                       path=path, offset=offset))
+        offset += len(ids) * dim * _STORE_DTYPE.itemsize
     return sets
 
 
-def write_embeddings(sets: Iterable[SentenceEmbeddingSet], path: str | Path,
-                     extra_header: dict | None = None) -> None:
+def write_embeddings(sets: Iterable[SentenceEmbeddingSet | StoredEmbeddingSet],
+                     path: str | Path, extra_header: dict | None = None, *,
+                     writer: StoreWriter | None = None) -> None:
     """Write sets in a format :func:`load_embeddings` reads, chosen by suffix.
 
     A path ending in ``.npy`` gets a store: ``path`` is one C-order
@@ -322,17 +499,26 @@ def write_embeddings(sets: Iterable[SentenceEmbeddingSet], path: str | Path,
     ``{"v": 1, "dim": D, "languages": [{"lang": code, "ids": [...]}]}``,
     which also carries ``extra_header``. Any other path gets JSON Lines, with
     ``extra_header`` in its header line.
+
+    ``writer``, if given, is the :class:`StoreWriter` of ``path`` into
+    which :func:`fetch_embeddings` put the rows of ``sets``; only the
+    header and the index are then written.
     """
     sets = list(sets)
     header = {"v": 1, "dim": _one_dim(sets)}
     if extra_header:
         header.update(extra_header)
     path = Path(path)
+    if writer is not None and writer.path != path:
+        raise ValueError(f"the rows were written for {writer.path}, not {path}")
     if path.suffix == ".npy":
         header["languages"] = [
             {"lang": s.language, "ids": list(s.ids)} for s in sets]
-        _write_store(path, (s.matrix for s in sets),
-                     (sum(len(s) for s in sets), header["dim"]), header)
+        shape = (sum(len(s) for s in sets), header["dim"])
+        if writer is not None:
+            writer.finish(shape, header)
+        else:
+            _write_store(path, (s.matrix for s in sets), shape, header)
         return
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -443,14 +629,18 @@ def _embed_batch(conn: _Connection, chunk: Sequence[tuple[int, str]],
                 f"/info declared {dim}")
         ids.append(sid)
         rows.append(vec)
+    if not rows:
+        return ids, np.zeros((0, dim), np.float32), missing
     try:
-        with np.errstate(over="ignore"):  # beyond float32: inf, refused later
-            matrix = np.asarray(rows, dtype=np.float32).reshape(-1, dim)
+        matrix = _float32(rows)  # beyond float32: inf, refused later
     except OverflowError:  # an integer beyond float's range
         raise ServiceError(
             f"{where}: a vector holds a number beyond float range") from None
     except (TypeError, ValueError) as exc:
         raise ServiceError(f"{where}: vectors are not lists of numbers: {exc}")
+    if matrix.shape != (len(rows), dim):  # nested lists
+        raise ServiceError(f"{where}: vectors are not lists of numbers: they "
+                           f"make an array of shape {matrix.shape}")
     return ids, matrix, missing
 
 
@@ -544,8 +734,9 @@ class _Pool:
 def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
                      *, retries: int = 3, timeout: float = 30.0,
                      auth_token: str | None = None, retry_wait: float = 0.2,
-                     stats: FetchStats | None = None
-                     ) -> list[SentenceEmbeddingSet]:
+                     stats: FetchStats | None = None,
+                     writer: StoreWriter | None = None
+                     ) -> list[SentenceEmbeddingSet] | list[StoredEmbeddingSet]:
     """Embed every shard's sentences via the HTTP service at ``endpoint``.
 
     Protocol: ``GET /info`` declares the dimension; ``POST /embed`` with
@@ -567,15 +758,21 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
     stops the pool and is raised as it is, before any failure of the fetch.
 
     Returns one set per shard, in shard order, with rows sorted by sentence
-    id; replies are placed by position, so the result does not depend on
-    the order they arrive in. A shard answered by one reply whose ids
-    ascend keeps that reply's float32 array as its matrix, uncopied; the
-    replies of a shard sent in several batches are stacked, and rows out of
-    id order are sorted, one copy each. A response with fewer vectors than
-    texts, or null entries, leaves those sentences without vectors; after
-    all batches complete, :class:`PartialEmbeddingError` is raised for the
-    first shard that has any. Request and retry counts are added to
-    ``stats`` if given.
+    id. The thread that parses a reply puts its rows at once where they
+    belong among its shard's rows, and keeps of it only the ids that got no
+    vector and the first id whose vector is not finite; so the result does
+    not depend on the order replies arrive in. With ``writer``, the rows go
+    into the writer's temporary file, no vector stays in memory, and each
+    set is a :class:`StoredEmbeddingSet` whose rows can be read once
+    :func:`write_embeddings` has finished the store. Without, they go into
+    one float32 array per shard (a shard answered by one reply whose ids
+    ascend keeps that reply's array), and each set is a
+    :class:`SentenceEmbeddingSet`. A response with fewer vectors than
+    texts, or null entries, leaves those sentences without vectors. After
+    all batches complete, the shards are checked in order: the first that
+    has sentences without vectors raises :class:`PartialEmbeddingError`,
+    or :class:`ValidationError` if it repeats an id or has a non-finite
+    vector. Request and retry counts are added to ``stats`` if given.
     """
     shards = iter(shards)
     base = endpoint.rstrip("/")
@@ -583,6 +780,35 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
     def connect() -> _Connection:
         return _Connection(base, retries=retries, timeout=timeout,
                            auth_token=auth_token, retry_wait=retry_wait)
+
+    languages: list[str] = []
+    sorted_ids: list[tuple[int, ...]] = []
+    firsts = [0]  # each shard's first row in the store, then the end
+    held: list[np.ndarray] = []  # without a writer, each shard's rows
+    owners: list[int] = []  # each batch's shard
+
+    def put(k: int, rank: int, rows: np.ndarray) -> None:
+        """Rows ``rank`` onwards, in id order, of shard ``k``."""
+        if writer is not None:
+            writer.write(firsts[k] + rank, rows)
+        elif len(rows) == len(held[k]):  # one reply holds the shard's rows
+            held[k] = rows
+        else:
+            held[k][rank:rank + len(rows)] = rows
+
+    def fetch_batch(conn: _Connection, item) -> tuple[list[int], int | None]:
+        k, ranks, chunk = item
+        ids, rows, missing = _embed_batch(conn, chunk, dim)
+        if not missing:  # else nothing is kept: the shard fails
+            if isinstance(ranks, int):  # ids ascend from rank `ranks` on
+                put(k, ranks, rows)
+            else:
+                for rank, row in zip(ranks, rows):
+                    put(k, rank, row[None])
+        finite = np.isfinite(rows).all(axis=1)
+        bad = None if finite.all() else min(
+            sid for sid, ok in zip(ids, finite) if not ok)
+        return missing, bad
 
     conns: list[_Connection] = []
     try:
@@ -599,16 +825,28 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
                 pass
             raise
         dim = info["dim"]
-        languages: list[str] = []
-        owners: list[int] = []
-        with _Pool(conns, connect,
-                   lambda conn, chunk: _embed_batch(conn, chunk, dim)) as pool:
+        with _Pool(conns, connect, fetch_batch) as pool:
             for shard in shards:
-                for start in range(0, len(shard.sentences), batch):
-                    owners.append(len(languages))
-                    pool.submit(shard.sentences[start:start + batch])
+                k = len(languages)
+                ids = [sid for sid, _ in shard.sentences]
+                ranks = None  # each sentence's rank in id order, unless in order
+                if any(a >= b for a, b in zip(ids, ids[1:])):
+                    order = sorted(range(len(ids)), key=ids.__getitem__)
+                    ranks = [0] * len(ids)
+                    for rank, i in enumerate(order):
+                        ranks[i] = rank
+                    ids = [ids[i] for i in order]
                 languages.append(shard.language)
-            replies = pool.results()
+                sorted_ids.append(tuple(ids))
+                firsts.append(firsts[-1] + len(ids))
+                if writer is None:
+                    held.append(np.empty((len(ids), dim), np.float32))
+                for start in range(0, len(ids), batch):
+                    owners.append(k)
+                    pool.submit((k, start if ranks is None
+                                 else ranks[start:start + batch],
+                                 shard.sentences[start:start + batch]))
+            outcomes = pool.results()
     finally:
         for conn in conns:
             conn.close()
@@ -617,28 +855,23 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
                 stats.retries += conn.stats.retries
 
     parts: list[list] = [[] for _ in languages]
-    for k, reply in zip(owners, replies):
-        parts[k].append(reply)
-    replies.clear()
+    for k, outcome in zip(owners, outcomes):
+        parts[k].append(outcome)
     sets = []
-    for language, answers in zip(languages, parts):
-        missing = [sid for _, _, gone in answers for sid in gone]
+    for k, (language, ids) in enumerate(zip(languages, sorted_ids)):
+        missing = [sid for gone, _ in parts[k] for sid in gone]
         if missing:
             raise PartialEmbeddingError(language, missing)
-        ids = [sid for got, _, _ in answers for sid in got]
-        blocks = [rows for _, rows, _ in answers]
-        answers.clear()
-        if len(blocks) == 1:  # the reply's rows become the set's
-            matrix = blocks[0]
-        elif blocks:
-            matrix = np.concatenate(blocks)
+        if writer is None:
+            sets.append(SentenceEmbeddingSet(language=language, dim=dim,
+                                             ids=ids, matrix=held[k]))
         else:
-            matrix = np.zeros((0, dim), np.float32)
-        if any(a > b for a, b in zip(ids, ids[1:])):
-            order = np.argsort(ids, kind="stable")
-            matrix, ids = matrix[order], [ids[i] for i in order]
-        sets.append(SentenceEmbeddingSet(language=language, dim=dim,
-                                         ids=tuple(ids), matrix=matrix))
+            sets.append(StoredEmbeddingSet(
+                language=language, dim=dim, ids=ids, path=writer.path,
+                offset=_HEADER_BYTES + firsts[k] * dim * _STORE_DTYPE.itemsize))
+        bad = [sid for _, sid in parts[k] if sid is not None]
+        if bad:
+            raise _non_finite(language, min(bad))
     return sets
 
 
@@ -656,8 +889,10 @@ def _compensated_mean(matrix: np.ndarray) -> np.ndarray:
     return total / n
 
 
-def centroid(emb_set: SentenceEmbeddingSet) -> LanguageRepresentation:
-    """Componentwise mean of a language's sentence vectors."""
+def centroid(emb_set: SentenceEmbeddingSet | StoredEmbeddingSet
+             ) -> LanguageRepresentation:
+    """Componentwise mean of a language's sentence vectors; a stored set's
+    rows are read once, and dropped with the mean."""
     if len(emb_set) == 0:
         raise ValidationError(
             f"cannot take the centroid of an empty set for {emb_set.language!r}")
@@ -669,8 +904,10 @@ def centroid(emb_set: SentenceEmbeddingSet) -> LanguageRepresentation:
     )
 
 
-def centroid_all(sets: Sequence[SentenceEmbeddingSet]) -> list[LanguageRepresentation]:
-    """Centroid per language, preserving input order."""
+def centroid_all(sets: Sequence[SentenceEmbeddingSet | StoredEmbeddingSet]
+                 ) -> list[LanguageRepresentation]:
+    """Centroid per language, preserving input order. The sets are taken one
+    at a time, so stored sets hold at most one language's rows at once."""
     seen: set[str] = set()
     dims = {s.dim for s in sets}
     if len(dims) > 1:
@@ -702,8 +939,8 @@ def write_representations(reps: Sequence[LanguageRepresentation],
     index = {"v": 1, "dim": _one_dim(reps), **(extra_header or {}),
              "languages": [{"lang": r.language, "sample_count": r.sample_count}
                            for r in reps]}
-    _write_store(path, (r.vector for r in reps), (len(reps), index["dim"]),
-                 index)
+    _write_store(path, (r.vector[None] for r in reps),
+                 (len(reps), index["dim"]), index)
 
 
 def _representation_entries(languages: list) -> tuple[list, int]:
@@ -713,10 +950,11 @@ def _representation_entries(languages: list) -> tuple[list, int]:
 
 def load_representations(path: str | Path) -> list[LanguageRepresentation]:
     """Centroids from a store written by :func:`write_representations`; each
-    vector is a row of the memory-mapped matrix."""
+    vector is a row of the matrix, read whole."""
     path = Path(path)
-    _, entries, matrix = _read_store(path, "representation",
-                                     _representation_entries)
+    dim, entries, offset = _read_store(path, "representation",
+                                       _representation_entries)
+    matrix = _read_rows(path, offset, (len(entries), dim), "representation")
     with artifact_keys(path):
         return [LanguageRepresentation(language=lang, vector=row,
                                        sample_count=count)

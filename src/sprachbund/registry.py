@@ -149,6 +149,13 @@ def artifact_keys(path: str | Path) -> Iterator[None]:
         raise ValidationError(f"{path}: malformed: {exc}") from None
 
 
+def temporary_beside(path: Path) -> tuple[Path, int]:
+    """A new empty file beside ``path``, named ``.<name>.<pid>-<hex>.tmp``,
+    and a descriptor that writes it."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+
+
 @contextmanager
 def replacing(path: str | Path, mode: str = "w") -> Iterator:
     """Open a new file that replaces ``path`` only once it is fully written.
@@ -159,9 +166,7 @@ def replacing(path: str | Path, mode: str = "w") -> Iterator:
     previous bytes; on an exception the temporary file is removed. ``mode``
     is ``"w"`` (UTF-8 text) or ``"wb"``.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp, fd = temporary_beside(Path(path))
     try:
         with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import functools
 import json
 import threading
+from contextlib import contextmanager
 from http.server import (BaseHTTPRequestHandler, HTTPServer,
                          ThreadingHTTPServer)
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from sprachbund import embedding
 from sprachbund.registry import LanguageRecord, Registry
 
 
@@ -49,7 +53,8 @@ class StubEmbeddingServer:
     order, and each connection is closed after its answer (HTTP/1.0);
     ``posts`` records each post's texts and answer status. With
     ``keep_alive``, connections stay open until the client closes them
-    (HTTP/1.1), each served by its own thread.
+    (HTTP/1.1), each served by its own thread, and a lock still serves the
+    requests one at a time.
     """
 
     def __init__(self, dim: int = 4, fail_posts: int = 0,
@@ -78,6 +83,7 @@ class StubEmbeddingServer:
         self.batches: list[list[str]] = []
         self.posts: list[tuple[list[str], int]] = []
         self.auth_headers: list[str | None] = []
+        serving = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -95,13 +101,21 @@ class StubEmbeddingServer:
                 self.wfile.write(body)
 
             def do_GET(self):
+                with serving:
+                    self._get()
+
+            def do_POST(self):
+                with serving:
+                    self._post()
+
+            def _get(self):
                 if self.path == "/info":
                     outer.info_requests += 1
                     self._send(200, {"dim": outer.dim})
                 else:
                     self._send(404, {})
 
-            def do_POST(self):
+            def _post(self):
                 if self.path != "/embed":
                     self._send(404, {})
                     return
@@ -161,3 +175,36 @@ def embedding_server():
     yield factory
     for server in servers:
         server.close()
+
+
+class KeepAlive:
+    """Mixed into a test class first, runs its tests against the stub with
+    ``keep_alive``: one open connection per fetch worker, as an HTTP/1.1
+    service keeps them, instead of one per request."""
+
+    @pytest.fixture
+    def embedding_server(self, embedding_server):
+        return functools.partial(embedding_server, keep_alive=True)
+
+
+@contextmanager
+def first_failure_record(server: StubEmbeddingServer):
+    """Yields a list that gets, when a fetch pool records its first
+    failure, how many posts had reached ``server`` and how many batches the
+    pool had taken by then."""
+    records = []
+    real_init = embedding._Pool.__init__
+
+    def spy(pool, *args):
+        real_init(pool, *args)
+
+        class Failures(dict):
+            def __setitem__(self, j, exc):  # called under the pool's lock
+                if not self:
+                    records.append((len(server.posts), pool._started))
+                super().__setitem__(j, exc)
+
+        pool._failures = Failures()
+
+    with mock.patch.object(embedding._Pool, "__init__", spy):
+        yield records

@@ -367,7 +367,9 @@ def line_load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
                 arr = np.asarray(vec, dtype=np.float32)
             except (TypeError, ValueError):
                 arr = None
-            if arr is None or arr.shape != (dim,):
+            # numpy parses "0.5", but a string is not a number
+            if (arr is None or arr.shape != (dim,)
+                    or any(isinstance(x, str) for x in vec)):
                 raise ValidationError(
                     f"{where}: vector for lang={lang} id={sid} must be a "
                     f"list of {dim} numbers, as the header says")

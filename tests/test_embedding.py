@@ -1,8 +1,10 @@
+import io
 import json
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -13,16 +15,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import KeepAlive, first_failure_record
 from reference import (json_load_representations, json_write_representations,
                        line_load_embeddings)
 from sprachbund import embedding
 from sprachbund.corpus import CorpusShard
 from sprachbund.embedding import (FETCH_WORKERS, FetchStats,
                                   LanguageRepresentation, SentenceEmbeddingSet,
-                                  _Pool, centroid, centroid_all,
-                                  fetch_embeddings, load_embeddings,
-                                  load_representations, write_embeddings,
-                                  write_representations)
+                                  StoredEmbeddingSet, StoreWriter, _Pool,
+                                  centroid, centroid_all, fetch_embeddings,
+                                  load_embeddings, load_representations,
+                                  write_embeddings, write_representations)
 from sprachbund.errors import (PartialEmbeddingError, ServiceError,
                                ValidationError)
 from sprachbund.simmatrix import build_matrix
@@ -87,7 +90,10 @@ class TestLoadEmbeddings:
          "line 1: expected the header"),
         ('\n{"v": 1, "dim": 2}\n{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n',
          "line 1: expected the header"),
-    ], ids=["id-not-int", "vec-a-number", "dim-not-int", "blank-first-line"])
+        ('{"v": 1, "dim": 2}\n{"lang": "aa", "id": 0, "vec": ["0.5", true]}\n',
+         "line 2: vector for lang=aa id=0 must be a list of 2 numbers"),
+    ], ids=["id-not-int", "vec-a-number", "dim-not-int", "blank-first-line",
+            "vec-holds-a-string"])
     def test_ill_typed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "emb.jsonl"
         path.write_text(text, encoding="utf-8")
@@ -132,6 +138,8 @@ _VECTOR_FAULTS = {
     "inf": lambda dim: [0.5] * (dim - 1) + [float("-inf")],
     "f32-overflow": lambda dim: [1e39] + [0.5] * (dim - 1),
     "null-entry": lambda dim: [None] * dim,
+    # numpy would parse "0.5" as a number
+    "string": lambda dim: [0.5] * (dim - 1) + ["0.5"],
 }
 
 
@@ -694,12 +702,20 @@ class TestPooledFetch:
         assert (stats.requests, stats.retries) == (1 + batches + 6, 6)
 
     def test_first_hard_failure_stops_new_requests(self, embedding_server):
+        """No batch that the pool takes after it records the 400 reaches the
+        service: once the failure is recorded, only the batches the other
+        workers already hold, at most ``FETCH_WORKERS - 1``, arrive."""
         server = embedding_server(dim=4, fail_posts=1, fail_status=400)
         shards = [CorpusShard(language=f"l{i:02d}", sentences=((0, f"s{i}"),))
                   for i in range(40)]
-        with pytest.raises(ServiceError, match="answered 400"):
+        with first_failure_record(server) as records, \
+                pytest.raises(ServiceError, match="answered 400"):
             fetch_embeddings(server.endpoint, shards, batch=1, retry_wait=0.01)
-        assert server.embed_requests <= 2 * FETCH_WORKERS
+        (arrived, taken), = records
+        # batch i carries the one text "s<i>"
+        later = {int(texts[0][1:]) for texts, _ in server.posts[arrived:]}
+        assert all(i < taken for i in later), (later, taken)
+        assert len(later) <= FETCH_WORKERS - 1
 
     def test_partial_names_first_language_after_all_batches(
             self, embedding_server):
@@ -713,6 +729,189 @@ class TestPooledFetch:
         assert excinfo.value.language == "cc"
         assert excinfo.value.missing_ids == [0]
         assert server.embed_requests == 8
+
+
+class TestFetchEmbeddingsKeepAlive(KeepAlive, TestFetchEmbeddings):
+    """The same fetches over connections the service keeps open."""
+
+
+class TestPooledFetchKeepAlive(KeepAlive, TestPooledFetch):
+    """The same pooled fetches over connections the service keeps open."""
+
+
+class TestReplyNumbers:
+    def shard(self, n):
+        return CorpusShard(language="aa",
+                           sentences=tuple((i, f"text {i}") for i in range(n)))
+
+    def test_string_component_is_a_service_error(self, embedding_server):
+        """numpy would parse "0.5" as a number; a reply is refused."""
+        server = embedding_server(dim=2, vectors_for={"text 1": ["0.5", 1.0]})
+        with pytest.raises(ServiceError) as info:
+            fetch_embeddings(server.endpoint, [self.shard(3)], batch=2)
+        assert str(info.value) == (
+            f"{server.endpoint}/embed: vectors are not lists of numbers: a "
+            f"vector component is a string")
+
+    def test_nested_lists_are_a_service_error(self, embedding_server):
+        server = embedding_server(dim=2, vectors_for={"text 0": [[0.5], [1.0]],
+                                                      "text 1": [[0.5], [1.0]]})
+        with pytest.raises(ServiceError, match="not lists of numbers"):
+            fetch_embeddings(server.endpoint, [self.shard(2)], batch=2)
+
+    def test_bools_and_ints_keep_their_bits(self, embedding_server):
+        vectors = {"text 0": [True, 2, 0.5, -3], "text 1": [False, 0, 7, 1.5],
+                   "text 2": [1, 2, 3, 4]}
+        server = embedding_server(dim=4, vectors_for=vectors)
+        [out] = fetch_embeddings(server.endpoint, [self.shard(3)], batch=3)
+        assert out.matrix.tobytes() == np.array(
+            list(vectors.values()), np.float32).tobytes()
+
+
+class TestFetchIntoStore:
+    """With a :class:`StoreWriter`, each reply's rows go into the store's
+    temporary file at once, and nothing of them stays in memory."""
+
+    shards = TestPooledFetch.shards
+    SIZES = TestPooledFetch.SIZES
+
+    def test_store_equals_the_sets_written(self, embedding_server, tmp_path):
+        flaky = embedding_server(dim=5, fail_posts=6)
+        steady = embedding_server(dim=5)
+        held = fetch_embeddings(steady.endpoint, self.shards(), batch=2)
+        write_embeddings(held, tmp_path / "held.npy",
+                         extra_header={"config_digest": "abc"})
+        path = tmp_path / "fetched.npy"
+        with StoreWriter(path) as writer:
+            stored = fetch_embeddings(flaky.endpoint, self.shards(), batch=2,
+                                      retry_wait=0.001, writer=writer)
+            assert not path.exists()  # the rows are in the temporary file
+            write_embeddings(stored, path, extra_header={"config_digest": "abc"},
+                             writer=writer)
+        assert [p.name for p in sorted(tmp_path.iterdir())] == [
+            "fetched.json", "fetched.npy", "held.json", "held.npy"]
+        for suffix in (".npy", ".json"):
+            assert (path.with_suffix(suffix).read_bytes()
+                    == (tmp_path / "held").with_suffix(suffix).read_bytes())
+        assert all(isinstance(s, StoredEmbeddingSet) for s in stored)
+        for a, b in zip(stored, held):
+            assert (a.language, a.dim, a.ids) == (b.language, b.dim, b.ids)
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+
+    def test_concurrent_writes_lose_no_row(self, embedding_server, tmp_path):
+        """60 languages in batches of 3, out of id order, written by every
+        worker at once while the interpreter switches threads every
+        microsecond: each row lands in its place."""
+        rng = np.random.default_rng(9)
+        shards = [CorpusShard(language=f"l{k}", sentences=tuple(
+                      (int(i), f"{k} {i}")
+                      for i in rng.permutation(40)[:rng.integers(1, 12)]))
+                  for k in range(60)]
+        server = embedding_server(dim=6)
+        held = fetch_embeddings(server.endpoint, shards, batch=3)
+        path = tmp_path / "emb.npy"
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with StoreWriter(path) as writer:
+                stored = fetch_embeddings(server.endpoint, shards, batch=3,
+                                          timeout=30, writer=writer)
+                write_embeddings(stored, path, writer=writer)
+        finally:
+            sys.setswitchinterval(old)
+        assert [(s.ids, s.matrix.tobytes()) for s in load_embeddings(path)] \
+            == [(s.ids, s.matrix.tobytes()) for s in held]
+
+    def test_failure_leaves_the_old_store(self, embedding_server, tmp_path):
+        path = tmp_path / "emb.npy"
+        write_embeddings([make_set("aa", [[1.0, 2.0]])], path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        _, text = self.shards()[4].sentences[1]
+        server = embedding_server(dim=5, null_texts=frozenset({text}))
+        with pytest.raises(PartialEmbeddingError):
+            with StoreWriter(path) as writer:
+                fetch_embeddings(server.endpoint, self.shards(), batch=2,
+                                 writer=writer)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestFetchIntoStoreKeepAlive(KeepAlive, TestFetchIntoStore):
+    """The same fetches into a store over connections the service keeps
+    open."""
+
+
+class TestFetchHoldsNoVectors:
+    @staticmethod
+    def held_bytes(endpoint: str, path: Path, languages: int) -> int:
+        """The tracemalloc peak above the start of fetching ``languages``
+        shards of 8 sentences into a store and finishing it."""
+        shards = (CorpusShard(language=f"l{k}", sentences=tuple(
+                      (i, f"{k} {i}") for i in range(8)))
+                  for k in range(languages))
+        tracemalloc.start()
+        try:
+            with StoreWriter(path) as writer:
+                start = tracemalloc.get_traced_memory()[0]
+                sets = fetch_embeddings(endpoint, shards, batch=8,
+                                        writer=writer)
+                write_embeddings(sets, path, writer=writer)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - start
+
+    def test_held_memory_does_not_grow_with_languages(self, embedding_server,
+                                                      tmp_path):
+        """200 languages of 8 x 768 float32 rows, 4.9 MB, hold less than
+        1 MiB more than 20 languages do: what stays is ids, not vectors."""
+        server = embedding_server(dim=768)
+        few = self.held_bytes(server.endpoint, tmp_path / "few.npy", 20)
+        many = self.held_bytes(server.endpoint, tmp_path / "many.npy", 200)
+        assert (tmp_path / "many.npy").stat().st_size == 128 + 200 * 8 * 768 * 4
+        assert many - few < 1 << 20, (few, many)
+
+
+class TestStoreReads:
+    def test_a_language_is_read_when_used(self, tmp_path):
+        path = tmp_path / "emb.npy"
+        sets = [make_set("aa", np.ones((3, 4))), make_set("bb", np.ones((2, 4)))]
+        write_embeddings(sets, path)
+        loaded = load_embeddings(path)
+        path.write_bytes(path.read_bytes()[:-4])  # inside the last language
+        assert loaded[0].matrix.tobytes() == sets[0].matrix.tobytes()
+        with pytest.raises(ValidationError) as info:
+            loaded[1].matrix
+        assert str(info.value) == (f"{path}: unreadable embedding store: it "
+                                   f"ends inside its rows")
+
+    def test_centroids_hold_one_language_at_a_time(self, tmp_path):
+        """The centroids of a 40-language store, 10 MB of rows, hold less
+        than two languages' rows at once."""
+        rng = np.random.default_rng(7)
+        path = tmp_path / "emb.npy"
+        sets = [make_set(f"l{k}", rng.standard_normal((256, 256)))
+                for k in range(40)]
+        write_embeddings(sets, path)
+        want = [r.vector.tobytes() for r in centroid_all(sets)]
+        one_language = sets[0].matrix.nbytes
+        del sets
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            reps = centroid_all(load_embeddings(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.vector.tobytes() for r in reps] == want
+        assert peak - start < 2 * one_language, (peak - start, one_language)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 768), (1, 1), (1728, 768),
+                                       (10 ** 12, 10 ** 6)])
+    def test_every_header_takes_the_same_bytes(self, shape):
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f4", "fortran_order": False, "shape": shape})
+        assert len(header.getvalue()) == embedding._HEADER_BYTES
 
 
 def _pooled(conns, items, task):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import KeepAlive, first_failure_record
 from sprachbund import cli, embedding
 from sprachbund.embedding import FETCH_WORKERS
 from sprachbund.errors import ServiceError
@@ -66,7 +67,11 @@ def make_run(root: Path, endpoint: str, damage: tuple[int, int] | None = None,
 def run_main(args: list[str]) -> int:
     before = set(threading.enumerate())
     rc = cli.main(args)
-    assert set(threading.enumerate()) <= before, "a pool thread outlived main"
+    # a keep-alive stub's connection threads end on their own once the
+    # client has closed its connections
+    after = {t for t in threading.enumerate()
+             if not t.name.endswith("(process_request_thread)")}
+    assert after <= before, "a pool thread outlived main"
     return rc
 
 
@@ -77,9 +82,11 @@ def statuses(ws: Path) -> list[tuple[str, str]]:
 
 def assert_workspace(ws: Path, cfg: str, sampled: bool) -> None:
     """The workspace a lone `sample` then a failed `embed` leave, or a
-    failed `sample` if not ``sampled``."""
+    failed `sample` if not ``sampled``: no store, and no temporary file of
+    one."""
     names = {p.name for p in ws.iterdir()}
     assert not names & {"embeddings.npy", "embeddings.json"}
+    assert not [name for name in names if name.endswith(".tmp")], names
     if sampled:
         lone = ws.parent / "lone"
         assert cli.main(["sample", "--config", cfg, "--out", str(lone)]) == 0
@@ -124,21 +131,7 @@ def failing_run(tmp_path, embedding_server, capsys, case, n,
         "malformed": f"{url}: response lacks a 'vectors' list",
     }[case]
     cfg, ws = make_run(tmp_path, server.endpoint)
-    # (posts that reached the service, batches taken) when the pool
-    # records its failure
-    records = []
-    real_init, real_batch = embedding._Pool.__init__, embedding._embed_batch
-
-    def spy(pool, *args):
-        real_init(pool, *args)
-
-        class Failures(dict):
-            def __setitem__(self, j, exc):  # called under the pool's lock
-                if not self:
-                    records.append((len(server.posts), pool._started))
-                super().__setitem__(j, exc)
-
-        pool._failures = Failures()
+    real_batch = embedding._embed_batch
 
     def slow(conn, chunk, dim):
         try:
@@ -148,7 +141,7 @@ def failing_run(tmp_path, embedding_server, capsys, case, n,
             raise
 
     capsys.readouterr()
-    with mock.patch.object(embedding._Pool, "__init__", spy), \
+    with first_failure_record(server) as records, \
             mock.patch.object(embedding, "_embed_batch",
                               slow if late else real_batch):
         assert run_main(["all", "--config", cfg]) == 3
@@ -292,3 +285,87 @@ class TestOverlap:
         assert embed_line(ws) == embed_line(stages) == [
             f"embed http_requests={BATCHES + 1} http_retries=0 "
             f"vectors={len(LANGUAGES) * LINES}"]
+
+
+class TestFailuresKeepAlive(KeepAlive, TestFailures):
+    """The same failures over connections the service keeps open. Its
+    hypothesis tests run the same bodies at fixed examples, since
+    hypothesis runs a test for the instances of one class only."""
+
+    @pytest.mark.parametrize("case", ["4xx", "5xx", "malformed"])
+    @pytest.mark.parametrize("n", [0, BATCHES // 2, BATCHES - 1])
+    def test_batch_n_fails(self, tmp_path, embedding_server, capsys, case, n):
+        failing_run(tmp_path, embedding_server, capsys, case, n)
+
+    @pytest.mark.parametrize("n", [0, BATCHES - 1])
+    def test_null_vector_names_the_missing_id(self, tmp_path, embedding_server,
+                                              capsys, n):
+        TestFailures.test_null_vector_names_the_missing_id.hypothesis \
+            .inner_test(self, tmp_path, embedding_server, capsys, n)
+
+    @pytest.mark.parametrize("k, offset", [(1, 0), (len(LANGUAGES) - 1, 13)])
+    def test_invalid_shard_while_requests_are_in_flight(
+            self, tmp_path, embedding_server, capsys, k, offset):
+        TestFailures.test_invalid_shard_while_requests_are_in_flight \
+            .hypothesis.inner_test(self, tmp_path, embedding_server, capsys,
+                                   k, offset)
+
+
+class TestOverlapKeepAlive(KeepAlive, TestOverlap):
+    """The same runs over connections the service keeps open."""
+
+
+class TestNoStoreLeftBehind:
+    """A run whose fetch fails after rows went into the store's temporary
+    file leaves neither the store nor that file, under `all` and under a
+    lone `embed` alike."""
+
+    @pytest.fixture(params=["http/1.0", "keep-alive"])
+    def server_kwargs(self, request):
+        return {"keep_alive": request.param == "keep-alive"}
+
+    CASES = {
+        # the last batch fails: every other batch's rows are in the file
+        "4xx": ({"fail_texts": {"pt sentence 4"}, "fail_status": 400}, 3,
+                "{url}/embed answered 400"),
+        "null": ({"null_texts": {"pt sentence 4"}}, 3,
+                 "embedding service returned no vector for 1 sentence(s) "
+                 "of 'pt': ids [4]"),
+        "non-finite": ({"vectors_for": {"fr sentence 3": [1e39, 0.5, 0.5,
+                                                           0.5]}}, 2,
+                       "non-finite component in vector for lang=fr id=3"),
+        "string": ({"vectors_for": {"de sentence 1": [0.5, "0.5", 0.5,
+                                                      0.5]}}, 3,
+                   "{url}/embed: vectors are not lists of numbers: a vector "
+                   "component is a string"),
+    }
+
+    @pytest.mark.parametrize("lone", [False, True], ids=["all", "embed"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_failed_fetch(self, tmp_path, embedding_server, capsys,
+                          server_kwargs, case, lone):
+        config, code, message = self.CASES[case]
+        server = embedding_server(dim=4, **config, **server_kwargs)
+        cfg, ws = make_run(tmp_path, server.endpoint)
+        if lone:
+            assert run_main(["sample", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert run_main(["embed" if lone else "all", "--config", cfg]) == code
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {message.format(url=server.endpoint)}\n")
+        assert_workspace(ws, cfg, sampled=True)
+        assert sorted(p.name for p in ws.iterdir()) == ["run.log",
+                                                        "sampled.json"]
+
+    def test_old_store_is_kept(self, tmp_path, embedding_server, capsys):
+        server = embedding_server(dim=4)
+        cfg, ws = make_run(tmp_path, server.endpoint)
+        for stage in ("sample", "embed"):
+            assert run_main([stage, "--config", cfg]) == 0
+        before = {name: (ws / name).read_bytes()
+                  for name in ("embeddings.npy", "embeddings.json")}
+        server.fail_texts = {"ca sentence 0"}
+        server.fail_status = 400
+        assert run_main(["embed", "--config", cfg]) == 3
+        assert {name: (ws / name).read_bytes() for name in before} == before
+        assert not [p for p in ws.iterdir() if p.name.endswith(".tmp")]
