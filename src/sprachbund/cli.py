@@ -31,16 +31,14 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import build_report
 from .cluster import Dendrogram, agglomerate, cut
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
-from .embedding import (FetchStats, SentenceEmbeddingSet, StoreWriter,
-                        StoredEmbeddingSet, centroid_all, fetch_embeddings,
-                        load_embeddings, load_representations,
-                        write_embeddings, write_representations)
+from .embedding import (FetchStats, StoreWriter, StoredEmbeddingSet,
+                        centroid_all, fetch_embeddings, load_embeddings,
+                        load_representations, write_embeddings,
+                        write_representations)
 from .errors import ServiceError, SprachbundError, UsageError, ValidationError
 from .partition import sweep
 from .projection import TsneParams, check_plot_settings, emit_plot, project
@@ -355,25 +353,29 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
     store = ws / "embeddings.npy"
     header = {"config_digest": cfg.digest()}
     if cfg.embeddings:
-        sets = []
+        sets, row = [], 0
         available = {s.language: s for s in load_embeddings(cfg.embeddings)}
-        for shard in shards:
-            source = available.get(shard.language)
-            if source is None:
-                raise ValidationError(
-                    f"{cfg.embeddings} has no vectors for language "
-                    f"{shard.language!r}")
-            by_id = {sid: row for sid, row in zip(source.ids, source.matrix)}
-            missing = [i for i, _ in shard.sentences if i not in by_id]
-            if missing:
-                raise ValidationError(
-                    f"{cfg.embeddings} lacks vectors for {shard.language!r} "
-                    f"sentence ids {missing}")
-            ids = tuple(i for i, _ in shard.sentences)
-            sets.append(SentenceEmbeddingSet(
-                language=shard.language, dim=source.dim, ids=ids,
-                matrix=np.vstack([by_id[i] for i in ids])))
-        write_embeddings(sets, store, extra_header=header)
+        # each language's rows go into the store as they are picked, so
+        # only the source holds every vector
+        with StoreWriter(store) as writer:  # removes an unfinished store
+            for shard in shards:
+                source = available.get(shard.language)
+                if source is None:
+                    raise ValidationError(
+                        f"{cfg.embeddings} has no vectors for language "
+                        f"{shard.language!r}")
+                position = {sid: k for k, sid in enumerate(source.ids)}
+                missing = [i for i, _ in shard.sentences if i not in position]
+                if missing:
+                    raise ValidationError(
+                        f"{cfg.embeddings} lacks vectors for "
+                        f"{shard.language!r} sentence ids {missing}")
+                ids = tuple(i for i, _ in shard.sentences)
+                writer.write(row, source.matrix[[position[i] for i in ids]])
+                sets.append(
+                    writer.stored(shard.language, source.dim, ids, row))
+                row += len(ids)
+            write_embeddings(sets, store, extra_header=header, writer=writer)
         stats = FetchStats()
     else:
         # fetched while `sample` drew the shards, or by a lone `embed` now

@@ -361,6 +361,14 @@ class StoreWriter:
             _pwrite(self._fd, memoryview(block).cast("B"),
                     _HEADER_BYTES + row * block[0].nbytes)
 
+    def stored(self, language: str, dim: int, ids: tuple[int, ...],
+               row: int) -> StoredEmbeddingSet:
+        """The set of ``ids`` whose rows are put at rows ``row`` onwards,
+        to be read once :meth:`finish` has moved the store into place."""
+        return StoredEmbeddingSet(
+            language=language, dim=dim, ids=ids, path=self.path,
+            offset=_HEADER_BYTES + row * dim * _STORE_DTYPE.itemsize)
+
     def finish(self, shape: tuple[int, int], index: dict) -> None:
         """Complete the store as a ``shape`` matrix whose every row has been
         written, with ``index`` beside it."""
@@ -866,9 +874,7 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
             sets.append(SentenceEmbeddingSet(language=language, dim=dim,
                                              ids=ids, matrix=held[k]))
         else:
-            sets.append(StoredEmbeddingSet(
-                language=language, dim=dim, ids=ids, path=writer.path,
-                offset=_HEADER_BYTES + firsts[k] * dim * _STORE_DTYPE.itemsize))
+            sets.append(writer.stored(language, dim, ids, firsts[k]))
         bad = [sid for _, sid in parts[k] if sid is not None]
         if bad:
             raise _non_finite(language, min(bad))

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .cluster import Dendrogram, SprachbundAssignment, cut
 from .errors import ValidationError
 from .simmatrix import SimilarityMatrix
@@ -21,19 +23,16 @@ def select_pivot(cluster: Iterable[str], matrix: SimilarityMatrix) -> str:
 
     The sum runs over the whole cluster including the candidate itself (a
     constant +1 that never changes the argmax). Ties go to the
-    lexicographically smallest code.
+    lexicographically smallest code: the members are sorted, and
+    ``argmax`` takes the first of equal sums. Each row's sum is that of the
+    row alone, whatever the other rows.
     """
     members = sorted(cluster)
     if not members:
         raise ValidationError("cannot select a pivot from an empty cluster")
     rows = [matrix.index(code) for code in members]
-    best_code: str | None = None
-    best_sum = float("-inf")
-    for code, i in zip(members, rows):
-        total = float(matrix.values[i, rows].sum())
-        if total > best_sum:
-            best_code, best_sum = code, total
-    return best_code
+    sums = np.add.reduce(matrix.values[np.ix_(rows, rows)], axis=1)
+    return members[int(np.argmax(sums))]
 
 
 @dataclass(frozen=True)

@@ -5,23 +5,26 @@ Gaussian conditional affinities with a per-row bandwidth found by binary
 search so every conditional distribution hits the target perplexity, a
 symmetrized joint distribution, and gradient descent on KL(P || Q) against a
 Student-t Q with early exaggeration, momentum, and per-coordinate adaptive
-gains. Everything is seeded and pure numpy, so a fixed seed reproduces the
-embedding bit for bit.
+gains. The starting points are N(0, 1) draws times a small scale from
+``random.Random(seed)``, the generator sampling uses, so a fixed seed
+reproduces the embedding bit for bit and no run loads ``numpy.random``.
 
 Both hot loops work on arrays, not single rows. The bandwidth search
 bisects a block of rows at a time, each with the arithmetic a one-row
 search would use, so P matches that search to the bit; it forms each
 block's distances from the similarities and counts the rows that miss
 their target as it goes, so the only M x M array it makes is P. The
-descent holds the joint P and two buffers: no distances, no conditional P
-and no exaggerated copy of P. A step gets every 1 + |y_i - y_j|^2 from
-one (M x 4) @ (4 x M) product and keeps its M x M work in the two buffers.
-The kernel's sum and the product W y run over the whole buffers; Q, W and
-W's row sums are formed a cache-sized block of rows at a time, P's block
-is exaggerated there, and Q's clamp at 1e-12 is skipped when a bound on
-max |y_i|^2 proves it would change nothing. None of this moves a bit of
-the result. The KL(P || Q) that a run reports is computed once, at the
-last step.
+descent holds the joint P and two M x M buffers: no distances, no
+conditional P and no exaggerated copy of P. A step gets every
+1 + |y_i - y_j|^2 from one (M x 4) @ (4 x M) product and works in buffers
+made once per run. The kernel's sum and the product W y run over the whole
+buffers; Q, W and W's row sums are formed a cache-sized block of rows at a
+time, P's block is exaggerated there (the only array a step makes), and
+Q's clamp at 1e-12 is skipped when a bound on max |y_i|^2 proves it would
+change nothing. None of this moves a bit of the result. The KL(P || Q)
+that a run reports is computed once, at the last step, in the buffer of W
+that the step then overwrites, so it adds only P's support mask and one
+gather of the terms.
 
 The input is the :class:`simmatrix.SimilarityMatrix` that clustering uses;
 t-SNE's distances are 1 minus its values, so a run computes the cosine
@@ -31,6 +34,7 @@ matrix once.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
@@ -203,21 +207,44 @@ def joint_affinities(conditional: np.ndarray) -> np.ndarray:
 
 
 def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(P || Q) in nats; ``q`` is clamped at _EPS, so no term divides
-    by 0."""
+    """KL(P || Q) in nats, worked out in ``q``'s buffer, which it
+    overwrites; ``q`` is clamped at _EPS, so no term divides by 0.
+
+    Each term p * log(p / q) is formed in place where p > 0 and the terms
+    are gathered in index order and summed, so the sum holds the support
+    mask and one gathered array: the same arithmetic, and the same bits, as
+    gathering p and q over the support and dividing those.
+    """
     support = p > 0
-    terms = p[support]
-    # one buffer for the ratio, its log and the products: the KL holds two
-    # gathered arrays at a time, not four
-    ratio = np.divide(terms, q[support])
-    np.log(ratio, out=ratio)
-    return float(np.sum(np.multiply(terms, ratio, out=ratio)))
+    np.divide(p, q, out=q, where=support)
+    np.log(q, out=q, where=support)
+    np.multiply(p, q, out=q, where=support)
+    return float(np.sum(q[support]))
 
 
-def _student_t(y: np.ndarray, num: np.ndarray) -> tuple[float, bool]:
-    """Fill ``num`` with the Student-t kernel 1 / (1 + |y_i - y_j|^2), zero
-    on the diagonal. Return the scale 1 / sum(num) that turns it into Q, and
-    whether Q needs its clamp below at _EPS.
+class _Buffers:
+    """The arrays a descent step works in, made once per run: the kernel
+    ``num`` and ``w`` (M x M); the factors [y, |y|^2, 1] (M x 4) and
+    [-2y, 1, 1 + |y|^2] (4 x M) of the kernel's product, their ones set
+    here; |y|^2; W's row sums; W y; and the gradient."""
+
+    def __init__(self, m: int):
+        self.num = np.empty((m, m))
+        self.w = np.empty((m, m))
+        self.left = np.empty((m, 4))
+        self.left[:, 3] = 1.0
+        self.right = np.empty((4, m))
+        self.right[2] = 1.0
+        self.sq = np.empty(m)
+        self.row_sums = np.empty(m)
+        self.wy = np.empty((m, 2))
+        self.grad = np.empty((m, 2))
+
+
+def _student_t(y: np.ndarray, b: _Buffers) -> tuple[float, bool]:
+    """Fill ``b.num`` with the Student-t kernel 1 / (1 + |y_i - y_j|^2),
+    zero on the diagonal. Return the scale 1 / sum(num) that turns it into
+    Q, and whether Q needs its clamp below at _EPS.
 
     The squared distances plus one come from a single (M x 4) @ (4 x M)
     product: [y, |y|^2, 1] . [-2y, 1, 1 + |y|^2] = 1 + |y_i|^2 - 2 y_i.y_j
@@ -230,20 +257,18 @@ def _student_t(y: np.ndarray, num: np.ndarray) -> tuple[float, bool]:
     infinite R^2 or sum fails the test, and Q is clamped.
     """
     m = len(y)
-    sq = np.einsum("ij,ij->i", y, y)
-    left = np.empty((m, 4))
-    left[:, :2] = y
-    left[:, 2] = sq
-    left[:, 3] = 1.0
-    right = np.empty((4, m))
-    np.multiply(y.T, -2.0, out=right[:2])
-    right[2] = 1.0
-    np.add(sq, 1.0, out=right[3])
-    np.matmul(left, right, out=num)
+    num, sq = b.num, b.sq
+    np.einsum("ij,ij->i", y, y, out=sq)
+    b.left[:, :2] = y
+    b.left[:, 2] = sq
+    np.multiply(y.T, -2.0, out=b.right[:2])
+    np.add(sq, 1.0, out=b.right[3])
+    np.matmul(b.left, b.right, out=num)
     np.reciprocal(num, out=num)
-    np.fill_diagonal(num, 0.0)
-    total = num.sum()
-    return 1.0 / total, not (1.0 + 4.0 * sq.max()) * total <= 0.5 / _EPS
+    num.reshape(-1)[::m + 1] = 0.0
+    total = np.add.reduce(num, axis=None)
+    return (1.0 / total,
+            not (1.0 + 4.0 * np.maximum.reduce(sq)) * total <= 0.5 / _EPS)
 
 
 def _q(num: np.ndarray, scale: float, clamp: bool,
@@ -255,13 +280,13 @@ def _q(num: np.ndarray, scale: float, clamp: bool,
     return out
 
 
-def _gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray, w: np.ndarray,
-              scale: float, clamp: bool, exaggeration: float) -> np.ndarray:
+def _gradient(p: np.ndarray, y: np.ndarray, b: _Buffers, scale: float,
+              clamp: bool, exaggeration: float) -> np.ndarray:
     """Gradient of KL(P' || Q) at ``y``, with P' = ``exaggeration`` * p:
     4 * sum_j w_ij (y_i - y_j) with w = (p' - q) * num, from the kernel and
-    scale of :func:`_student_t`.
+    scale of :func:`_student_t`, into ``b.grad``.
 
-    ``w`` is filled with w a block of rows at a time, each block small
+    ``b.w`` is filled with w a block of rows at a time, each block small
     enough to stay in cache from Q and P' to its row sums; P' exists only a
     block at a time. A row's sum does not depend on the block it is in, and
     ``w @ y`` runs over the whole buffer, so the gradient's bits do not
@@ -269,7 +294,7 @@ def _gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray, w: np.ndarray,
     """
     m = len(y)
     rows = max(1, _BLOCK // m)
-    row_sums = np.empty(m)
+    num, w, row_sums = b.num, b.w, b.row_sums
     for start in range(0, m, rows):
         block = slice(start, start + rows)
         wb = w[block]
@@ -277,8 +302,21 @@ def _gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray, w: np.ndarray,
         pb = p[block] if exaggeration == 1.0 else p[block] * exaggeration
         np.subtract(pb, wb, out=wb)
         wb *= num[block]
-        wb.sum(axis=1, out=row_sums[block])
-    return 4.0 * (row_sums[:, None] * y - w @ y)
+        np.add.reduce(wb, axis=1, out=row_sums[block])
+    grad = np.multiply(row_sums[:, None], y, out=b.grad)
+    grad -= np.matmul(w, y, out=b.wy)
+    grad *= 4.0
+    return grad
+
+
+def _initial_points(m: int, params: TsneParams) -> np.ndarray:
+    """The descent's M starting points: 2 M draws of N(0, 1), row by row,
+    from ``random.Random(params.seed)``, the generator that sampling and
+    the random baseline use, times ``params.init_scale``."""
+    gauss = random.Random(params.seed).gauss
+    y = np.array([gauss(0.0, 1.0) for _ in range(2 * m)]).reshape(m, 2)
+    y *= params.init_scale
+    return y
 
 
 def tsne(matrix: SimilarityMatrix,
@@ -304,30 +342,41 @@ def tsne(matrix: SimilarityMatrix,
     p = joint_affinities(cond)
     del cond  # the descent needs only the joint P
 
-    rng = np.random.default_rng(params.seed)
-    y = rng.standard_normal((m, 2)) * params.init_scale
-    velocity = np.zeros_like(y)
-    gains = np.ones_like(y)
-    num = np.empty((m, m))
-    w = np.empty((m, m))
+    y = _initial_points(m, params)
+    b = _Buffers(m)
+    velocity = np.zeros((m, 2))
+    gains = np.ones((m, 2))
+    # the update's buffers: the signs of grad and velocity, whether they
+    # agree, the shrunk gains, the step and the mean of y
+    sign_grad, sign_velocity = np.empty((m, 2)), np.empty((m, 2))
+    same_sign = np.empty((m, 2), dtype=bool)
+    shrunk, step, mean = np.empty((m, 2)), np.empty((m, 2)), np.empty(2)
 
     for it in range(params.iterations):
-        scale, clamp = _student_t(y, num)
-        if it == params.iterations - 1:  # Q at the last step, before w
-            final_kl = _kl_divergence(p, _q(num, scale, clamp, w))
+        scale, clamp = _student_t(y, b)
+        if it == params.iterations - 1:  # Q at the last step, in w
+            final_kl = _kl_divergence(p, _q(b.num, scale, clamp, b.w))
         exaggeration = (params.early_exaggeration
                         if it < params.exaggeration_iters else 1.0)
-        grad = _gradient(p, y, num, w, scale, clamp, exaggeration)
+        grad = _gradient(p, y, b, scale, clamp, exaggeration)
 
         momentum = (params.initial_momentum
                     if it < params.momentum_switch_iter
                     else params.final_momentum)
-        same_sign = np.sign(grad) == np.sign(velocity)
-        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        np.equal(np.sign(grad, out=sign_grad),
+                 np.sign(velocity, out=sign_velocity), out=same_sign)
+        # gains * 0.8 where the signs agree, gains + 0.2 where they differ
+        np.multiply(gains, 0.8, out=shrunk)
+        gains += 0.2
+        np.copyto(gains, shrunk, where=same_sign)
         np.maximum(gains, params.min_gain, out=gains)
-        velocity = momentum * velocity - params.learning_rate * gains * grad
-        y = y + velocity
-        y = y - y.mean(axis=0)
+        # velocity = momentum * velocity - learning_rate * gains * grad
+        np.multiply(gains, params.learning_rate, out=step)
+        step *= grad
+        velocity *= momentum
+        velocity -= step
+        y += velocity
+        y -= np.divide(np.add.reduce(y, axis=0, out=mean), m, out=mean)
 
     return TsneResult(points=y, kl_trace=((params.iterations, final_kl),),
                       params=params, unconverged_rows=misses)

@@ -157,18 +157,18 @@ def temporary_beside(path: Path) -> tuple[Path, int]:
 
 
 @contextmanager
-def replacing(path: str | Path, mode: str = "w") -> Iterator:
-    """Open a new file that replaces ``path`` only once it is fully written.
+def replacing(path: str | Path) -> Iterator:
+    """Open a new UTF-8 text file that replaces ``path`` only once it is
+    fully written.
 
     The caller writes to a temporary file beside ``path``; when the block
     ends without an exception it is moved over ``path`` with ``os.replace``.
     If the block raises, or the process dies inside it, ``path`` keeps its
-    previous bytes; on an exception the temporary file is removed. ``mode``
-    is ``"w"`` (UTF-8 text) or ``"wb"``.
+    previous bytes; on an exception the temporary file is removed.
     """
     tmp, fd = temporary_beside(Path(path))
     try:
-        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -153,19 +153,21 @@ def paired_similarity_vectors(
         table: LexicalSimilarityTable) -> tuple[list[float], list[float]]:
     """Align matrix entries with lexical values over pairs present in both.
 
-    Walks the matrix's off-diagonal pairs in language order and keeps those
-    the table has data for; self-pairs and missing pairs are excluded.
+    The pairs come in the order of the matrix's off-diagonal pairs (i < j,
+    in language order); self-pairs and pairs either source lacks are
+    excluded. The table's entries are walked once, so the cost follows the
+    table's size, not M^2.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    codes = matrix.languages
-    for i in range(len(codes)):
-        for j in range(i + 1, len(codes)):
-            lex = table.get(codes[i], codes[j])
-            if lex is None:
-                continue
-            xs.append(float(matrix.values[i, j]))
-            ys.append(lex)
+    position = matrix._index
+    found = []
+    # the table's own entries: its public API looks up one pair at a time
+    for (a, b), lex in table._entries.items():
+        i, j = position.get(a), position.get(b)
+        if i is not None and j is not None and i != j:
+            found.append((min(i, j), max(i, j), lex))
+    found.sort()
+    xs = matrix.values[[f[0] for f in found], [f[1] for f in found]].tolist()
+    ys = [f[2] for f in found]
     if len(xs) < 3:
         raise ValidationError(
             f"only {len(xs)} pairs are present in both the matrix and the "

@@ -18,7 +18,10 @@ import numpy as np
 from sprachbund.corpus import CorpusShard, SamplingPolicy
 from sprachbund.embedding import LanguageRepresentation, SentenceEmbeddingSet
 from sprachbund.errors import ValidationError
-from sprachbund.registry import Registry
+from sprachbund.projection import (_initial_points, conditional_affinities,
+                                   joint_affinities)
+from sprachbund.registry import LexicalSimilarityTable, Registry
+from sprachbund.simmatrix import SimilarityMatrix
 
 
 def naive_average_linkage(dist: np.ndarray):
@@ -225,13 +228,13 @@ def diag_gradient(p: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def diag_tsne(matrix, params) -> tuple[np.ndarray, float]:
     """Exact t-SNE built on :func:`loop_conditional_affinities` and
-    :func:`diag_gradient`, with the library's schedule: early exaggeration,
-    momentum switch, per-coordinate gains. Returns (points, final KL)."""
+    :func:`diag_gradient`, with the library's starting points and schedule:
+    early exaggeration, momentum switch, per-coordinate gains. Returns
+    (points, final KL)."""
     m = len(matrix)
     cond = loop_conditional_affinities(1.0 - matrix.values, params.perplexity)
     p_true = (cond + cond.T) / (2.0 * m)
-    rng = np.random.default_rng(params.seed)
-    y = rng.standard_normal((m, 2)) * params.init_scale
+    y = _initial_points(m, params)
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     for it in range(params.iterations):
@@ -390,6 +393,17 @@ def line_load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
     ]
 
 
+def gather_kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(P || Q) in nats over the entries where p > 0, from p and q
+    gathered there: ratio, log and products in one gathered buffer, then
+    one sum. ``q`` is left as it is."""
+    support = p > 0
+    terms = p[support]
+    ratio = np.divide(terms, q[support])
+    np.log(ratio, out=ratio)
+    return float(np.sum(np.multiply(terms, ratio, out=ratio)))
+
+
 def clamped_student_t(y: np.ndarray, num: np.ndarray, q: np.ndarray,
                       eps: float = 1e-12) -> None:
     """The Student-t kernel into ``num`` (zero diagonal) and Q = num /
@@ -417,16 +431,15 @@ def clamped_gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray,
 
 def clamped_tsne(matrix, params, eps: float = 1e-12) -> tuple[np.ndarray, tuple]:
     """``projection.tsne``'s descent built on :func:`clamped_student_t` and
-    :func:`clamped_gradient`, with the same P and schedule, and the KL at
+    :func:`clamped_gradient`, with the same P, starting points and
+    schedule, and the KL at
     every 50th step, at the last exaggerated step and at the last step.
     Returns the points and that KL trace."""
-    from sprachbund.projection import conditional_affinities, joint_affinities
     m = len(matrix)
     p_true = joint_affinities(
         conditional_affinities(matrix, params.perplexity)[0])
     p_exaggerated = p_true * params.early_exaggeration
-    rng = np.random.default_rng(params.seed)
-    y = rng.standard_normal((m, 2)) * params.init_scale
+    y = _initial_points(m, params)
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     num, q = np.empty((m, m)), np.empty((m, m))
@@ -450,3 +463,35 @@ def clamped_tsne(matrix, params, eps: float = 1e-12) -> tuple[np.ndarray, tuple]
         y = y + velocity
         y = y - y.mean(axis=0)
     return y, tuple(trace)
+
+
+def loop_select_pivot(cluster, matrix: SimilarityMatrix) -> str:
+    """The member whose summed similarity to every member, itself
+    included, is largest, one member at a time in sorted order; a later
+    member must beat the best sum so far, so ties go to the smallest
+    code."""
+    members = sorted(cluster)
+    rows = [matrix.index(code) for code in members]
+    best_code, best_sum = None, float("-inf")
+    for code, i in zip(members, rows):
+        total = float(matrix.values[i, rows].sum())
+        if total > best_sum:
+            best_code, best_sum = code, total
+    return best_code
+
+
+def loop_paired_similarity_vectors(matrix: SimilarityMatrix,
+                                   table: LexicalSimilarityTable
+                                   ) -> tuple[list[float], list[float]]:
+    """Every off-diagonal pair (i < j) of the matrix in language order,
+    looked up in the table; the pairs the table has a value for give the
+    matrix entry and that value."""
+    xs, ys = [], []
+    codes = matrix.languages
+    for i in range(len(codes)):
+        for j in range(i + 1, len(codes)):
+            lex = table.get(codes[i], codes[j])
+            if lex is not None:
+                xs.append(float(matrix.values[i, j]))
+                ys.append(lex)
+    return xs, ys

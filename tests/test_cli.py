@@ -56,6 +56,18 @@ class TestAllPipeline:
         assert "lexical correlation" in capsys.readouterr().out
         assert (ws / "projection.svg").exists()
 
+    def test_all_leaves_numpy_random_unloaded(self, demo_config):
+        """t-SNE draws its starting points from the standard library's
+        generator, as sampling does, so no stage loads numpy.random."""
+        probe = ("import sys\n"
+                 "from sprachbund import cli\n"
+                 "rc = cli.main(['all', '--config', sys.argv[1]])\n"
+                 "print(rc, 'numpy' in sys.modules,"
+                 " 'numpy.random' in sys.modules)\n")
+        proc = _python(["-c", probe, str(demo_config())], None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-3:] == ["0", "True", "False"]
+
     def test_reruns_are_idempotent(self, demo_config, tmp_path):
         cfg = demo_config()
         assert cli.main(["all", "--config", str(cfg)]) == 0

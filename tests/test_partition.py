@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import loop_select_pivot
 from sprachbund.cluster import SprachbundAssignment, agglomerate
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
@@ -69,6 +72,44 @@ class TestSelectPivot:
         members = [CODES[i] for i in (0, 2, 4, 5)]
         assert (select_pivot(members, build_matrix(reps))
                 == select_pivot(members, build_matrix(scaled)))
+
+
+def grid_similarity(m, seed, steps):
+    """A matrix over ``m`` codes in shuffled order whose entries are
+    multiples of 1 / ``steps`` in [-1, 1]: with few steps, many members'
+    sums tie exactly; with many, the sums are not exact in binary."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(-steps, steps + 1, (m, m)) / steps, k=1)
+    values = upper + upper.T
+    np.fill_diagonal(values, 1.0)
+    codes = [f"{a}{b}{c}" for a in "abcdefg" for b in "hijklmn"
+             for c in "opqrstu"]
+    return SimilarityMatrix(tuple(rng.permutation(codes[:m])), values)
+
+
+class TestSelectPivotOracle:
+    """The row sums of the cluster's submatrix against the loop over
+    members in ``reference.py``: the same pivot, ties included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           steps=st.sampled_from([1, 2, 3, 10, 1000]),
+           share=st.floats(0.0, 1.0))
+    def test_same_pivot_as_the_loop(self, m, seed, steps, share):
+        mat = grid_similarity(m, seed, steps)
+        rng = np.random.default_rng(seed)
+        members = [c for c in mat.languages if rng.random() < share]
+        members = members or [mat.languages[0]]
+        assert select_pivot(members, mat) == loop_select_pivot(members, mat)
+
+    @pytest.mark.parametrize("steps", [1, 3, 1000])
+    def test_same_pivot_on_clusters_past_a_pairwise_block(self, steps):
+        """Above 128 members numpy sums a row in pairwise blocks."""
+        mat = grid_similarity(300, steps, steps)
+        for size in (129, 200, 300):
+            members = mat.languages[:size]
+            assert select_pivot(members, mat) == \
+                loop_select_pivot(members, mat)
 
 
 class TestBuildManifest:

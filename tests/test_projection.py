@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from reference import (clamped_gradient, clamped_student_t, clamped_tsne,
                        diag_gradient, diag_tsne, entropy_bits,
-                       loop_conditional_affinities, unconverged_rows)
+                       gather_kl_divergence, loop_conditional_affinities,
+                       unconverged_rows)
 from sprachbund import projection
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
-from sprachbund.projection import (Projection2D, TsneParams, _gradient,
-                                   _kl_divergence, _q, _student_t,
+from sprachbund.projection import (Projection2D, TsneParams, _Buffers,
+                                   _gradient, _kl_divergence, _q, _student_t,
                                    conditional_affinities,
                                    emit_plot, joint_affinities,
                                    minmax_normalize, project, tsne)
@@ -228,11 +229,12 @@ class TestTsne:
         p += p.T
         np.fill_diagonal(p, 0.0)
         p /= p.sum()
-        num, w = np.empty((m, m)), np.empty((m, m))
-        scale, clamp = _student_t(y, num)
+        b = _Buffers(m)
+        scale, clamp = _student_t(y, b)
         want_grad, want_q = diag_gradient(p, y)
-        np.testing.assert_allclose(_q(num, scale, True, w), want_q, rtol=1e-12)
-        grad = _gradient(p, y, num, w, scale, clamp, 1.0)
+        np.testing.assert_allclose(_q(b.num, scale, True, b.w), want_q,
+                                   rtol=1e-12)
+        grad = _gradient(p, y, b, scale, clamp, 1.0)
         # an entry whose terms cancel toward 0 keeps an error on the scale of
         # the largest entry, not of its own
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
@@ -265,11 +267,12 @@ class TestTsne:
 
     def test_descent_holds_no_distances_or_conditional_p(self):
         """At M = 200, the peak was 9.3 M x M float64 arrays while the
-        distances and the conditional P lived through the descent, and 7.2
-        while it held an exaggerated copy of P. The descent holds the joint
-        P and two buffers; at M <= 256 an exaggerated step forms P' over
-        every row at once, and the final KL adds the support mask and
-        three gathers: 6.2."""
+        distances and the conditional P lived through the descent, 7.2
+        while it held an exaggerated copy of P, and 6.2 while the final KL
+        gathered P and Q over their support. The descent holds the joint P
+        and two buffers; at M <= 256 an exaggerated step forms P' over
+        every row at once, and the final KL adds the support mask and one
+        gather: 4.2."""
         m = 200
         matrix = make_matrix(
             np.random.default_rng(0).standard_normal((m, 16)))
@@ -279,7 +282,7 @@ class TestTsne:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.5 * m * m * 8, peak / (m * m * 8)
+        assert peak < 4.5 * m * m * 8, peak / (m * m * 8)
 
 
 def _bits(a):
@@ -296,6 +299,43 @@ def _descent_input(m, seed, scale, far):
     p += p.T
     np.fill_diagonal(p, 0.0)
     return y, p / p.sum()
+
+
+class TestKlDivergence:
+    """The final KL worked out in Q's buffer against the KL of P and Q
+    gathered over P's support (``gather_kl_divergence`` in reference.py):
+    equal to the bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.floats(0.0, 1.0), subnormal=st.floats(0.0, 0.5),
+           clamped=st.floats(0.0, 1.0))
+    def test_bit_equal_to_the_gathered_kl(self, m, seed, zeros, subnormal,
+                                          clamped):
+        """P with zeros beyond the diagonal and entries that underflowed to
+        subnormals; Q with entries at the clamp."""
+        rng = np.random.default_rng(seed)
+        p = rng.random((m, m))
+        p[rng.random((m, m)) < subnormal] *= 1e-310
+        p[rng.random((m, m)) < zeros] = 0.0
+        np.fill_diagonal(p, 0.0)
+        q = rng.random((m, m))
+        q[rng.random((m, m)) < clamped] = 1e-12
+        want = gather_kl_divergence(p, q)
+        assert _bits(np.array([_kl_divergence(p, q)])) == \
+            _bits(np.array([want]))
+
+    def test_bit_equal_where_affinities_underflow(self):
+        matrix = search_input(12, 4, 3, rounded=True, coincident=0)
+        p = joint_affinities(conditional_affinities(matrix, 1.05)[0])
+        assert np.count_nonzero(p == 0.0) > 12  # more than the diagonal
+        y = np.random.default_rng(3).standard_normal((12, 2))
+        b = _Buffers(12)
+        scale, clamp = _student_t(y, b)
+        q = _q(b.num, scale, True, b.w)
+        want = gather_kl_divergence(p, q)
+        assert _bits(np.array([_kl_divergence(p, q)])) == \
+            _bits(np.array([want]))
 
 
 class TestDescentOracle:
@@ -316,28 +356,28 @@ class TestDescentOracle:
         y, p = _descent_input(m, seed, scale, min(far, m - 2))
         want_num, want_q = np.empty((m, m)), np.empty((m, m))
         clamped_student_t(y, want_num, want_q)
-        want_kl = _kl_divergence(p, want_q)
+        want_kl = gather_kl_divergence(p, want_q)
         want_grad = clamped_gradient(p * exaggeration, y, want_num, want_q)
 
-        num, w = np.empty((m, m)), np.empty((m, m))
-        scale_, clamp = _student_t(y, num)
-        assert np.array_equal(_bits(num), _bits(want_num))
-        assert _kl_divergence(p, _q(num, scale_, clamp, w)) == want_kl
+        b = _Buffers(m)
+        scale_, clamp = _student_t(y, b)
+        assert np.array_equal(_bits(b.num), _bits(want_num))
+        assert _kl_divergence(p, _q(b.num, scale_, clamp, b.w)) == want_kl
         with mock.patch.object(projection, "_BLOCK", block):
-            grad = _gradient(p, y, num, w, scale_, clamp, exaggeration)
+            grad = _gradient(p, y, b, scale_, clamp, exaggeration)
         assert np.array_equal(_bits(grad), _bits(want_grad))
 
     def test_far_points_are_clamped(self):
         y, p = _descent_input(40, 1, 1.0, 2)
-        num, w = np.empty((40, 40)), np.empty((40, 40))
-        scale, clamp = _student_t(y, num)
+        b = _Buffers(40)
+        scale, clamp = _student_t(y, b)
         assert clamp
-        unclamped = num * scale
+        unclamped = b.num * scale
         assert (unclamped[~np.eye(40, dtype=bool)] < 1e-12).any()
 
     def test_spread_points_skip_the_clamp(self):
         y, _ = _descent_input(40, 1, 1e6, 0)
-        scale, clamp = _student_t(y, np.empty((40, 40)))
+        scale, clamp = _student_t(y, _Buffers(40))
         assert not clamp
 
     @pytest.mark.parametrize("block, eps", [(1 << 16, 1e-12), (77, 1e-12),
@@ -353,8 +393,8 @@ class TestDescentOracle:
                             seed=5)
         clamps = []
 
-        def spy(y, num):
-            out = real(y, num)
+        def spy(y, b):
+            out = real(y, b)
             clamps.append(out[1])
             return out
 

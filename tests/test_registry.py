@@ -132,15 +132,15 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
-    def test_interrupt_inside_binary_write_keeps_previous_bytes(self, tmp_path):
-        path = tmp_path / "blob.bin"
+    def test_interrupt_inside_write_keeps_previous_bytes(self, tmp_path):
+        path = tmp_path / "plot.svg"
         path.write_bytes(b"old")
         with pytest.raises(KeyboardInterrupt):
-            with replacing(path, "wb") as fh:
-                fh.write(b"new but unfinished")
+            with replacing(path) as fh:
+                fh.write("new but unfinished")
                 raise KeyboardInterrupt
         assert path.read_bytes() == b"old"
-        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+        assert [p.name for p in tmp_path.iterdir()] == ["plot.svg"]
 
     def test_killed_writer_keeps_previous_bytes(self, tmp_path):
         path = tmp_path / "doc.json"

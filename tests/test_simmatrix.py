@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import direct_cosine, direct_pearson, unit_vectors_with_cosines
+from reference import (direct_cosine, direct_pearson,
+                       loop_paired_similarity_vectors,
+                       unit_vectors_with_cosines)
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
 from sprachbund.registry import LexicalSimilarityTable, bundled_lexical_table
@@ -199,3 +203,33 @@ class TestPairedVectors:
         table = LexicalSimilarityTable({("aa", "bb"): 0.4})
         with pytest.raises(ValidationError, match="at least 3"):
             paired_similarity_vectors(mat, table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1),
+           share=st.floats(0.0, 1.0), outside=st.integers(0, 4))
+    def test_same_pairs_as_the_loop(self, m, seed, share, outside):
+        """A table over the matrix's codes, some codes it lacks and
+        self-pairs, its pairs given in random order and orientation."""
+        rng = np.random.default_rng(seed)
+        codes = [f"{a}{b}" for a in "abcdefgh" for b in "ijklmnop"]
+        rng.shuffle(codes)
+        vectors = rng.standard_normal((m, 4))
+        mat = SimilarityMatrix(codes[:m], cosine_matrix(vectors))
+        known = codes[:m + outside]
+        entries = {}
+        for i, a in enumerate(known):
+            if rng.random() < share:
+                entries[(a, a)] = 1.0
+            for b in known[i + 1:]:
+                if rng.random() < share:
+                    pair = (a, b) if rng.random() < 0.5 else (b, a)
+                    entries[pair] = float(rng.integers(0, 5)) / 4
+        keys = list(entries)
+        rng.shuffle(keys)
+        table = LexicalSimilarityTable({k: entries[k] for k in keys})
+        want = loop_paired_similarity_vectors(mat, table)
+        if len(want[0]) < 3:
+            with pytest.raises(ValidationError, match="at least 3"):
+                paired_similarity_vectors(mat, table)
+        else:
+            assert paired_similarity_vectors(mat, table) == want
