@@ -1,14 +1,16 @@
 """Sentence embeddings and per-language centroid representations.
 
 Embeddings arrive either from a JSON Lines file or from an HTTP service that
-embeds batches of sentences. They are kept in a binary store: one
+embeds batches of sentences. Either way they reach the workspace one way: a
+:class:`StoreWriter` puts each language's rows, in shard order, into a
+binary store, which :func:`write_embeddings` finishes. The store is one
 little-endian float32 ``.npy`` matrix holding every language's rows in turn,
-plus a small JSON index of languages and sentence ids. A fetch for a store
-writes each reply's rows into the store's file as the reply arrives, and a
-store is read back one language at a time, so neither holds more than the
-replies in flight or one language's rows; a JSON Lines file is still parsed
-whole. Each language is then reduced to the mean of its sentence vectors,
-and those centroids are kept in a store of the same layout, one row per
+plus a small JSON index of languages and sentence ids. A fetch writes each
+reply's rows into the store's file as the reply arrives, and a store is
+read back one language at a time, so neither holds more than the replies in
+flight or one language's rows; a JSON Lines file is still parsed whole.
+Each language is then reduced to the mean of its sentence vectors, and
+those centroids are kept in a store of the same layout, one row per
 language. Vectors are held in float32; sums are accumulated in float64 with
 compensated (Kahan) combination of block partial sums, so a 10k x 768
 average does not drift.
@@ -266,7 +268,7 @@ def load_embeddings(path: str | Path
                     ) -> list[SentenceEmbeddingSet] | list[StoredEmbeddingSet]:
     """Read embeddings from a ``.npy`` store or a JSON Lines file.
 
-    A path ending in ``.npy`` is a store written by :func:`write_embeddings`.
+    A path ending in ``.npy`` is a store finished by :func:`write_embeddings`.
     Its index and header are read and checked, and each language becomes a
     :class:`StoredEmbeddingSet` that reads its own rows when its ``matrix``
     is used, so a caller that takes one language at a time holds one
@@ -347,11 +349,15 @@ class StoreWriter:
     :meth:`finish` adds the ``.npy`` 1.0 header, moves the file over
     ``path`` and then writes the ``.json`` index. Leaving a ``with`` block
     before that, or :meth:`discard`, removes the temporary file, and
-    ``path`` keeps its previous bytes.
+    ``path`` keeps its previous bytes. ``path`` must end in ``.npy``, as
+    :func:`load_embeddings` knows a store by that suffix.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        if self.path.suffix != ".npy":
+            raise ValidationError(
+                f"a store's path must end in .npy, got {self.path}")
         self._tmp, self._fd = temporary_beside(self.path)
 
     def write(self, row: int, block: np.ndarray) -> None:
@@ -401,20 +407,6 @@ class StoreWriter:
     def __exit__(self, *exc) -> bool:
         self.discard()
         return False
-
-
-def _write_store(path: Path, blocks: Iterable[np.ndarray],
-                 shape: tuple[int, int], index: dict) -> None:
-    """Write a store: ``path`` gets one ``.npy`` 1.0 C-order ``<f4`` matrix
-    of ``shape`` whose rows are the 2-D ``blocks`` in turn, and ``path``
-    with suffix ``.json`` gets ``index``. Each file replaces its old version
-    only once it is complete."""
-    with StoreWriter(path) as writer:
-        row = 0
-        for block in blocks:
-            writer.write(row, block)
-            row += len(block)
-        writer.finish(shape, index)
 
 
 def _read_store(path: Path, noun: str, parse_languages
@@ -496,45 +488,25 @@ def _load_store(path: Path) -> list[StoredEmbeddingSet]:
     return sets
 
 
-def write_embeddings(sets: Iterable[SentenceEmbeddingSet | StoredEmbeddingSet],
-                     path: str | Path, extra_header: dict | None = None, *,
-                     writer: StoreWriter | None = None) -> None:
-    """Write sets in a format :func:`load_embeddings` reads, chosen by suffix.
+def write_embeddings(sets: Iterable[StoredEmbeddingSet], path: str | Path,
+                     extra_header: dict | None = None, *,
+                     writer: StoreWriter) -> None:
+    """Finish the store ``path``, whose rows :func:`fetch_embeddings` or a
+    caller put into ``writer``, as the store :func:`load_embeddings` reads.
 
-    A path ending in ``.npy`` gets a store: ``path`` is one C-order
-    little-endian float32 matrix with every set's rows in turn, and beside it
-    ``path`` with suffix ``.json`` is the index
-    ``{"v": 1, "dim": D, "languages": [{"lang": code, "ids": [...]}]}``,
-    which also carries ``extra_header``. Any other path gets JSON Lines, with
-    ``extra_header`` in its header line.
-
-    ``writer``, if given, is the :class:`StoreWriter` of ``path`` into
-    which :func:`fetch_embeddings` put the rows of ``sets``; only the
-    header and the index are then written.
+    ``path`` becomes one C-order little-endian float32 matrix with every
+    set's rows in turn, and beside it ``path`` with suffix ``.json`` is the
+    index ``{"v": 1, "dim": D, "languages": [{"lang": code, "ids": [...]}]}``,
+    which also carries ``extra_header``.
     """
     sets = list(sets)
-    header = {"v": 1, "dim": _one_dim(sets)}
-    if extra_header:
-        header.update(extra_header)
     path = Path(path)
-    if writer is not None and writer.path != path:
+    if writer.path != path:
         raise ValueError(f"the rows were written for {writer.path}, not {path}")
-    if path.suffix == ".npy":
-        header["languages"] = [
-            {"lang": s.language, "ids": list(s.ids)} for s in sets]
-        shape = (sum(len(s) for s in sets), header["dim"])
-        if writer is not None:
-            writer.finish(shape, header)
-        else:
-            _write_store(path, (s.matrix for s in sets), shape, header)
-        return
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for s in sets:
-            for sid, row in zip(s.ids, s.matrix):
-                fh.write(json.dumps(
-                    {"lang": s.language, "id": sid,
-                     "vec": [float(x) for x in row]}, sort_keys=True) + "\n")
+    index = {"v": 1, "dim": _one_dim(sets), **(extra_header or {}),
+             "languages": [{"lang": s.language, "ids": list(s.ids)}
+                           for s in sets]}
+    writer.finish((sum(len(s) for s in sets), index["dim"]), index)
 
 
 @dataclass
@@ -740,12 +712,12 @@ class _Pool:
 
 
 def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
-                     *, retries: int = 3, timeout: float = 30.0,
-                     auth_token: str | None = None, retry_wait: float = 0.2,
-                     stats: FetchStats | None = None,
-                     writer: StoreWriter | None = None
-                     ) -> list[SentenceEmbeddingSet] | list[StoredEmbeddingSet]:
-    """Embed every shard's sentences via the HTTP service at ``endpoint``.
+                     *, writer: StoreWriter, retries: int = 3,
+                     timeout: float = 30.0, auth_token: str | None = None,
+                     retry_wait: float = 0.2, stats: FetchStats | None = None
+                     ) -> list[StoredEmbeddingSet]:
+    """Embed every shard's sentences via the HTTP service at ``endpoint``
+    into the store that ``writer`` is writing.
 
     Protocol: ``GET /info`` declares the dimension; ``POST /embed`` with
     ``{"texts": [...]}`` answers ``{"vectors": [[...], ...]}`` positionally.
@@ -765,21 +737,18 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
     batch's if several failed. An exception raised by the iterable itself
     stops the pool and is raised as it is, before any failure of the fetch.
 
-    Returns one set per shard, in shard order, with rows sorted by sentence
-    id. The thread that parses a reply puts its rows at once where they
-    belong among its shard's rows, and keeps of it only the ids that got no
-    vector and the first id whose vector is not finite; so the result does
-    not depend on the order replies arrive in. With ``writer``, the rows go
-    into the writer's temporary file, no vector stays in memory, and each
-    set is a :class:`StoredEmbeddingSet` whose rows can be read once
-    :func:`write_embeddings` has finished the store. Without, they go into
-    one float32 array per shard (a shard answered by one reply whose ids
-    ascend keeps that reply's array), and each set is a
-    :class:`SentenceEmbeddingSet`. A response with fewer vectors than
-    texts, or null entries, leaves those sentences without vectors. After
-    all batches complete, the shards are checked in order: the first that
-    has sentences without vectors raises :class:`PartialEmbeddingError`,
-    or :class:`ValidationError` if it repeats an id or has a non-finite
+    Returns one :class:`StoredEmbeddingSet` per shard, in shard order, with
+    rows in the shard's sentence order, readable once
+    :func:`write_embeddings` has finished the store. The thread that parses
+    a reply writes its rows at once into the writer's temporary file, where
+    the finished store has them, and keeps of it only the ids that got no
+    vector and the first id whose vector is not finite; so no vector stays
+    in memory, and the store does not depend on the order replies arrive
+    in. A response with fewer vectors than texts, or null entries, leaves
+    those sentences without vectors. After all batches complete, the
+    shards are checked in order: the first that has sentences without
+    vectors raises :class:`PartialEmbeddingError`, or
+    :class:`ValidationError` if it repeats an id or has a non-finite
     vector. Request and retry counts are added to ``stats`` if given.
     """
     shards = iter(shards)
@@ -789,30 +758,15 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
         return _Connection(base, retries=retries, timeout=timeout,
                            auth_token=auth_token, retry_wait=retry_wait)
 
-    languages: list[str] = []
-    sorted_ids: list[tuple[int, ...]] = []
+    drawn: list[tuple[str, tuple[int, ...]]] = []  # each shard's language, ids
     firsts = [0]  # each shard's first row in the store, then the end
-    held: list[np.ndarray] = []  # without a writer, each shard's rows
     owners: list[int] = []  # each batch's shard
 
-    def put(k: int, rank: int, rows: np.ndarray) -> None:
-        """Rows ``rank`` onwards, in id order, of shard ``k``."""
-        if writer is not None:
-            writer.write(firsts[k] + rank, rows)
-        elif len(rows) == len(held[k]):  # one reply holds the shard's rows
-            held[k] = rows
-        else:
-            held[k][rank:rank + len(rows)] = rows
-
     def fetch_batch(conn: _Connection, item) -> tuple[list[int], int | None]:
-        k, ranks, chunk = item
+        row, chunk = item
         ids, rows, missing = _embed_batch(conn, chunk, dim)
         if not missing:  # else nothing is kept: the shard fails
-            if isinstance(ranks, int):  # ids ascend from rank `ranks` on
-                put(k, ranks, rows)
-            else:
-                for rank, row in zip(ranks, rows):
-                    put(k, rank, row[None])
+            writer.write(row, rows)
         finite = np.isfinite(rows).all(axis=1)
         bad = None if finite.all() else min(
             sid for sid, ok in zip(ids, finite) if not ok)
@@ -835,25 +789,13 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
         dim = info["dim"]
         with _Pool(conns, connect, fetch_batch) as pool:
             for shard in shards:
-                k = len(languages)
-                ids = [sid for sid, _ in shard.sentences]
-                ranks = None  # each sentence's rank in id order, unless in order
-                if any(a >= b for a, b in zip(ids, ids[1:])):
-                    order = sorted(range(len(ids)), key=ids.__getitem__)
-                    ranks = [0] * len(ids)
-                    for rank, i in enumerate(order):
-                        ranks[i] = rank
-                    ids = [ids[i] for i in order]
-                languages.append(shard.language)
-                sorted_ids.append(tuple(ids))
-                firsts.append(firsts[-1] + len(ids))
-                if writer is None:
-                    held.append(np.empty((len(ids), dim), np.float32))
-                for start in range(0, len(ids), batch):
-                    owners.append(k)
-                    pool.submit((k, start if ranks is None
-                                 else ranks[start:start + batch],
+                for start in range(0, len(shard), batch):
+                    owners.append(len(drawn))
+                    pool.submit((firsts[-1] + start,
                                  shard.sentences[start:start + batch]))
+                drawn.append((shard.language,
+                              tuple(sid for sid, _ in shard.sentences)))
+                firsts.append(firsts[-1] + len(shard))
             outcomes = pool.results()
     finally:
         for conn in conns:
@@ -862,19 +804,15 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
                 stats.requests += conn.stats.requests
                 stats.retries += conn.stats.retries
 
-    parts: list[list] = [[] for _ in languages]
+    parts: list[list] = [[] for _ in drawn]
     for k, outcome in zip(owners, outcomes):
         parts[k].append(outcome)
     sets = []
-    for k, (language, ids) in enumerate(zip(languages, sorted_ids)):
+    for k, (language, ids) in enumerate(drawn):
         missing = [sid for gone, _ in parts[k] for sid in gone]
         if missing:
             raise PartialEmbeddingError(language, missing)
-        if writer is None:
-            sets.append(SentenceEmbeddingSet(language=language, dim=dim,
-                                             ids=ids, matrix=held[k]))
-        else:
-            sets.append(writer.stored(language, dim, ids, firsts[k]))
+        sets.append(writer.stored(language, dim, ids, firsts[k]))
         bad = [sid for _, sid in parts[k] if sid is not None]
         if bad:
             raise _non_finite(language, min(bad))
@@ -938,15 +876,13 @@ def write_representations(reps: Sequence[LanguageRepresentation],
     index ``{"v": 1, "dim": D, "languages": [{"lang", "sample_count"}]}``
     in row order, which also carries ``extra_header``.
     """
-    path = Path(path)
-    if path.suffix != ".npy":
-        raise ValidationError(
-            f"a representation store's path must end in .npy, got {path}")
     index = {"v": 1, "dim": _one_dim(reps), **(extra_header or {}),
              "languages": [{"lang": r.language, "sample_count": r.sample_count}
                            for r in reps]}
-    _write_store(path, (r.vector[None] for r in reps),
-                 (len(reps), index["dim"]), index)
+    with StoreWriter(path) as writer:
+        for row, rep in enumerate(reps):
+            writer.write(row, rep.vector[None])
+        writer.finish((len(reps), index["dim"]), index)
 
 
 def _representation_entries(languages: list) -> tuple[list, int]:

@@ -318,13 +318,19 @@ def load_registry(path: str | Path) -> Registry:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "code" not in entry:
             raise ValidationError(f"{path}: languages[{i}] lacks a 'code'")
+        code, family = entry["code"], entry.get("family")
+        if not (isinstance(code, str)
+                and isinstance(family, (str, type(None)))):
+            raise ValidationError(
+                f"{path}: languages[{i}]: code must be a string and family a "
+                f"string or null, got {json.dumps(code)} and "
+                f"{json.dumps(family)}")
         syntax = entry.get("syntax") or {}
         if not isinstance(syntax, dict) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in syntax.items()):
             raise ValidationError(
                 f"{path}: languages[{i}].syntax must map feature names to strings")
-        records.append(LanguageRecord(
-            code=entry["code"], family=entry.get("family"), syntax=syntax))
+        records.append(LanguageRecord(code=code, family=family, syntax=syntax))
     return Registry(records)
 
 
@@ -376,6 +382,10 @@ def load_lexical_table(path: str | Path) -> LexicalSimilarityTable:
             raise ValidationError(f"{path}: pairs[{i}] needs keys a, b, sim")
         if not isinstance(sim, (int, float)):
             raise ValidationError(f"{path}: pairs[{i}].sim is not numeric")
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise ValidationError(
+                f"{path}: pairs[{i}]: a and b must be strings, got "
+                f"{json.dumps(a)} and {json.dumps(b)}")
         key = (a, b) if a <= b else (b, a)
         sim = float(sim)
         if key in entries and entries[key] != sim:

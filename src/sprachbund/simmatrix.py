@@ -34,6 +34,10 @@ class SimilarityMatrix:
         self.languages = tuple(self.languages)
         self.values = np.asarray(self.values, dtype=np.float64)
         m = len(self.languages)
+        for code in self.languages:
+            if not isinstance(code, str):
+                raise ValidationError(
+                    f"language codes must be strings, got {code!r}")
         if len(set(self.languages)) != m:
             raise ValidationError("duplicate language codes in matrix")
         if self.values.shape != (m, m):

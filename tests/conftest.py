@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import threading
 from contextlib import contextmanager
@@ -185,6 +186,22 @@ class KeepAlive:
     @pytest.fixture
     def embedding_server(self, embedding_server):
         return functools.partial(embedding_server, keep_alive=True)
+
+
+@pytest.fixture
+def fetch(tmp_path):
+    """``fetch_embeddings`` into a new store under ``tmp_path``, which it
+    then finishes: the fetched sets, whose rows can be read."""
+    paths = itertools.count()
+
+    def run(endpoint: str, shards, batch: int, **kwargs):
+        path = tmp_path / f"fetched-{next(paths)}.npy"
+        with embedding.StoreWriter(path) as writer:
+            sets = embedding.fetch_embeddings(endpoint, shards, batch,
+                                              writer=writer, **kwargs)
+            embedding.write_embeddings(sets, path, writer=writer)
+        return sets
+    return run
 
 
 @contextmanager

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import _default_vector
 from sprachbund import cli, data
 from sprachbund.cluster import Dendrogram, cut
 from sprachbund.corpus import CorpusShard
@@ -735,6 +736,22 @@ class TestDamagedArtifacts:
         assert (f"{matrix}: similarity of ('ca', 'fr') is 1.01, "
                 f"outside [-1, 1]") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("code", [2, None])
+    def test_language_that_is_not_a_string_exits_2(self, tmp_path, capsys,
+                                                   code):
+        doc = json.loads(data.path("embedding_similarity.json").read_text())
+        doc["languages"][1] = code
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"matrix": str(matrix), "k": 2,
+                                   "out": str(tmp_path / "ws")}))
+        for stage in ("cluster", "partition"):
+            assert cli.main([stage, "--config", str(cfg)]) == 2, stage
+            assert capsys.readouterr().err == (
+                f"sprachbund: error: {matrix}: language codes must be "
+                f"strings, got {code!r}\n")
+
     def test_source_digest_is_read_in_chunks(self, tmp_path):
         path = tmp_path / "big.bin"
         path.write_bytes(np.random.default_rng(0).bytes(5 * 2 ** 19 + 7))
@@ -868,6 +885,35 @@ class TestUnreadableInputs:
             assert "invalid UTF-8" in proc.stderr
 
 
+class TestIllTypedRegistryAndTable:
+    """A registry entry or lexical pair of the wrong type makes `all` on the
+    demo exit 2 with a message naming the file and the entry, never with a
+    traceback."""
+
+    @pytest.mark.parametrize("which, key, index, value, message", [
+        ("registry", "code", 23, 12,
+         "languages[23]: code must be a string and family a string or null, "
+         "got 12 and \"Germanic\""),
+        ("registry", "family", 30, 5,
+         "languages[30]: code must be a string and family a string or null, "
+         "got \"fr\" and 5"),
+        ("lexical_table", "a", 2, 1,
+         "pairs[2]: a and b must be strings, got 1 and \"ro\""),
+    ], ids=["registry-code", "registry-family", "lexical-pair"])
+    def test_all_exits_2(self, demo_config, tmp_path, capsys, which, key,
+                         index, value, message):
+        source = {"registry": "registry.json",
+                  "lexical_table": "lexical_similarity.json"}[which]
+        doc = json.loads(data.path(source).read_text(encoding="utf-8"))
+        doc["languages" if which == "registry" else "pairs"][index][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = str(demo_config(**{which: str(bad)}))
+        assert cli.main(["all", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {bad}: {message}\n")
+
+
 class TestEmptyCorpusFile:
     """A corpus file with no sentence makes `sample` exit 2 with one line
     naming it, before any sentence is sent to a service and before any
@@ -946,6 +992,40 @@ class TestEmbedFromService:
         assert cli.main(["sample", "--config", str(cfg)]) == 0
         assert cli.main(["embed", "--config", str(cfg)]) == 0
         assert server.auth_headers == ["Bearer hunter2"]
+
+
+    def test_the_two_sources_give_one_store(self, tmp_path, embedding_server):
+        """A lone `embed` from the stub and from a JSON Lines file of the
+        stub's vectors write the same store, rows in shard order, for a
+        shard whose ids do not ascend."""
+        shards = [("en", [[3, "three"], [0, "zero"], [7, "seven"],
+                          [1, "one"]]),
+                  ("fr", [[0, "un"], [2, "deux"]])]
+        jsonl = tmp_path / "emb.jsonl"
+        jsonl.write_text("\n".join(
+            [json.dumps({"v": 1, "dim": 5})]
+            + [json.dumps({"lang": code, "id": sid,
+                           "vec": _default_vector(text, 5)})
+               for code, sentences in reversed(shards)
+               for sid, text in sorted(sentences)]) + "\n", encoding="utf-8")
+        server = embedding_server(dim=5)
+        stores = []
+        for source in ({"embeddings": str(jsonl)},
+                       {"endpoint": server.endpoint, "batch": 3}):
+            ws = tmp_path / f"ws{len(stores)}"
+            ws.mkdir()
+            (ws / "sampled.json").write_text(json.dumps({
+                "v": 1, "shards": [{"language": code, "sentences": sentences}
+                                   for code, sentences in shards]}))
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"out": str(ws), **source}))
+            assert cli.main(["embed", "--config", str(cfg)]) == 0
+            index = json.loads((ws / "embeddings.json").read_text())
+            del index["config_digest"]
+            stores.append(((ws / "embeddings.npy").read_bytes(), index))
+        assert stores[0] == stores[1]
+        assert stores[0][1]["languages"] == [
+            {"lang": "en", "ids": [3, 0, 7, 1]}, {"lang": "fr", "ids": [0, 2]}]
 
 
 class TestNumberBeyondFloat:

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import KeepAlive, first_failure_record
+from conftest import KeepAlive, _default_vector, first_failure_record
 from reference import (json_load_representations, json_write_representations,
                        line_load_embeddings)
 from sprachbund import embedding
@@ -41,6 +41,33 @@ def make_set(language, matrix, ids=None):
 def write_jsonl(path, header, records):
     lines = [json.dumps(header)] + [json.dumps(r) for r in records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_jsonl_sets(path, sets):
+    """A JSON Lines file holding the records of ``sets`` in turn."""
+    write_jsonl(path, {"v": 1, "dim": sets[0].dim}, [
+        {"lang": s.language, "id": sid, "vec": row.tolist()}
+        for s in sets for sid, row in zip(s.ids, s.matrix)])
+
+
+def write_store(sets, path, extra_header=None):
+    """The store of ``sets`` at ``path``, each set's rows written in turn
+    through a :class:`StoreWriter`."""
+    with StoreWriter(path) as writer:
+        stored, row = [], 0
+        for s in sets:
+            writer.write(row, s.matrix)
+            stored.append(writer.stored(s.language, s.dim, s.ids, row))
+            row += len(s)
+        write_embeddings(stored, path, extra_header, writer=writer)
+
+
+def stub_rows(shards, dim):
+    """The stub service's vectors for every sentence of ``shards``, in
+    shard order."""
+    return np.array([_default_vector(text, dim) for shard in shards
+                     for _, text in shard.sentences],
+                    np.float32).reshape(-1, dim)
 
 
 class TestLoadEmbeddings:
@@ -106,7 +133,7 @@ class TestLoadEmbeddings:
         sets = [make_set("aa", rng.standard_normal((4, 6))),
                 make_set("bb", rng.standard_normal((2, 6)), np.array([5, 2]))]
         path = tmp_path / "emb.jsonl"
-        write_embeddings(sets, path)
+        write_jsonl_sets(path, sets)
         loaded = load_embeddings(path)
         for orig, back in zip(sets, loaded):
             assert back.language == orig.language
@@ -256,8 +283,8 @@ class TestEmbeddingStore:
     def test_round_trip_matches_jsonl_bit_for_bit(self, sets):
         with tempfile.TemporaryDirectory() as tmp:
             store, jsonl = Path(tmp) / "emb.npy", Path(tmp) / "emb.jsonl"
-            write_embeddings(sets, store)
-            write_embeddings(sets, jsonl)
+            write_store(sets, store)
+            write_jsonl_sets(jsonl, sets)
             loaded = load_embeddings(store)
             assert [s.language for s in loaded] == [s.language for s in sets]
             for orig, back in zip(sets, loaded):
@@ -275,8 +302,7 @@ class TestEmbeddingStore:
     def test_layout_is_little_endian_float32_in_language_order(self, tmp_path):
         sets = [make_set("aa", [[1.0, 2.0]]),
                 make_set("bb", [[3.0, 4.0], [5.0, 6.0]], [9, 4])]
-        write_embeddings(sets, tmp_path / "emb.npy",
-                         extra_header={"config_digest": "abc"})
+        write_store(sets, tmp_path / "emb.npy", {"config_digest": "abc"})
         matrix = np.load(tmp_path / "emb.npy")
         assert matrix.dtype == np.dtype("<f4")
         assert matrix.tolist() == [[1, 2], [3, 4], [5, 6]]
@@ -287,7 +313,7 @@ class TestEmbeddingStore:
 
     def damaged(self, tmp_path):
         path = tmp_path / "emb.npy"
-        write_embeddings([make_set("aa", np.ones((3, 4)))], path)
+        write_store([make_set("aa", np.ones((3, 4)))], path)
         return path
 
     def test_missing_matrix(self, tmp_path):
@@ -334,9 +360,9 @@ class TestFetchEmbeddings:
         return CorpusShard(language="aa",
                            sentences=tuple((i, f"text {i}") for i in range(n)))
 
-    def test_batching(self, embedding_server):
+    def test_batching(self, fetch, embedding_server):
         server = embedding_server(dim=4)
-        [out] = fetch_embeddings(server.endpoint, [self.shard(10)], batch=4)
+        [out] = fetch(server.endpoint, [self.shard(10)], batch=4)
         assert server.embed_requests == 3
         # pooled connections reach the server in no fixed order
         assert sorted(server.batches) == [
@@ -346,155 +372,130 @@ class TestFetchEmbeddings:
         assert len(out) == 10 and out.dim == 4
         assert out.ids == tuple(range(10))
 
-    def test_keep_alive_connections_are_closed(self, embedding_server):
+    def test_keep_alive_connections_are_closed(self, fetch, embedding_server):
         """A service that keeps connections open: every socket the fetch
         opened is closed when it returns (one left open fails the test as
         a ResourceWarning)."""
         server = embedding_server(dim=4, keep_alive=True)
-        [out] = fetch_embeddings(server.endpoint, [self.shard(10)], batch=4)
+        [out] = fetch(server.endpoint, [self.shard(10)], batch=4)
         assert server.embed_requests == 3
         assert out.ids == tuple(range(10))
 
-    def test_empty_shard_zero_embed_requests(self, embedding_server):
+    def test_empty_shard_zero_embed_requests(self, fetch, embedding_server):
         server = embedding_server(dim=4)
-        [out] = fetch_embeddings(server.endpoint, [self.shard(0)], batch=4)
+        [out] = fetch(server.endpoint, [self.shard(0)], batch=4)
         assert server.embed_requests == 0
         assert len(out) == 0 and out.dim == 4
 
-    def test_partial_failure_lists_missing_ids(self, embedding_server):
+    def test_partial_failure_lists_missing_ids(self, fetch, embedding_server):
         server = embedding_server(dim=4, truncate_batch=1)
         with pytest.raises(PartialEmbeddingError) as excinfo:
-            fetch_embeddings(server.endpoint, [self.shard(10)], batch=10)
+            fetch(server.endpoint, [self.shard(10)], batch=10)
         assert excinfo.value.missing_ids == [9]
 
-    def test_null_vector_counts_as_missing(self, embedding_server):
+    def test_null_vector_counts_as_missing(self, fetch, embedding_server):
         server = embedding_server(dim=4, null_texts=frozenset({"text 3"}))
         with pytest.raises(PartialEmbeddingError) as excinfo:
-            fetch_embeddings(server.endpoint, [self.shard(5)], batch=2)
+            fetch(server.endpoint, [self.shard(5)], batch=2)
         assert excinfo.value.missing_ids == [3]
 
-    def test_transient_500_is_retried(self, embedding_server):
+    def test_transient_500_is_retried(self, fetch, embedding_server):
         server = embedding_server(dim=4, fail_posts=2)
-        [out] = fetch_embeddings(server.endpoint, [self.shard(4)], batch=4,
+        [out] = fetch(server.endpoint, [self.shard(4)], batch=4,
                                  retries=3, retry_wait=0.01)
         assert len(out) == 4
         assert server.embed_requests == 3  # two failures plus the success
 
-    def test_persistent_500_gives_service_error(self, embedding_server):
+    def test_persistent_500_gives_service_error(self, fetch, embedding_server):
         server = embedding_server(dim=4, fail_posts=100)
         with pytest.raises(ServiceError, match="giving up"):
-            fetch_embeddings(server.endpoint, [self.shard(4)], batch=4,
+            fetch(server.endpoint, [self.shard(4)], batch=4,
                              retries=1, retry_wait=0.01)
 
-    def test_connection_error(self):
+    def test_connection_error(self, fetch):
         with pytest.raises(ServiceError):
-            fetch_embeddings("http://127.0.0.1:9", [self.shard(2)], batch=2,
+            fetch("http://127.0.0.1:9", [self.shard(2)], batch=2,
                              retries=0, retry_wait=0.01)
 
-    def test_malformed_response_is_protocol_error(self, embedding_server):
+    def test_malformed_response_is_protocol_error(self, fetch,
+                                                  embedding_server):
         server = embedding_server(dim=4, malformed=True)
         with pytest.raises(ServiceError, match="vectors"):
-            fetch_embeddings(server.endpoint, [self.shard(2)], batch=2)
+            fetch(server.endpoint, [self.shard(2)], batch=2)
 
-    def test_wrong_dimension_is_protocol_error(self, embedding_server):
+    def test_wrong_dimension_is_protocol_error(self, fetch, embedding_server):
         server = embedding_server(dim=4, wrong_dim=5)
         with pytest.raises(ServiceError, match="declared 4"):
-            fetch_embeddings(server.endpoint, [self.shard(2)], batch=2)
+            fetch(server.endpoint, [self.shard(2)], batch=2)
 
-    def test_auth_token_sent_as_bearer(self, embedding_server):
+    def test_auth_token_sent_as_bearer(self, fetch, embedding_server):
         server = embedding_server(dim=4)
-        fetch_embeddings(server.endpoint, [self.shard(2)], batch=2,
+        fetch(server.endpoint, [self.shard(2)], batch=2,
                          auth_token="sesame")
         assert server.auth_headers == ["Bearer sesame"]
 
-    def test_429_is_retried(self, embedding_server):
+    def test_429_is_retried(self, fetch, embedding_server):
         server = embedding_server(dim=4, fail_posts=2, fail_status=429)
         stats = FetchStats()
-        [out] = fetch_embeddings(server.endpoint, [self.shard(4)], batch=4,
+        [out] = fetch(server.endpoint, [self.shard(4)], batch=4,
                                  retry_wait=0.01, stats=stats)
         assert len(out) == 4
         assert server.embed_requests == 3
         assert (stats.requests, stats.retries) == (4, 2)  # /info counts too
 
-    def test_4xx_is_not_retried(self, embedding_server):
+    def test_4xx_is_not_retried(self, fetch, embedding_server):
         server = embedding_server(dim=4, fail_posts=1, fail_status=404)
         with pytest.raises(ServiceError, match="answered 404"):
-            fetch_embeddings(server.endpoint, [self.shard(4)], batch=4,
+            fetch(server.endpoint, [self.shard(4)], batch=4,
                              retry_wait=0.01)
         assert server.embed_requests == 1
 
-    def test_non_http_endpoint_rejected(self):
+    def test_non_http_endpoint_rejected(self, fetch):
         with pytest.raises(ValidationError, match="http"):
-            fetch_embeddings("localhost:9", [self.shard(2)], batch=2)
+            fetch("localhost:9", [self.shard(2)], batch=2)
 
-    def test_integer_beyond_float_is_a_service_error(self, embedding_server):
+    def test_integer_beyond_float_is_a_service_error(self, fetch,
+                                                     embedding_server):
         server = embedding_server(
             dim=2, vectors_for={"text 1": [10 ** 400, 1.0]})
         with pytest.raises(ServiceError) as info:
-            fetch_embeddings(server.endpoint, [self.shard(3)], batch=2)
+            fetch(server.endpoint, [self.shard(3)], batch=2)
         assert str(info.value) == (f"{server.endpoint}/embed: a vector holds "
                                    f"a number beyond float range")
 
     def test_float32_overflow_is_non_finite_without_warning(
-            self, embedding_server):
+            self, fetch, embedding_server):
         server = embedding_server(dim=2, vectors_for={"text 2": [1e39, 1.0]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="non-finite .* id=2"):
-                fetch_embeddings(server.endpoint, [self.shard(3)], batch=2)
+                fetch(server.endpoint, [self.shard(3)], batch=2)
 
-    def test_vectors_reassembled_by_id(self, embedding_server):
+    def test_vectors_reassembled_by_id(self, fetch, embedding_server):
+        """Replies are matched to their sentences by position, and the rows
+        keep the shard's order of ids."""
         server = embedding_server(dim=4)
         shard = CorpusShard(language="aa",
                             sentences=((5, "five"), (2, "two"), (9, "nine")))
-        [out] = fetch_embeddings(server.endpoint, [shard], batch=2)
-        assert out.ids == (2, 5, 9)
-
-    @staticmethod
-    def spy_replies(monkeypatch) -> list[np.ndarray]:
-        """Collects the float32 rows of every reply, as they are parsed."""
-        replies = []
-        parse = embedding._embed_batch
-
-        def spy(conn, chunk, dim):
-            ids, rows, missing = parse(conn, chunk, dim)
-            replies.append(rows)
-            return ids, rows, missing
-        monkeypatch.setattr(embedding, "_embed_batch", spy)
-        return replies
-
-    def test_one_reply_in_id_order_becomes_the_set(self, embedding_server,
-                                                   monkeypatch):
-        server = embedding_server(dim=4)
-        replies = self.spy_replies(monkeypatch)
-        shards = [self.shard(3),
-                  CorpusShard(language="bb",
-                              sentences=((0, "x"), (4, "y"), (7, "z")))]
-        outs = fetch_embeddings(server.endpoint, shards, batch=4)
-        assert len(replies) == 2
-        for out in outs:
-            assert sum(np.shares_memory(out.matrix, rows)
-                       for rows in replies) == 1
+        [out] = fetch(server.endpoint, [shard], batch=2)
+        assert out.ids == (5, 2, 9)
+        assert out.matrix.tobytes() == stub_rows([shard], 4).tobytes()
 
     @pytest.mark.parametrize("order, batch", [
         ((0, 1, 2, 3, 4, 5, 6), 3),  # in order, three batches
         ((6, 2, 5, 0, 4), 9),  # out of order, one batch
         ((9, 2, 5, 0, 7, 1), 2),  # out of order, three batches
     ])
-    def test_batches_and_order_come_back_sorted(self, embedding_server,
-                                                monkeypatch, order, batch):
+    def test_batches_and_order_come_back_sorted(self, fetch, embedding_server,
+                                                order, batch):
+        """However the shard is cut into batches, its rows come back in
+        shard order, each the stub's vector of its sentence."""
         server = embedding_server(dim=4)
         shard = CorpusShard(language="aa",
                             sentences=tuple((i, f"text {i}") for i in order))
-        by_id = CorpusShard(language="aa",
-                            sentences=tuple(sorted(shard.sentences)))
-        [want] = fetch_embeddings(server.endpoint, [by_id], batch=len(order))
-        replies = self.spy_replies(monkeypatch)
-        [got] = fetch_embeddings(server.endpoint, [shard], batch=batch)
-        assert got.ids == want.ids == tuple(sorted(order))
-        assert got.matrix.tobytes() == want.matrix.tobytes()
-        # stacked or sorted: the set owns a copy
-        assert not any(np.shares_memory(got.matrix, rows) for rows in replies)
+        [got] = fetch(server.endpoint, [shard], batch=batch)
+        assert got.ids == order
+        assert got.matrix.tobytes() == stub_rows([shard], 4).tobytes()
 
 
 class TestCentroid:
@@ -681,27 +682,29 @@ class TestPooledFetch:
                     for i in rng.permutation(n * 3)[:n]))
                 for code, n in self.SIZES.items()]
 
-    def test_equals_per_language_sequential_fetches(self, embedding_server):
+    def test_equals_per_language_sequential_fetches(self, fetch,
+                                                    embedding_server):
         # the first six posts fail; with a pool they are batches of several
         # languages
         flaky = embedding_server(dim=5, fail_posts=6)
         stats = FetchStats()
-        pooled = fetch_embeddings(flaky.endpoint, self.shards(), batch=2,
+        pooled = fetch(flaky.endpoint, self.shards(), batch=2,
                                   retry_wait=0.001, stats=stats)
         steady = embedding_server(dim=5)
-        sequential = [fetch_embeddings(steady.endpoint, [shard], batch=2)[0]
+        sequential = [fetch(steady.endpoint, [shard], batch=2)[0]
                       for shard in self.shards()]
         assert [s.language for s in pooled] == list(self.SIZES)
-        for a, b in zip(pooled, sequential):
+        for a, b, shard in zip(pooled, sequential, self.shards()):
             assert a.language == b.language
-            assert a.ids == b.ids == tuple(sorted(a.ids))
+            assert a.ids == b.ids == tuple(i for i, _ in shard.sentences)
             assert a.matrix.tobytes() == b.matrix.tobytes()
         batches = sum((n + 1) // 2 for n in self.SIZES.values())
         assert flaky.embed_requests == batches + 6
         assert flaky.info_requests == 1
         assert (stats.requests, stats.retries) == (1 + batches + 6, 6)
 
-    def test_first_hard_failure_stops_new_requests(self, embedding_server):
+    def test_first_hard_failure_stops_new_requests(self, fetch,
+                                                   embedding_server):
         """No batch that the pool takes after it records the 400 reaches the
         service: once the failure is recorded, only the batches the other
         workers already hold, at most ``FETCH_WORKERS - 1``, arrive."""
@@ -710,7 +713,7 @@ class TestPooledFetch:
                   for i in range(40)]
         with first_failure_record(server) as records, \
                 pytest.raises(ServiceError, match="answered 400"):
-            fetch_embeddings(server.endpoint, shards, batch=1, retry_wait=0.01)
+            fetch(server.endpoint, shards, batch=1, retry_wait=0.01)
         (arrived, taken), = records
         # batch i carries the one text "s<i>"
         later = {int(texts[0][1:]) for texts, _ in server.posts[arrived:]}
@@ -718,14 +721,14 @@ class TestPooledFetch:
         assert len(later) <= FETCH_WORKERS - 1
 
     def test_partial_names_first_language_after_all_batches(
-            self, embedding_server):
+            self, fetch, embedding_server):
         server = embedding_server(
             dim=4, null_texts=frozenset({"cc text 0", "ee text 3"}))
         shards = [CorpusShard(language=code, sentences=tuple(
                       (i, f"{code} text {i}") for i in range(4)))
                   for code in ("aa", "cc", "dd", "ee")]
         with pytest.raises(PartialEmbeddingError) as excinfo:
-            fetch_embeddings(server.endpoint, shards, batch=2)
+            fetch(server.endpoint, shards, batch=2)
         assert excinfo.value.language == "cc"
         assert excinfo.value.missing_ids == [0]
         assert server.embed_requests == 8
@@ -744,26 +747,29 @@ class TestReplyNumbers:
         return CorpusShard(language="aa",
                            sentences=tuple((i, f"text {i}") for i in range(n)))
 
-    def test_string_component_is_a_service_error(self, embedding_server):
+    def test_string_component_is_a_service_error(self, fetch,
+                                                 embedding_server):
         """numpy would parse "0.5" as a number; a reply is refused."""
         server = embedding_server(dim=2, vectors_for={"text 1": ["0.5", 1.0]})
         with pytest.raises(ServiceError) as info:
-            fetch_embeddings(server.endpoint, [self.shard(3)], batch=2)
+            fetch(server.endpoint, [self.shard(3)], batch=2)
         assert str(info.value) == (
             f"{server.endpoint}/embed: vectors are not lists of numbers: a "
             f"vector component is a string")
 
-    def test_nested_lists_are_a_service_error(self, embedding_server):
+    def test_nested_lists_are_a_service_error(self, fetch,
+                                              embedding_server):
         server = embedding_server(dim=2, vectors_for={"text 0": [[0.5], [1.0]],
                                                       "text 1": [[0.5], [1.0]]})
         with pytest.raises(ServiceError, match="not lists of numbers"):
-            fetch_embeddings(server.endpoint, [self.shard(2)], batch=2)
+            fetch(server.endpoint, [self.shard(2)], batch=2)
 
-    def test_bools_and_ints_keep_their_bits(self, embedding_server):
+    def test_bools_and_ints_keep_their_bits(self, fetch,
+                                            embedding_server):
         vectors = {"text 0": [True, 2, 0.5, -3], "text 1": [False, 0, 7, 1.5],
                    "text 2": [1, 2, 3, 4]}
         server = embedding_server(dim=4, vectors_for=vectors)
-        [out] = fetch_embeddings(server.endpoint, [self.shard(3)], batch=3)
+        [out] = fetch(server.endpoint, [self.shard(3)], batch=3)
         assert out.matrix.tobytes() == np.array(
             list(vectors.values()), np.float32).tobytes()
 
@@ -776,25 +782,27 @@ class TestFetchIntoStore:
     SIZES = TestPooledFetch.SIZES
 
     def test_store_equals_the_sets_written(self, embedding_server, tmp_path):
+        """The fetched store has the bytes of the store of the stub's
+        vectors, written in shard order, though six posts failed first."""
         flaky = embedding_server(dim=5, fail_posts=6)
-        steady = embedding_server(dim=5)
-        held = fetch_embeddings(steady.endpoint, self.shards(), batch=2)
-        write_embeddings(held, tmp_path / "held.npy",
-                         extra_header={"config_digest": "abc"})
+        shards = self.shards()
+        want = [make_set(shard.language, stub_rows([shard], 5),
+                         [i for i, _ in shard.sentences]) for shard in shards]
+        write_store(want, tmp_path / "want.npy", {"config_digest": "abc"})
         path = tmp_path / "fetched.npy"
         with StoreWriter(path) as writer:
-            stored = fetch_embeddings(flaky.endpoint, self.shards(), batch=2,
+            stored = fetch_embeddings(flaky.endpoint, shards, batch=2,
                                       retry_wait=0.001, writer=writer)
             assert not path.exists()  # the rows are in the temporary file
             write_embeddings(stored, path, extra_header={"config_digest": "abc"},
                              writer=writer)
         assert [p.name for p in sorted(tmp_path.iterdir())] == [
-            "fetched.json", "fetched.npy", "held.json", "held.npy"]
+            "fetched.json", "fetched.npy", "want.json", "want.npy"]
         for suffix in (".npy", ".json"):
             assert (path.with_suffix(suffix).read_bytes()
-                    == (tmp_path / "held").with_suffix(suffix).read_bytes())
+                    == (tmp_path / "want").with_suffix(suffix).read_bytes())
         assert all(isinstance(s, StoredEmbeddingSet) for s in stored)
-        for a, b in zip(stored, held):
+        for a, b in zip(stored, want):
             assert (a.language, a.dim, a.ids) == (b.language, b.dim, b.ids)
             assert a.matrix.tobytes() == b.matrix.tobytes()
 
@@ -808,7 +816,6 @@ class TestFetchIntoStore:
                       for i in rng.permutation(40)[:rng.integers(1, 12)]))
                   for k in range(60)]
         server = embedding_server(dim=6)
-        held = fetch_embeddings(server.endpoint, shards, batch=3)
         path = tmp_path / "emb.npy"
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -820,11 +827,12 @@ class TestFetchIntoStore:
         finally:
             sys.setswitchinterval(old)
         assert [(s.ids, s.matrix.tobytes()) for s in load_embeddings(path)] \
-            == [(s.ids, s.matrix.tobytes()) for s in held]
+            == [(tuple(i for i, _ in shard.sentences),
+                 stub_rows([shard], 6).tobytes()) for shard in shards]
 
     def test_failure_leaves_the_old_store(self, embedding_server, tmp_path):
         path = tmp_path / "emb.npy"
-        write_embeddings([make_set("aa", [[1.0, 2.0]])], path)
+        write_store([make_set("aa", [[1.0, 2.0]])], path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         _, text = self.shards()[4].sentences[1]
         server = embedding_server(dim=5, null_texts=frozenset({text}))
@@ -875,7 +883,7 @@ class TestStoreReads:
     def test_a_language_is_read_when_used(self, tmp_path):
         path = tmp_path / "emb.npy"
         sets = [make_set("aa", np.ones((3, 4))), make_set("bb", np.ones((2, 4)))]
-        write_embeddings(sets, path)
+        write_store(sets, path)
         loaded = load_embeddings(path)
         path.write_bytes(path.read_bytes()[:-4])  # inside the last language
         assert loaded[0].matrix.tobytes() == sets[0].matrix.tobytes()
@@ -891,7 +899,7 @@ class TestStoreReads:
         path = tmp_path / "emb.npy"
         sets = [make_set(f"l{k}", rng.standard_normal((256, 256)))
                 for k in range(40)]
-        write_embeddings(sets, path)
+        write_store(sets, path)
         want = [r.vector.tobytes() for r in centroid_all(sets)]
         one_language = sets[0].matrix.nbytes
         del sets

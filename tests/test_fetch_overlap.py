@@ -106,11 +106,12 @@ def closed_port_endpoint() -> str:
 
 
 def failing_run(tmp_path, embedding_server, capsys, case, n,
-                late=0.0) -> int:
+                hold=False) -> int:
     """`all` against a service that fails batch n as ``case`` says, with
-    the failing reply reaching the pool ``late`` seconds after it arrives:
-    exit 3 and its message, the workspace of a lone `sample`, and no batch
-    that the pool takes after it records the failure reaches the service.
+    the failing reply, if ``hold``, reaching the pool only once the service
+    has recorded every batch's post (at most 30 s later): exit 3 and its
+    message, the workspace of a lone `sample`, and no batch that the pool
+    takes after it records the failure reaches the service.
 
     The pool stops taking batches once it has recorded a failure, but each
     of the other workers may still be sending the one batch it holds; so
@@ -132,19 +133,27 @@ def failing_run(tmp_path, embedding_server, capsys, case, n,
     }[case]
     cfg, ws = make_run(tmp_path, server.endpoint)
     real_batch = embedding._embed_batch
+    timed_out = []
 
-    def slow(conn, chunk, dim):
+    def held(conn, chunk, dim):
         try:
             return real_batch(conn, chunk, dim)
         except ServiceError:
-            time.sleep(late)
+            deadline = time.monotonic() + 30
+            while len(server.posts) < BATCHES:
+                if time.monotonic() > deadline:
+                    timed_out.append(len(server.posts))
+                    break
+                time.sleep(0.001)
             raise
 
     capsys.readouterr()
     with first_failure_record(server) as records, \
             mock.patch.object(embedding, "_embed_batch",
-                              slow if late else real_batch):
+                              held if hold else real_batch):
         assert run_main(["all", "--config", cfg]) == 3
+    assert not timed_out, (f"the service had recorded {timed_out[0]} of "
+                           f"{BATCHES} posts 30 s after the failing one")
     assert capsys.readouterr().err == f"sprachbund: error: {message}\n"
     assert_workspace(ws, cfg, sampled=True)
     (arrived, taken), = records
@@ -165,11 +174,11 @@ class TestFailures:
     @pytest.mark.parametrize("case", ["4xx", "malformed"])
     def test_a_late_failure_lets_taken_batches_through(
             self, tmp_path, embedding_server, capsys, case):
-        """A failing reply that reaches the pool 200 ms late: every later
-        batch is taken and sent before the record, more than
+        """A failing reply held until every batch has reached the service:
+        every later batch is taken and sent before the record, more than
         ``FETCH_WORKERS`` of them after the failing post."""
         after = failing_run(tmp_path, embedding_server, capsys, case, 0,
-                            late=0.2)
+                            hold=True)
         assert after == BATCHES - 1 > FETCH_WORKERS
 
     @given(n=st.integers(0, BATCHES - 1))
