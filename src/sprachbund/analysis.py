@@ -10,7 +10,7 @@ members; unlabeled members are excluded from the fraction but counted.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .cluster import SprachbundAssignment
@@ -24,9 +24,6 @@ class LexicalCorrelation:
     r: float
     pair_count: int
 
-    def to_json(self) -> dict:
-        return {"r": self.r, "pair_count": self.pair_count}
-
 
 @dataclass(frozen=True)
 class ClusterPurity:
@@ -37,19 +34,11 @@ class ClusterPurity:
     labeled: int
     unlabeled: int
 
-    def to_json(self) -> dict:
-        return {"majority_label": self.majority_label, "purity": self.purity,
-                "labeled": self.labeled, "unlabeled": self.unlabeled}
-
 
 @dataclass(frozen=True)
 class PurityReport:
     per_cluster: tuple[ClusterPurity, ...]
     macro_average: float | None
-
-    def to_json(self) -> dict:
-        return {"per_cluster": [c.to_json() for c in self.per_cluster],
-                "macro_average": self.macro_average}
 
 
 def lexical_correlation(matrix: SimilarityMatrix,
@@ -104,14 +93,7 @@ class AnalysisReport:
     syntax_agreement: Mapping[str, PurityReport] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "pearson_lexical": (self.pearson_lexical.to_json()
-                                if self.pearson_lexical else None),
-            "family_purity": (self.family_purity.to_json()
-                              if self.family_purity else None),
-            "syntax_agreement": {name: rep.to_json()
-                                 for name, rep in self.syntax_agreement.items()},
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         """Human-readable summary, one section per analysis."""

@@ -624,91 +624,15 @@ def _embed_batch(conn: _Connection, chunk: Sequence[tuple[int, str]],
     return ids, matrix, missing
 
 
-class _Pool:
-    """Threads that run ``task(conn, item)`` on items as they are submitted.
+class _FailureRecord:
+    """The failed batches of one fetch by number, and one past the highest
+    batch number sent, behind one lock: a batch is sent only while no
+    failure is recorded."""
 
-    Each thread owns one connection: the n-th thread takes ``conns[n]``, and
-    ``connect()`` is appended to ``conns`` when it has no such entry. A
-    thread is started with each submitted item until there are
-    :data:`FETCH_WORKERS`. Results are placed by the order the items were
-    submitted. The first exception stops new tasks, and later items are
-    dropped; :meth:`results` waits for the running tasks and then raises the
-    exception of the earliest failed item in the calling thread. Leaving the
-    ``with`` block, on an exception too, drops the items not yet started and
-    joins every thread.
-    """
-
-    def __init__(self, conns: list, connect, task):
-        self._conns = conns
-        self._connect = connect
-        self._task = task
-        self._items: list = []
-        self._results: list = []
-        self._started = 0
-        self._failures: dict[int, Exception] = {}
-        self._closed = False
-        self._cond = threading.Condition()
-        self._threads: list[threading.Thread] = []
-
-    def submit(self, item) -> None:
-        with self._cond:
-            if self._failures:
-                return
-            self._items.append(item)
-            self._results.append(None)
-            self._cond.notify()
-        n = len(self._threads)
-        if n < FETCH_WORKERS:
-            if n == len(self._conns):
-                self._conns.append(self._connect())
-            thread = threading.Thread(target=self._work,
-                                      args=(self._conns[n],), daemon=True)
-            self._threads.append(thread)
-            thread.start()
-
-    def _take(self) -> int | None:
-        """The position of the next item to run, or None to stop."""
-        with self._cond:
-            while (self._started == len(self._items)
-                   and not (self._closed or self._failures)):
-                self._cond.wait()
-            if self._failures or self._started == len(self._items):
-                return None
-            self._started += 1
-            return self._started - 1
-
-    def _work(self, conn) -> None:
-        while (j := self._take()) is not None:
-            try:
-                self._results[j] = self._task(conn, self._items[j])
-            except Exception as exc:  # kept, and raised by the calling thread
-                with self._cond:
-                    self._failures[j] = exc
-                    self._cond.notify_all()
-                return
-
-    def _join(self, cancel: bool) -> None:
-        with self._cond:
-            self._closed = True
-            if cancel:
-                del self._items[self._started:]
-            self._cond.notify_all()
-        for thread in self._threads:
-            thread.join()
-
-    def results(self) -> list:
-        """Every submitted item's result, once all have run."""
-        self._join(cancel=False)
-        if self._failures:
-            raise self._failures[min(self._failures)]
-        return self._results
-
-    def __enter__(self) -> "_Pool":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._join(cancel=True)
-        return False
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.failures: dict[int, Exception] = {}
+        self.taken = 0
 
 
 def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
@@ -722,20 +646,22 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
     Protocol: ``GET /info`` declares the dimension; ``POST /embed`` with
     ``{"texts": [...]}`` answers ``{"vectors": [[...], ...]}`` positionally.
     ``/info`` is asked once. Each shard's sentences go in batches of at most
-    ``batch``, and the batches of all shards are sent by a pool of
-    :data:`FETCH_WORKERS` threads, each with its own connection. Transient
-    failures (connection errors, 5xx, 429) are retried up to ``retries``
-    times per request.
+    ``batch``, and the batches of all shards are sent by a standard
+    ``ThreadPoolExecutor`` of :data:`FETCH_WORKERS` threads. Each thread
+    owns one connection from its start; the first takes the one ``/info``
+    was asked on. Transient failures (connection errors, 5xx, 429) are
+    retried up to ``retries`` times per request.
 
     ``shards`` may be any iterable; it is driven on the calling thread, and
-    a shard's batches are queued as soon as it is drawn, so a generator that
-    reads and samples the shards runs while earlier batches are at the
+    a shard's batches are submitted as soon as it is drawn, so a generator
+    that reads and samples the shards runs while earlier batches are at the
     service. The iterable is always consumed to its end. The first failure
     (the ``/info`` request, a batch that is not retried or whose retries
-    ran out) stops new requests; once the iterable is consumed and the
-    requests in flight have returned, it is raised, or the earliest failed
-    batch's if several failed. An exception raised by the iterable itself
-    stops the pool and is raised as it is, before any failure of the fetch.
+    ran out) stops new requests; once the iterable is consumed, the batches
+    still queued are dropped, and when the requests in flight have
+    returned, the earliest failed batch's exception is raised. An exception
+    raised by the iterable itself drops the queued batches, waits for those
+    in flight and is raised as it is, before any failure of the fetch.
 
     Returns one :class:`StoredEmbeddingSet` per shard, in shard order, with
     rows in the shard's sentence order, readable once
@@ -751,34 +677,53 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
     :class:`ValidationError` if it repeats an id or has a non-finite
     vector. Request and retry counts are added to ``stats`` if given.
     """
+    # only the HTTP source pays for this import and the logging it loads
+    from concurrent.futures import ThreadPoolExecutor
     shards = iter(shards)
     base = endpoint.rstrip("/")
+    conns: list[_Connection] = []
+    idle: list[_Connection] = []  # made, and owned by no thread yet
+    local = threading.local()
 
-    def connect() -> _Connection:
-        return _Connection(base, retries=retries, timeout=timeout,
-                           auth_token=auth_token, retry_wait=retry_wait)
+    def own_connection() -> None:  # each worker thread's initializer
+        try:
+            local.conn = idle.pop()
+        except IndexError:
+            local.conn = _Connection(base, retries=retries, timeout=timeout,
+                                     auth_token=auth_token,
+                                     retry_wait=retry_wait)
+            conns.append(local.conn)
 
     drawn: list[tuple[str, tuple[int, ...]]] = []  # each shard's language, ids
     firsts = [0]  # each shard's first row in the store, then the end
     owners: list[int] = []  # each batch's shard
+    record = _FailureRecord()
 
-    def fetch_batch(conn: _Connection, item) -> tuple[list[int], int | None]:
-        row, chunk = item
-        ids, rows, missing = _embed_batch(conn, chunk, dim)
-        if not missing:  # else nothing is kept: the shard fails
-            writer.write(row, rows)
+    def fetch_batch(j: int, row: int, chunk
+                    ) -> tuple[list[int], int | None] | None:
+        with record.lock:
+            if record.failures:
+                return None
+            record.taken = max(record.taken, j + 1)
+        try:
+            ids, rows, missing = _embed_batch(local.conn, chunk, dim)
+            if not missing:  # else nothing is kept: the shard fails
+                writer.write(row, rows)
+        except Exception as exc:  # raised by the calling thread
+            with record.lock:
+                record.failures[j] = exc
+            raise
         finite = np.isfinite(rows).all(axis=1)
         bad = None if finite.all() else min(
             sid for sid, ok in zip(ids, finite) if not ok)
         return missing, bad
 
-    conns: list[_Connection] = []
     try:
         try:
             if batch < 1:
                 raise ValidationError(f"batch size must be >= 1, got {batch}")
-            conns.append(connect())
-            info = conns[0].call("GET", "/info")
+            own_connection()
+            info = local.conn.call("GET", "/info")
             if not isinstance(info.get("dim"), int) or info["dim"] < 1:
                 raise ServiceError(
                     f"{base}/info did not declare a positive 'dim'")
@@ -787,16 +732,26 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
                 pass
             raise
         dim = info["dim"]
-        with _Pool(conns, connect, fetch_batch) as pool:
+        idle.append(local.conn)
+        pool = ThreadPoolExecutor(FETCH_WORKERS, initializer=own_connection)
+        futures = []
+        try:
             for shard in shards:
                 for start in range(0, len(shard), batch):
                     owners.append(len(drawn))
-                    pool.submit((firsts[-1] + start,
-                                 shard.sentences[start:start + batch]))
+                    futures.append(pool.submit(
+                        fetch_batch, len(futures), firsts[-1] + start,
+                        shard.sentences[start:start + batch]))
                 drawn.append((shard.language,
                               tuple(sid for sid, _ in shard.sentences)))
                 firsts.append(firsts[-1] + len(shard))
-            outcomes = pool.results()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        pool.shutdown(cancel_futures=bool(record.failures))
+        if record.failures:
+            raise record.failures[min(record.failures)]
+        outcomes = [future.result() for future in futures]
     finally:
         for conn in conns:
             conn.close()

@@ -49,9 +49,12 @@ class Registry:
     def __init__(self, records: Iterable[LanguageRecord]):
         self._by_code: dict[str, LanguageRecord] = {}
         for rec in records:
-            if rec.code in self._by_code:
-                raise ValidationError(f"duplicate language code {rec.code!r}")
-            self._by_code[rec.code] = rec
+            self._add(rec)
+
+    def _add(self, rec: LanguageRecord) -> None:
+        if rec.code in self._by_code:
+            raise ValidationError(f"duplicate language code {rec.code!r}")
+        self._by_code[rec.code] = rec
 
     def __len__(self) -> int:
         return len(self._by_code)
@@ -309,12 +312,15 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def load_registry(path: str | Path) -> Registry:
-    """Parse a registry file: ``{"v": 1, "languages": [{code, family, syntax}]}``."""
+    """Parse a registry file: ``{"v": 1, "languages": [{code, family, syntax}]}``.
+
+    A bad entry raises :class:`ValidationError` naming the file and the
+    entry, ``languages[i]``."""
     doc = load_json(path)
     entries = doc.get("languages")
     if not isinstance(entries, list):
         raise ValidationError(f"{path}: 'languages' must be a list")
-    records = []
+    registry = Registry(())
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "code" not in entry:
             raise ValidationError(f"{path}: languages[{i}] lacks a 'code'")
@@ -330,8 +336,12 @@ def load_registry(path: str | Path) -> Registry:
                 isinstance(k, str) and isinstance(v, str) for k, v in syntax.items()):
             raise ValidationError(
                 f"{path}: languages[{i}].syntax must map feature names to strings")
-        records.append(LanguageRecord(code=code, family=family, syntax=syntax))
-    return Registry(records)
+        try:
+            registry._add(LanguageRecord(code=code, family=family,
+                                         syntax=syntax))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: languages[{i}]: {exc}") from None
+    return registry
 
 
 class LexicalSimilarityTable:
@@ -343,19 +353,22 @@ class LexicalSimilarityTable:
     def __init__(self, entries: Mapping[tuple[str, str], float]):
         self._entries: dict[tuple[str, str], float] = {}
         for (a, b), sim in entries.items():
-            key = (a, b) if a <= b else (b, a)
-            if not 0.0 <= sim <= 1.0:
-                raise ValidationError(
-                    f"lexical similarity for ({a}, {b}) is {sim}, outside [0, 1]")
-            if a == b and sim != 1.0:
-                raise ValidationError(
-                    f"self-pair ({a}, {a}) must be 1.0, got {sim}")
-            prior = self._entries.get(key)
-            if prior is not None and prior != sim:
-                raise ValidationError(
-                    f"asymmetric lexical similarity for ({a}, {b}): "
-                    f"{prior} vs {sim}")
-            self._entries[key] = sim
+            self._add(a, b, sim)
+
+    def _add(self, a: str, b: str, sim: float) -> None:
+        key = (a, b) if a <= b else (b, a)
+        if not 0.0 <= sim <= 1.0:
+            raise ValidationError(
+                f"lexical similarity for ({a}, {b}) is {sim}, outside [0, 1]")
+        if a == b and sim != 1.0:
+            raise ValidationError(
+                f"self-pair ({a}, {a}) must be 1.0, got {sim}")
+        prior = self._entries.get(key)
+        if prior is not None and prior != sim:
+            raise ValidationError(
+                f"asymmetric lexical similarity for ({a}, {b}): "
+                f"{prior} vs {sim}")
+        self._entries[key] = sim
 
     def get(self, a: str, b: str) -> float | None:
         return self._entries.get((a, b) if a <= b else (b, a))
@@ -369,31 +382,32 @@ class LexicalSimilarityTable:
 
 
 def load_lexical_table(path: str | Path) -> LexicalSimilarityTable:
-    """Parse a lexical table file: ``{"v": 1, "pairs": [{a, b, sim}]}``."""
+    """Parse a lexical table file: ``{"v": 1, "pairs": [{a, b, sim}]}``.
+
+    A bad pair raises :class:`ValidationError` naming the file and the
+    pair, ``pairs[i]``."""
     doc = load_json(path)
     pairs = doc.get("pairs")
     if not isinstance(pairs, list):
         raise ValidationError(f"{path}: 'pairs' must be a list")
-    entries: dict[tuple[str, str], float] = {}
+    table = LexicalSimilarityTable({})
     for i, p in enumerate(pairs):
         try:
             a, b, sim = p["a"], p["b"], p["sim"]
         except (TypeError, KeyError):
             raise ValidationError(f"{path}: pairs[{i}] needs keys a, b, sim")
-        if not isinstance(sim, (int, float)):
+        # a bool is an int, but true is no similarity
+        if isinstance(sim, bool) or not isinstance(sim, (int, float)):
             raise ValidationError(f"{path}: pairs[{i}].sim is not numeric")
         if not (isinstance(a, str) and isinstance(b, str)):
             raise ValidationError(
                 f"{path}: pairs[{i}]: a and b must be strings, got "
                 f"{json.dumps(a)} and {json.dumps(b)}")
-        key = (a, b) if a <= b else (b, a)
-        sim = float(sim)
-        if key in entries and entries[key] != sim:
-            raise ValidationError(
-                f"{path}: asymmetric values for pair ({a}, {b}): "
-                f"{entries[key]} vs {sim}")
-        entries[key] = sim
-    return LexicalSimilarityTable(entries)
+        try:
+            table._add(a, b, float(sim))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: pairs[{i}]: {exc}") from None
+    return table
 
 
 def validate_feature_labels(records: Iterable[LanguageRecord]) -> dict[str, list[str]]:

@@ -206,22 +206,22 @@ def fetch(tmp_path):
 
 @contextmanager
 def first_failure_record(server: StubEmbeddingServer):
-    """Yields a list that gets, when a fetch pool records its first
-    failure, how many posts had reached ``server`` and how many batches the
-    pool had taken by then."""
+    """Yields a list that gets, when a fetch records its first failure, how
+    many posts had reached ``server`` and one past the highest batch number
+    taken for sending by then."""
     records = []
-    real_init = embedding._Pool.__init__
+    real_init = embedding._FailureRecord.__init__
 
-    def spy(pool, *args):
-        real_init(pool, *args)
+    def spy(record):
+        real_init(record)
 
         class Failures(dict):
-            def __setitem__(self, j, exc):  # called under the pool's lock
+            def __setitem__(self, j, exc):  # called under the record's lock
                 if not self:
-                    records.append((len(server.posts), pool._started))
+                    records.append((len(server.posts), record.taken))
                 super().__setitem__(j, exc)
 
-        pool._failures = Failures()
+        record.failures = Failures()
 
-    with mock.patch.object(embedding._Pool, "__init__", spy):
+    with mock.patch.object(embedding._FailureRecord, "__init__", spy):
         yield records

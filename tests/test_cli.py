@@ -69,6 +69,26 @@ class TestAllPipeline:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-3:] == ["0", "True", "False"]
 
+    def test_version_and_jsonl_all_leave_the_executor_unloaded(
+            self, demo_config):
+        """Only a fetch from a service imports the standard library's thread
+        pool, and with it logging."""
+        probe = ("import sys\n"
+                 "from sprachbund import cli\n"
+                 "for args in (['--version'], ['all', '--config', sys.argv[1]]):\n"
+                 "    try:\n"
+                 "        rc = cli.main(args)\n"
+                 "    except SystemExit as exc:\n"
+                 "        rc = exc.code\n"
+                 "    print('exit', rc, 'concurrent.futures' in sys.modules,\n"
+                 "          'logging' in sys.modules)\n")
+        proc = _python(["-c", probe, str(demo_config())], None)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == cli.__version__
+        assert [line for line in lines if line.startswith("exit ")] == [
+            "exit 0 False False"] * 2
+
     def test_reruns_are_idempotent(self, demo_config, tmp_path):
         cfg = demo_config()
         assert cli.main(["all", "--config", str(cfg)]) == 0
@@ -886,9 +906,9 @@ class TestUnreadableInputs:
 
 
 class TestIllTypedRegistryAndTable:
-    """A registry entry or lexical pair of the wrong type makes `all` on the
-    demo exit 2 with a message naming the file and the entry, never with a
-    traceback."""
+    """A registry entry or lexical pair of the wrong type or a bad value
+    makes `all` on the demo exit 2 with a message naming the file and the
+    entry, never with a traceback."""
 
     @pytest.mark.parametrize("which, key, index, value, message", [
         ("registry", "code", 23, 12,
@@ -899,7 +919,17 @@ class TestIllTypedRegistryAndTable:
          "got \"fr\" and 5"),
         ("lexical_table", "a", 2, 1,
          "pairs[2]: a and b must be strings, got 1 and \"ro\""),
-    ], ids=["registry-code", "registry-family", "lexical-pair"])
+        ("registry", "code", 0, "EN",
+         "languages[0]: language code 'EN' does not match [a-z]{2,4}"),
+        ("registry", "code", 24, "en",
+         "languages[24]: duplicate language code 'en'"),
+        ("lexical_table", "sim", 0, 1.5,
+         "pairs[0]: lexical similarity for (ca, fr) is 1.5, outside [0, 1]"),
+        ("lexical_table", "sim", 2, True, "pairs[2].sim is not numeric"),
+        ("lexical_table", "sim", 2, False, "pairs[2].sim is not numeric"),
+    ], ids=["registry-code", "registry-family", "lexical-pair",
+            "registry-pattern", "registry-duplicate", "lexical-range",
+            "lexical-true", "lexical-false"])
     def test_all_exits_2(self, demo_config, tmp_path, capsys, which, key,
                          index, value, message):
         source = {"registry": "registry.json",

@@ -22,7 +22,7 @@ from sprachbund import embedding
 from sprachbund.corpus import CorpusShard
 from sprachbund.embedding import (FETCH_WORKERS, FetchStats,
                                   LanguageRepresentation, SentenceEmbeddingSet,
-                                  StoredEmbeddingSet, StoreWriter, _Pool,
+                                  StoredEmbeddingSet, StoreWriter,
                                   centroid, centroid_all, fetch_embeddings,
                                   load_embeddings, load_representations,
                                   write_embeddings, write_representations)
@@ -922,23 +922,35 @@ class TestStoreReads:
         assert len(header.getvalue()) == embedding._HEADER_BYTES
 
 
-def _pooled(conns, items, task):
-    """``task(conn, item)`` for every item through a :class:`_Pool` whose
-    threads take their connections from ``conns``."""
-    with _Pool([], iter(conns).__next__, task) as pool:
-        for item in items:
-            pool.submit(item)
-        return pool.results()
-
-
 class TestPool:
-    def run_bounded(self, *args, run=_pooled):
-        """``run(*args)`` on a thread that must finish within 60 s."""
+    """What the fetch's thread pool promises, seen through
+    :func:`fetch_embeddings` against the stub. Batch j is the one sentence
+    "s<j>" of language "l<j>", sent with ``batch=1``."""
+
+    @staticmethod
+    def shards(n: int) -> list[CorpusShard]:
+        return [CorpusShard(language=f"l{j}", sentences=((0, f"s{j}"),))
+                for j in range(n)]
+
+    @staticmethod
+    def number(chunk) -> int:
+        """The j of the batch ``chunk``."""
+        [(_, text)] = chunk
+        return int(text[1:])
+
+    @staticmethod
+    def sent(server) -> list[int]:
+        """The batches posted to ``server``, in arrival order."""
+        return [int(texts[0][1:]) for texts, _ in server.posts]
+
+    def run_bounded(self, run):
+        """``run()`` on a thread that must finish within 60 s, while the
+        interpreter switches threads every microsecond."""
         outcome = {}
 
         def target():
             try:
-                outcome["value"] = run(*args)
+                outcome["value"] = run()
             except Exception as exc:
                 outcome["error"] = exc
 
@@ -953,111 +965,152 @@ class TestPool:
         assert not thread.is_alive()
         return outcome
 
-    def test_every_item_runs_once_and_lands_in_place(self):
-        seen = []
-        # the first FETCH_WORKERS items wait for each other, so no connection
-        # can drain the queue alone: each must take one of them
+    def test_every_item_runs_once_and_lands_in_place(self, fetch,
+                                                     embedding_server):
+        """Every batch is sent once and its rows land in place. The first
+        ``FETCH_WORKERS`` batches wait for each other, so no connection can
+        drain the queue alone: each goes out on its own connection, and
+        with the one ``/info`` was asked on there are no more."""
+        server = embedding_server(dim=3)
+        shards = self.shards(120)
+        made, seen = [], []
+        real_init = embedding._Connection.__init__
+        real_batch = embedding._embed_batch
         everyone_started = threading.Barrier(FETCH_WORKERS, timeout=30)
 
-        def task(conn, item):
-            seen.append((conn, item))
-            if item < FETCH_WORKERS:
+        def init(conn, *args, **kwargs):
+            real_init(conn, *args, **kwargs)
+            made.append(conn)
+
+        def batch(conn, chunk, dim):
+            seen.append((conn, self.number(chunk)))
+            if self.number(chunk) < FETCH_WORKERS:
                 everyone_started.wait()
-            return item * 3
+            return real_batch(conn, chunk, dim)
 
-        items = list(range(3000))
-        outcome = self.run_bounded(list(range(FETCH_WORKERS)), items, task)
-        assert outcome["value"] == [i * 3 for i in items]
-        assert sorted(item for _, item in seen) == items
-        assert len({conn for conn, _ in seen}) > 1
-        assert {conn for conn, item in seen if item < FETCH_WORKERS} == \
-            set(range(FETCH_WORKERS))
+        def run():
+            with mock.patch.object(embedding._Connection, "__init__", init), \
+                    mock.patch.object(embedding, "_embed_batch", batch):
+                return fetch(server.endpoint, shards, batch=1)
 
-    def test_earliest_failure_is_raised_and_stops_new_items(self):
-        started = []
+        outcome = self.run_bounded(run)
+        assert [s.matrix.tobytes() for s in outcome["value"]] == [
+            stub_rows([shard], 3).tobytes() for shard in shards]
+        assert sorted(self.sent(server)) == list(range(len(shards)))
+        assert sorted(j for _, j in seen) == list(range(len(shards)))
+        first = {conn for conn, j in seen if j < FETCH_WORKERS}
+        assert len(first) == FETCH_WORKERS
+        assert {conn for conn, _ in seen} == first == set(made)
 
-        def task(conn, item):
-            started.append(item)
-            if item in (5, 9):
-                raise ValueError(f"item {item}")
-            return item
+    def test_earliest_failure_is_raised_and_stops_new_items(
+            self, fetch, embedding_server):
+        """Batch 5 fails only after batch 9 has: batch 5's error is
+        raised, and the batches after them are not all sent."""
+        server = embedding_server(dim=3, fail_texts={"s9"}, fail_status=400,
+                                  malformed_texts={"s5"})
+        real_batch = embedding._embed_batch
 
-        outcome = self.run_bounded(list(range(FETCH_WORKERS)),
-                                   list(range(1000)), task)
-        assert str(outcome["error"]) == "item 5"
-        assert len(started) < 1000
+        def batch(conn, chunk, dim):
+            if self.number(chunk) == 5:
+                deadline = time.monotonic() + 30
+                while 9 not in self.sent(server) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            return real_batch(conn, chunk, dim)
 
-    def test_failure_drops_the_items_already_queued(self):
-        started = []
+        def run():
+            with mock.patch.object(embedding, "_embed_batch", batch):
+                return fetch(server.endpoint, self.shards(200), batch=1)
+
+        outcome = self.run_bounded(run)
+        assert str(outcome["error"]) == (
+            f"{server.endpoint}/embed: response lacks a 'vectors' list")
+        assert self.sent(server).index(9) < self.sent(server).index(5)
+        assert len(server.posts) < 200
+
+    def test_failure_drops_the_items_already_queued(self, fetch,
+                                                    embedding_server):
+        server = embedding_server(dim=3, fail_texts={"s0"}, fail_status=400)
+        real_batch = embedding._embed_batch
         go = threading.Event()
 
-        def task(conn, item):  # a request: it waits, off the GIL
-            started.append(item)
+        def batch(conn, chunk, dim):  # a request: it waits, off the GIL
             go.wait(timeout=30)
-            if item == 0:
-                raise ValueError("item 0")
-            time.sleep(0.001)
-            return item
+            return real_batch(conn, chunk, dim)
 
-        def queue_all_then_fail(conns):
-            with _Pool([], iter(conns).__next__, task) as pool:
-                for item in range(1000):
-                    pool.submit(item)
-                go.set()  # every item is queued before the first one fails
-                return pool.results()
+        def shards():
+            yield from self.shards(200)
+            go.set()  # every batch is queued before the first one fails
 
-        outcome = self.run_bounded(list(range(FETCH_WORKERS)),
-                                   run=queue_all_then_fail)
-        assert str(outcome["error"]) == "item 0"
-        assert len(started) < 1000
+        def run():
+            with mock.patch.object(embedding, "_embed_batch", batch):
+                return fetch(server.endpoint, shards(), batch=1)
 
-    def test_items_run_while_later_ones_are_still_submitted(self):
-        done = [threading.Event() for _ in range(5)]
+        outcome = self.run_bounded(run)
+        assert str(outcome["error"]) == f"{server.endpoint}/embed answered 400"
+        assert len(server.posts) < 200
 
-        def task(conn, item):
-            done[item].set()
-            return item
+    def test_items_run_while_later_ones_are_still_submitted(
+            self, fetch, embedding_server):
+        """Each batch reaches the service before the next shard is drawn,
+        and every thread the fetch started has ended when it returns."""
+        server = embedding_server(dim=3)
+        arrived = []
 
-        def submit_after_each_ran(conns):
+        def shards():
+            for j, shard in enumerate(self.shards(5)):
+                yield shard
+                deadline = time.monotonic() + 30
+                while j not in self.sent(server) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                arrived.append(j in self.sent(server))
+
+        def run():
             before = set(threading.enumerate())
-            with _Pool([], iter(conns).__next__, task) as pool:
-                for item in range(5):
-                    pool.submit(item)
-                    assert done[item].wait(timeout=30), item
-                results = pool.results()
+            sets = fetch(server.endpoint, shards(), batch=1)
             assert set(threading.enumerate()) <= before
-            return results
+            return sets
 
-        outcome = self.run_bounded(list(range(FETCH_WORKERS)),
-                                   run=submit_after_each_ran)
-        assert outcome["value"] == [0, 1, 2, 3, 4]
+        outcome = self.run_bounded(run)
+        assert [s.language for s in outcome["value"]] == [
+            f"l{j}" for j in range(5)]
+        assert arrived == [True] * 5
 
-    def test_error_while_submitting_drops_queued_items_and_joins(self):
+    def test_error_while_submitting_drops_queued_items_and_joins(
+            self, fetch, embedding_server):
+        """The iterable raises once every worker holds a batch and the rest
+        are queued: the queued batches are dropped, the held ones sent, and
+        every thread the fetch started has ended when the error arrives."""
+        server = embedding_server(dim=3)
+        real_batch = embedding._embed_batch
         started = []
         release = threading.Event()
 
-        def task(conn, item):
-            started.append(item)
+        def batch(conn, chunk, dim):
+            started.append(self.number(chunk))
             release.wait(timeout=30)
-            return item
+            return real_batch(conn, chunk, dim)
 
-        # the running items end once leaving the block has dropped the
-        # queued ones
+        # the held batches go on once the error has dropped the queued ones
         timer = threading.Timer(0.5, release.set)
 
-        def fail_while_submitting(conns):
+        def shards():
+            yield from self.shards(50)
+            deadline = time.monotonic() + 30
+            while len(started) < FETCH_WORKERS and time.monotonic() < deadline:
+                time.sleep(0.001)
+            timer.start()
+            raise KeyError("drawing failed")
+
+        def run():
             before = set(threading.enumerate())
             try:
-                with _Pool([], iter(conns).__next__, task) as pool:
-                    for item in range(50):
-                        pool.submit(item)
-                    timer.start()
-                    raise KeyError("drawing failed")
+                with mock.patch.object(embedding, "_embed_batch", batch):
+                    fetch(server.endpoint, shards(), batch=1)
             finally:
                 assert not set(threading.enumerate()) - before - {timer}
 
-        outcome = self.run_bounded(list(range(FETCH_WORKERS)),
-                                   run=fail_while_submitting)
+        outcome = self.run_bounded(run)
         timer.join()
         assert isinstance(outcome["error"], KeyError)
         assert sorted(started) == list(range(FETCH_WORKERS))
+        assert sorted(self.sent(server)) == list(range(FETCH_WORKERS))
