@@ -1,23 +1,34 @@
 """From sentence embeddings to a language similarity matrix.
 
-Loads the demo embeddings (8 languages x 12 sentences, dim 8), averages each
-language into its centroid representation, and builds the cosine similarity
-matrix. The most and least similar pairs fall where you'd expect: the
-Romance languages cluster tightly, English sits far from all of them.
+Reads the demo embeddings (8 languages x 12 sentences, dim 8) of every line
+of the demo corpus into a store, averages each language into its centroid
+representation, and builds the cosine similarity matrix. The most and least
+similar pairs fall where you'd expect: the Romance languages cluster
+tightly, English sits far from all of them.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sprachbund import build_matrix, centroid_all, data, load_embeddings
+from sprachbund import (StoreWriter, build_matrix, bundled_registry,
+                        centroid_all, data, ingest_shard, load_embeddings,
+                        write_embeddings)
 
-sets = load_embeddings(data.path("demo/embeddings.jsonl"))
-print(f"loaded {len(sets)} embedding sets, dim {sets[0].dim}, "
-      f"{len(sets[0])} sentences each")
-
-reps = centroid_all(sets)
+registry = bundled_registry()
+shards = [ingest_shard(data.path(f"demo/corpus/{code}.txt"), code, registry)
+          for code in ("ca", "en", "fr", "de", "pt", "ro", "ru", "es")]
+with tempfile.TemporaryDirectory() as tmp:
+    store = Path(tmp) / "embeddings.npy"
+    with StoreWriter(store) as writer:
+        sets = load_embeddings(data.path("demo/embeddings.jsonl"), shards,
+                               writer=writer)
+        write_embeddings(sets, store, writer=writer)
+    print(f"loaded {len(sets)} embedding sets, dim {sets[0].dim}, "
+          f"{len(sets[0])} sentences each")
+    reps = centroid_all(sets)
 for rep in reps[:3]:
     head = ", ".join(f"{x:+.3f}" for x in rep.vector[:4])
     print(f"  {rep.language}: centroid[{head}, ...] "

@@ -8,15 +8,26 @@ structure the similarity-driven clusters carry (compare the silhouettes).
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sprachbund import (agglomerate, build_manifest, build_matrix,
-                        centroid_all, cut, data, load_embeddings,
-                        random_baseline, select_pivot, silhouette, sweep)
+from sprachbund import (StoreWriter, agglomerate, build_manifest,
+                        build_matrix, bundled_registry, centroid_all, cut,
+                        data, ingest_shard, load_embeddings, random_baseline,
+                        select_pivot, silhouette, sweep, write_embeddings)
 
-reps = centroid_all(load_embeddings(data.path("demo/embeddings.jsonl")))
+registry = bundled_registry()
+shards = [ingest_shard(data.path(f"demo/corpus/{code}.txt"), code, registry)
+          for code in ("ca", "en", "fr", "de", "pt", "ro", "ru", "es")]
+with tempfile.TemporaryDirectory() as tmp:
+    store = Path(tmp) / "embeddings.npy"
+    with StoreWriter(store) as writer:
+        sets = load_embeddings(data.path("demo/embeddings.jsonl"), shards,
+                               writer=writer)
+        write_embeddings(sets, store, writer=writer)
+    reps = centroid_all(sets)
 matrix = build_matrix(reps)
 
 dendrogram = agglomerate(matrix)

@@ -8,16 +8,26 @@ by language family.
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sprachbund import (TsneParams, build_matrix, bundled_registry,
-                        centroid_all, data, emit_plot, load_embeddings,
-                        project)
+from sprachbund import (StoreWriter, TsneParams, build_matrix,
+                        bundled_registry, centroid_all, data, emit_plot,
+                        ingest_shard, load_embeddings, project,
+                        write_embeddings)
 
-matrix = build_matrix(
-    centroid_all(load_embeddings(data.path("demo/embeddings.jsonl"))))
+registry = bundled_registry()
+shards = [ingest_shard(data.path(f"demo/corpus/{code}.txt"), code, registry)
+          for code in ("ca", "en", "fr", "de", "pt", "ro", "ru", "es")]
+with tempfile.TemporaryDirectory() as tmp:
+    store = Path(tmp) / "embeddings.npy"
+    with StoreWriter(store) as writer:
+        sets = load_embeddings(data.path("demo/embeddings.jsonl"), shards,
+                               writer=writer)
+        write_embeddings(sets, store, writer=writer)
+    matrix = build_matrix(centroid_all(sets))
 
 # 8 points: perplexity must stay below (M - 1) / 3
 params = TsneParams(perplexity=2.0, iterations=500, seed=3)
@@ -26,7 +36,6 @@ print("normalized 2-D coordinates:")
 for code, (x, y) in zip(projection.languages, projection.points):
     print(f"  {code}: ({x:.3f}, {y:.3f})")
 
-registry = bundled_registry()
 svg, plot_data = emit_plot(projection, registry, "family")
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)

@@ -25,9 +25,8 @@ from .cluster import (Dendrogram, SprachbundAssignment, agglomerate, cut,
                       random_baseline, silhouette)
 from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
 from .embedding import (FetchStats, LanguageRepresentation,
-                        SentenceEmbeddingSet, StoredEmbeddingSet, StoreWriter,
-                        centroid, centroid_all,
-                        fetch_embeddings, load_embeddings,
+                        StoredEmbeddingSet, StoreWriter, centroid,
+                        centroid_all, fetch_embeddings, load_embeddings,
                         load_representations, write_embeddings,
                         write_representations)
 from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
@@ -49,7 +48,7 @@ __all__ = [
     "AnalysisReport", "CorpusShard", "Dendrogram", "FetchStats", "LanguageRecord",
     "LanguageRepresentation", "LexicalSimilarityTable", "PartialEmbeddingError",
     "PartitionManifest", "Projection2D", "Registry", "SamplingPolicy",
-    "SentenceEmbeddingSet", "ServiceError", "SimilarityMatrix",
+    "ServiceError", "SimilarityMatrix",
     "SprachbundAssignment", "SprachbundError", "StoreWriter",
     "StoredEmbeddingSet", "TsneParams", "TsneResult",
     "UsageError", "ValidationError", "agglomerate", "build_manifest",

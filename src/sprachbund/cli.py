@@ -353,28 +353,8 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
     store = ws / "embeddings.npy"
     header = {"config_digest": cfg.digest()}
     if cfg.embeddings:
-        sets, row = [], 0
-        available = {s.language: s for s in load_embeddings(cfg.embeddings)}
-        # each language's rows go into the store as they are picked, so
-        # only the source holds every vector
         with StoreWriter(store) as writer:  # removes an unfinished store
-            for shard in shards:
-                source = available.get(shard.language)
-                if source is None:
-                    raise ValidationError(
-                        f"{cfg.embeddings} has no vectors for language "
-                        f"{shard.language!r}")
-                position = {sid: k for k, sid in enumerate(source.ids)}
-                missing = [i for i, _ in shard.sentences if i not in position]
-                if missing:
-                    raise ValidationError(
-                        f"{cfg.embeddings} lacks vectors for "
-                        f"{shard.language!r} sentence ids {missing}")
-                ids = tuple(i for i, _ in shard.sentences)
-                writer.write(row, source.matrix[[position[i] for i in ids]])
-                sets.append(
-                    writer.stored(shard.language, source.dim, ids, row))
-                row += len(ids)
+            sets = load_embeddings(cfg.embeddings, shards, writer=writer)
             write_embeddings(sets, store, extra_header=header, writer=writer)
         stats = FetchStats()
     else:

@@ -6,14 +6,14 @@ embeds batches of sentences. Either way they reach the workspace one way: a
 binary store, which :func:`write_embeddings` finishes. The store is one
 little-endian float32 ``.npy`` matrix holding every language's rows in turn,
 plus a small JSON index of languages and sentence ids. A fetch writes each
-reply's rows into the store's file as the reply arrives, and a store is
-read back one language at a time, so neither holds more than the replies in
-flight or one language's rows; a JSON Lines file is still parsed whole.
-Each language is then reduced to the mean of its sentence vectors, and
-those centroids are kept in a store of the same layout, one row per
-language. Vectors are held in float32; sums are accumulated in float64 with
-compensated (Kahan) combination of block partial sums, so a 10k x 768
-average does not drift.
+reply's rows into the store's file as the reply arrives, a JSON Lines file
+only its drawn rows, a chunk of lines at a time, and a store is read back
+one language at a time: none holds more than the replies in flight, a chunk
+of lines or one language's rows. Each language is then reduced to the mean
+of its sentence vectors, and those centroids are kept in a store of the same
+layout, one row per language. Vectors are held in float32; sums are
+accumulated in float64 with compensated (Kahan) combination of block partial
+sums, so a 10k x 768 average does not drift.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import math
 import os
 import threading
 import time
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
@@ -50,33 +52,10 @@ _CHUNK_VALUES = 1 << 12
 _RECORD_KEYS = frozenset(("lang", "id", "vec"))
 
 
-@dataclass(eq=False)
-class SentenceEmbeddingSet:
-    """Fixed-dimension vectors for one language's sentences."""
-
-    language: str
-    dim: int
-    ids: tuple[int, ...]
-    matrix: np.ndarray  # float32, shape (len(ids), dim)
-
-    def __post_init__(self):
-        self.ids = tuple(int(i) for i in self.ids)
-        self.matrix = np.asarray(self.matrix, dtype=np.float32)
-        if self.matrix.ndim != 2 or self.matrix.shape != (len(self.ids), self.dim):
-            raise ValidationError(
-                f"embedding matrix for {self.language!r} must be "
-                f"{len(self.ids)} x {self.dim}, got {self.matrix.shape}")
-        if self.dim < 1:
-            raise ValidationError("embedding dimension must be positive")
-        _check_unique(self.language, self.ids)
-        _check_finite(self.language, self.ids, self.matrix)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def _check_unique(language: str, ids: tuple[int, ...]) -> None:
-    if len(set(ids)) != len(ids):
+def _check_unique(language: str, ids: Sequence[int]) -> None:
+    # an array('q') is sorted: no int per id, and np.unique loads numpy.ma
+    if (not np.diff(np.sort(ids)).all() if isinstance(ids, array)
+            else len(set(ids)) != len(ids)):
         raise ValidationError(
             f"duplicate sentence ids in embedding set for {language!r}")
 
@@ -194,8 +173,10 @@ def _vector(where: str, lang, sid, vec, dim: int) -> np.ndarray:
 
 
 class _JsonlRecords:
-    """The records of a JSON Lines embedding file, with their vectors
-    converted to float32 and checked a chunk of lines at a time.
+    """The records of a JSON Lines embedding file, whose vectors are
+    converted to float32 and checked a chunk of lines at a time; the drawn
+    ones are then written to their rows, and of the others only the id is
+    kept, for the check of repeated ids.
 
     A chunk's vectors are converted in one call. Only when that call fails,
     or gives a value that is not finite, are they converted one by one, to
@@ -204,40 +185,55 @@ class _JsonlRecords:
     first bad line in file order.
     """
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, path: Path, shards: list[CorpusShard],
+                 writer: StoreWriter):
+        self.path, self.shards, self.writer = path, shards, writer
         self.dim: int | None = None  # from the header line
-        self.langs: list[str] = []
-        self.ids: list[int] = []
-        self._blocks: list[np.ndarray] = []
-        self._lines: list[int] = []  # the pending records' line numbers
-        self._vecs: list = []  # and their vectors, as parsed
+        self.firsts = list(accumulate(map(len, shards), initial=0))
+        # each shard's drawn ids not read yet, with their rows; by language
+        self.unread = [{sid: row + k for k, (sid, _) in enumerate(s.sentences)}
+                       for s, row in zip(shards, self.firsts)]
+        self.rows: dict[str, list[dict[int, int]]] = {}
+        for shard, unread in zip(shards, self.unread):
+            self.rows.setdefault(shard.language, []).append(unread)
+        # each language's ids in file order; a list once one is beyond int64
+        self.ids: dict[str, array | list[int]] = {}
+        self._pending: list[tuple] = []  # (line number, lang, id, vec)
+        self._targets: list[tuple[int, int]] = []  # (pending index, row)
 
     def add(self, lineno: int, lang: str, sid: int, vec) -> None:
-        self.langs.append(lang)
-        self.ids.append(sid)
-        self._lines.append(lineno)
-        self._vecs.append(vec)
-        if len(self._vecs) * self.dim >= _CHUNK_VALUES:
+        ids = self.ids.setdefault(lang, array("q"))
+        try:
+            ids.append(sid)
+        except OverflowError:
+            self.ids[lang] = [*ids, sid]
+        for rows in self.rows.get(lang, ()):
+            if (row := rows.pop(sid, None)) is not None:
+                self._targets.append((len(self._pending), row))
+        self._pending.append((lineno, lang, sid, vec))
+        if len(self._pending) * self.dim >= _CHUNK_VALUES:
             self._convert()
 
     def _convert(self) -> None:
-        if not self._vecs:
+        if not self._pending:
             return
         try:
-            block = _float32(self._vecs)
+            block = _float32([vec for *_, vec in self._pending])
         except (TypeError, ValueError, OverflowError):
             block = None
-        if (block is None or block.shape != (len(self._vecs), self.dim)
+        if (block is None or block.shape != (len(self._pending), self.dim)
                 or not np.isfinite(block).all()):
-            first = len(self.ids) - len(self._vecs)
             block = np.vstack([
-                _vector(f"{self.path}: line {lineno}", self.langs[first + k],
-                        self.ids[first + k], vec, self.dim)
-                for k, (lineno, vec) in enumerate(zip(self._lines, self._vecs))])
-        self._blocks.append(block)
-        self._lines.clear()
-        self._vecs.clear()
+                _vector(f"{self.path}: line {lineno}", lang, sid, vec, self.dim)
+                for lineno, lang, sid, vec in self._pending])
+        start = 0  # a run of records bound for consecutive rows: one write
+        for end, (k, row) in enumerate(self._targets, start=1):
+            if self._targets[end:end + 1] != [(k + 1, row + 1)]:
+                first, at = self._targets[start]
+                self.writer.write(at, block[first:k + 1])
+                start = end
+        self._pending.clear()
+        self._targets.clear()
 
     def error(self, lineno: int, what: str) -> ValidationError:
         """The error of bad line ``lineno``; raises a pending earlier line's
@@ -245,44 +241,48 @@ class _JsonlRecords:
         self._convert()
         return ValidationError(f"{self.path}: line {lineno}: {what}")
 
-    def sets(self) -> list[SentenceEmbeddingSet]:
-        """One set per language, in order of first appearance. A language
-        whose records are consecutive lines gets a view of the rows."""
+    def finish(self) -> list[StoredEmbeddingSet]:
+        """Each shard's set, if no id repeats and the file has the shards'."""
         self._convert()
-        rows = (np.concatenate(self._blocks) if self._blocks
-                else np.zeros((0, self.dim), np.float32))
-        self._blocks.clear()
-        grouped: dict[str, list[int]] = {}
-        for row, lang in enumerate(self.langs):
-            grouped.setdefault(lang, []).append(row)
-        return [SentenceEmbeddingSet(
-                    language=lang, dim=self.dim,
-                    ids=tuple(map(self.ids.__getitem__, picks)),
-                    matrix=(rows[picks[0]:picks[-1] + 1]
-                            if picks[-1] - picks[0] == len(picks) - 1
-                            else rows[picks]))
-                for lang, picks in grouped.items()]
+        for lang, ids in self.ids.items():
+            _check_unique(lang, ids)
+        for shard, unread in zip(self.shards, self.unread):
+            if shard.language not in self.ids:
+                raise ValidationError(f"{self.path} has no vectors for "
+                                      f"language {shard.language!r}")
+            if unread:
+                raise ValidationError(
+                    f"{self.path} lacks vectors for {shard.language!r} "
+                    f"sentence ids {list(unread)}")
+        return [self.writer.stored(s.language, self.dim,
+                                   tuple(sid for sid, _ in s.sentences), row)
+                for s, row in zip(self.shards, self.firsts)]
 
 
-def load_embeddings(path: str | Path
-                    ) -> list[SentenceEmbeddingSet] | list[StoredEmbeddingSet]:
-    """Read embeddings from a ``.npy`` store or a JSON Lines file.
+def load_embeddings(path: str | Path,
+                    shards: Iterable[CorpusShard] | None = None, *,
+                    writer: StoreWriter | None = None
+                    ) -> list[StoredEmbeddingSet]:
+    """Read a ``.npy`` store, or the vectors of ``shards``' sentences from
+    a JSON Lines file into the store that ``writer`` is writing.
 
-    A path ending in ``.npy`` is a store finished by :func:`write_embeddings`.
-    Its index and header are read and checked, and each language becomes a
-    :class:`StoredEmbeddingSet` that reads its own rows when its ``matrix``
-    is used, so a caller that takes one language at a time holds one
-    language's rows. Any other path is JSON Lines, parsed whole: the first
-    line is a header ``{"v": 1, "dim": D}`` and every other line is
-    ``{"lang": code, "id": int, "vec": [numbers]}``. Records are grouped by
-    language in order of first appearance.
+    A ``.npy`` path is a store finished by :func:`write_embeddings`; its
+    index and header are checked, and each language becomes a
+    :class:`StoredEmbeddingSet` that reads its rows when its ``matrix`` is
+    used, so a caller that takes one at a time holds one language's rows.
 
-    Each line is parsed by one ``json.loads``, and the vectors are converted
-    to float32 and checked a chunk of lines at a time. A bad line raises
-    :class:`ValidationError` naming the file and the line; it is the first
-    bad line in file order, whatever is wrong with it.
+    Any other path is JSON Lines: a header ``{"v": 1, "dim": D}``, then one
+    ``{"lang": code, "id": int, "vec": [numbers]}`` a line. The first bad
+    line raises :class:`ValidationError` naming the file and the line. Each
+    drawn vector is written at its row: the shards' rows in turn, each in
+    sentence order, as :func:`fetch_embeddings` writes them. Then a
+    language that repeats an id, or the first shard whose language or
+    sentence the file lacks, raises. Returns one set per shard, readable
+    once :func:`write_embeddings` has finished the store.
     """
     path = Path(path)
+    if (path.suffix == ".npy") != (writer is None):
+        raise TypeError("a JSON Lines file, and not a store, needs a writer")
     if path.suffix == ".npy":
         return _load_store(path)
     if not path.exists():
@@ -291,7 +291,7 @@ def load_embeddings(path: str | Path
         fh = path.open("rb")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    records = _JsonlRecords(path)
+    records = _JsonlRecords(path, list(shards), writer)
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -323,7 +323,7 @@ def load_embeddings(path: str | Path
             records.add(lineno, lang, sid, rec["vec"])
     if records.dim is None:
         raise ValidationError(f"{path}: empty embedding file (no header)")
-    return records.sets()
+    return records.finish()
 
 
 def _one_dim(items: Sequence) -> int:
@@ -788,10 +788,9 @@ def _compensated_mean(matrix: np.ndarray) -> np.ndarray:
     return total / n
 
 
-def centroid(emb_set: SentenceEmbeddingSet | StoredEmbeddingSet
-             ) -> LanguageRepresentation:
-    """Componentwise mean of a language's sentence vectors; a stored set's
-    rows are read once, and dropped with the mean."""
+def centroid(emb_set: StoredEmbeddingSet) -> LanguageRepresentation:
+    """Componentwise mean of a language's sentence vectors; the set's rows
+    are read once, and dropped with the mean."""
     if len(emb_set) == 0:
         raise ValidationError(
             f"cannot take the centroid of an empty set for {emb_set.language!r}")
@@ -803,10 +802,10 @@ def centroid(emb_set: SentenceEmbeddingSet | StoredEmbeddingSet
     )
 
 
-def centroid_all(sets: Sequence[SentenceEmbeddingSet | StoredEmbeddingSet]
+def centroid_all(sets: Sequence[StoredEmbeddingSet]
                  ) -> list[LanguageRepresentation]:
     """Centroid per language, preserving input order. The sets are taken one
-    at a time, so stored sets hold at most one language's rows at once."""
+    at a time, so at most one language's rows are held at once."""
     seen: set[str] = set()
     dims = {s.dim for s in sets}
     if len(dims) > 1:

@@ -41,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .registry import Registry
+from .registry import Registry, json_float
 from .simmatrix import SimilarityMatrix
 
 _EPS = 1e-12
@@ -460,12 +460,13 @@ MISSING_COLOR = "#999999"
 def check_plot_settings(registry: Registry, color_by: str,
                         point_radius: float, font_size: int) -> None:
     """Reject plot settings :func:`emit_plot` cannot draw: a radius or font
-    size that is not positive and finite (NaN included), or a ``color_by``
-    that is neither "family" nor one of the registry's syntax features."""
+    size that is not a positive finite float (NaN and an integer beyond
+    float's range included), or a ``color_by`` that is neither "family"
+    nor one of the registry's syntax features."""
     for name, value in (("point_radius", point_radius), ("font_size", font_size)):
-        if not 0 < value < math.inf:
-            raise ValidationError(
-                f"{name} must be positive and finite, got {value:g}")
+        if not 0 < json_float(value) < math.inf:
+            raise ValidationError(f"{name} must be positive and finite, "
+                                  f"got {json_float(value):g}")
     if color_by != "family" and color_by not in registry.feature_names:
         raise ValidationError(
             f"unknown color_by attribute {color_by!r}; expected 'family' or "

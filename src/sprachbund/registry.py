@@ -381,6 +381,15 @@ class LexicalSimilarityTable:
         return len(self._entries)
 
 
+def json_float(number: int | float) -> float:
+    """A JSON number as a float; an integer beyond float's range becomes
+    the infinity of its sign, which a range check then refuses."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
 def load_lexical_table(path: str | Path) -> LexicalSimilarityTable:
     """Parse a lexical table file: ``{"v": 1, "pairs": [{a, b, sim}]}``.
 
@@ -404,7 +413,7 @@ def load_lexical_table(path: str | Path) -> LexicalSimilarityTable:
                 f"{path}: pairs[{i}]: a and b must be strings, got "
                 f"{json.dumps(a)} and {json.dumps(b)}")
         try:
-            table._add(a, b, float(sim))
+            table._add(a, b, json_float(sim))
         except ValidationError as exc:
             raise ValidationError(f"{path}: pairs[{i}]: {exc}") from None
     return table

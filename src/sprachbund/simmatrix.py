@@ -16,7 +16,8 @@ import numpy as np
 
 from .embedding import LanguageRepresentation
 from .errors import ValidationError
-from .registry import LexicalSimilarityTable, artifact_keys, read_json
+from .registry import (LexicalSimilarityTable, artifact_keys, json_float,
+                       read_json)
 
 
 @dataclass(eq=False)
@@ -32,7 +33,15 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         self.languages = tuple(self.languages)
-        self.values = np.asarray(self.values, dtype=np.float64)
+        try:
+            self.values = np.asarray(self.values, dtype=np.float64)
+        except OverflowError:  # an integer beyond float's range
+            cells = np.ndenumerate(np.asarray(self.values, dtype=object))
+            at = next(at for at, v in cells
+                      if isinstance(v, int) and math.isinf(json_float(v)))
+            raise ValidationError(
+                f"values[{']['.join(map(str, at))}] is an integer beyond "
+                f"float range, outside [-1, 1]") from None
         m = len(self.languages)
         for code in self.languages:
             if not isinstance(code, str):

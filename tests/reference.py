@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from sprachbund.corpus import CorpusShard, SamplingPolicy
-from sprachbund.embedding import LanguageRepresentation, SentenceEmbeddingSet
+from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
 from sprachbund.projection import (_initial_points, conditional_affinities,
                                    joint_affinities)
@@ -330,9 +330,12 @@ def dump_write_json(path: str | Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def line_load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
+def line_load_embeddings(path: str | Path
+                         ) -> list[tuple[str, tuple[int, ...], np.ndarray]]:
     """A JSON Lines embedding file read one line at a time: each line is
-    parsed, checked and converted to float32 before the next is read."""
+    parsed, checked and converted to float32 before the next is read.
+    Returns each language's ids and float32 matrix, in order of first
+    appearance, once no language repeats an id."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"embedding file not found: {path}")
@@ -385,12 +388,12 @@ def line_load_embeddings(path: str | Path) -> list[SentenceEmbeddingSet]:
             vecs.append(arr)
     if dim is None:
         raise ValidationError(f"{path}: empty embedding file (no header)")
-    return [
-        SentenceEmbeddingSet(
-            language=lang, dim=dim, ids=tuple(ids),
-            matrix=np.vstack(vecs) if vecs else np.zeros((0, dim), np.float32))
-        for lang, (ids, vecs) in grouped.items()
-    ]
+    for lang, (ids, _) in grouped.items():
+        if len(set(ids)) != len(ids):
+            raise ValidationError(
+                f"duplicate sentence ids in embedding set for {lang!r}")
+    return [(lang, tuple(ids), np.vstack(vecs))
+            for lang, (ids, vecs) in grouped.items()]
 
 
 def gather_kl_divergence(p: np.ndarray, q: np.ndarray) -> float:

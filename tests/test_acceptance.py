@@ -15,7 +15,8 @@ from reference import entropy_bits, naive_average_linkage
 from sprachbund import cli, data
 from sprachbund.cluster import agglomerate, cut, random_baseline
 from sprachbund.corpus import CorpusShard, SamplingPolicy, sample
-from sprachbund.embedding import LanguageRepresentation, SentenceEmbeddingSet, centroid
+from sprachbund.embedding import (LanguageRepresentation, StoreWriter, centroid,
+                                  write_embeddings)
 from sprachbund.partition import select_pivot, sweep
 from sprachbund.projection import (TsneParams, conditional_affinities,
                                    joint_affinities, tsne)
@@ -137,11 +138,17 @@ def test_pivot_matches_brute_force():
            f"1000 instances exact + tie case, {elapsed:.2f}s (limit 5s)")
 
 
-def test_centroid_against_float64_oracle():
+def test_centroid_against_float64_oracle(tmp_path):
     """1000 random sets (<= 1e4 vectors, dim 768): within 1e-6 of the
-    64-bit accumulate-then-divide oracle; linearity within 1e-6."""
+    64-bit accumulate-then-divide oracle; linearity within 1e-6. The sets
+    are runs of rows of one store."""
     rng = np.random.default_rng(11)
     pool = rng.standard_normal((10_000, 768)).astype(np.float32)
+    store = tmp_path / "pool.npy"
+    with StoreWriter(store) as writer:
+        writer.write(0, pool)
+        write_embeddings([writer.stored("xx", 768, range(10_000), 0)], store,
+                         writer=writer)
     max_err = 0.0
     max_lin_err = 0.0
     sizes = [1, 10_000] + [
@@ -151,16 +158,16 @@ def test_centroid_against_float64_oracle():
     for trial, size in enumerate(sizes):
         start = int(rng.integers(0, 10_000 - size + 1))
         matrix = pool[start:start + size]
-        emb = SentenceEmbeddingSet("xx", 768, tuple(range(size)), matrix)
+        emb = writer.stored("xx", 768, range(size), start)
         ours = centroid(emb).vector.astype(np.float64)
         oracle = matrix.astype(np.float64).sum(axis=0) / size
         max_err = max(max_err, float(np.max(np.abs(ours - oracle))))
         if trial % 10 == 0 and size >= 2:
             half = size // 2
-            ca = centroid(SentenceEmbeddingSet(
-                "xx", 768, tuple(range(half)), matrix[:half])).vector
-            cb = centroid(SentenceEmbeddingSet(
-                "xx", 768, tuple(range(size - half)), matrix[half:])).vector
+            ca = centroid(writer.stored(
+                "xx", 768, range(half), start)).vector
+            cb = centroid(writer.stored(
+                "xx", 768, range(size - half), start + half)).vector
             combined = (half * ca.astype(np.float64)
                         + (size - half) * cb.astype(np.float64)) / size
             max_lin_err = max(max_lin_err,

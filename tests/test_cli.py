@@ -72,7 +72,8 @@ class TestAllPipeline:
     def test_version_and_jsonl_all_leave_the_executor_unloaded(
             self, demo_config):
         """Only a fetch from a service imports the standard library's thread
-        pool, and with it logging."""
+        pool, and with it logging; and no command imports numpy.ma (about
+        1 MiB of RSS), which np.unique would."""
         probe = ("import sys\n"
                  "from sprachbund import cli\n"
                  "for args in (['--version'], ['all', '--config', sys.argv[1]]):\n"
@@ -81,13 +82,13 @@ class TestAllPipeline:
                  "    except SystemExit as exc:\n"
                  "        rc = exc.code\n"
                  "    print('exit', rc, 'concurrent.futures' in sys.modules,\n"
-                 "          'logging' in sys.modules)\n")
+                 "          'logging' in sys.modules, 'numpy.ma' in sys.modules)\n")
         proc = _python(["-c", probe, str(demo_config())], None)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == cli.__version__
         assert [line for line in lines if line.startswith("exit ")] == [
-            "exit 0 False False"] * 2
+            "exit 0 False False False"] * 2
 
     def test_reruns_are_idempotent(self, demo_config, tmp_path):
         cfg = demo_config()
@@ -1104,3 +1105,38 @@ class TestNumberBeyondFloat:
         assert proc.stderr.startswith("sprachbund: error: " + message.format(
             endpoint=server.endpoint))
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    @pytest.mark.parametrize("which, entry, message", [
+        ("lexical_table", ("pairs", 0, "sim"),
+         "pairs[0]: lexical similarity for (ca, fr) is {inf}, outside [0, 1]"),
+        ("matrix", ("values", 0, 1),
+         "values[0][1] is an integer beyond float range, outside [-1, 1]"),
+    ], ids=["lexical-sim", "matrix-value"])
+    def test_input_integer_exits_2(self, demo_config, tmp_path, which, entry,
+                                   message, sign):
+        """An integer beyond float range in the lexical table or the
+        `--matrix` file is refused as out of range, naming the entry."""
+        source = {"lexical_table": "lexical_similarity.json",
+                  "matrix": "embedding_similarity.json"}[which]
+        doc = json.loads(data.path(source).read_text(encoding="utf-8"))
+        key, i, j = entry
+        doc[key][i][j] = sign * 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        proc = self.run_all(demo_config(**{which: str(bad)}))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"sprachbund: error: {bad}: " + message.format(
+            inf="inf" if sign > 0 else "-inf") + "\n")
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    @pytest.mark.parametrize("name", ["point_radius", "font_size"])
+    def test_plot_setting_integer_exits_2_with_no_artifact(
+            self, demo_config, tmp_path, capsys, name, sign):
+        """`all` refuses the setting before any stage writes."""
+        cfg = str(demo_config(**{name: sign * 10 ** 400}))
+        assert cli.main(["all", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {name} must be positive and finite, got "
+            f"{'inf' if sign > 0 else '-inf'}\n")
+        assert not (tmp_path / "ws").exists()

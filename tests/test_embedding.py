@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -21,21 +22,47 @@ from reference import (json_load_representations, json_write_representations,
 from sprachbund import embedding
 from sprachbund.corpus import CorpusShard
 from sprachbund.embedding import (FETCH_WORKERS, FetchStats,
-                                  LanguageRepresentation, SentenceEmbeddingSet,
-                                  StoredEmbeddingSet, StoreWriter,
-                                  centroid, centroid_all, fetch_embeddings,
-                                  load_embeddings, load_representations,
-                                  write_embeddings, write_representations)
+                                  LanguageRepresentation, StoredEmbeddingSet,
+                                  StoreWriter, centroid, centroid_all,
+                                  fetch_embeddings, load_embeddings,
+                                  load_representations, write_embeddings,
+                                  write_representations)
 from sprachbund.errors import (PartialEmbeddingError, ServiceError,
                                ValidationError)
 from sprachbund.simmatrix import build_matrix
 
 
+# make_set's stores, one a set; removed when the tests end
+_SETS = tempfile.TemporaryDirectory()
+_SET_NUMBERS = itertools.count()
+
+
 def make_set(language, matrix, ids=None):
+    """``matrix``'s rows as a one-language store of their own, and the set
+    that reads them."""
     matrix = np.asarray(matrix, dtype=np.float32)
     ids = tuple(range(len(matrix))) if ids is None else tuple(ids)
-    return SentenceEmbeddingSet(language=language, dim=matrix.shape[1],
-                                ids=ids, matrix=matrix)
+    path = Path(_SETS.name) / f"{next(_SET_NUMBERS)}.npy"
+    with StoreWriter(path) as writer:
+        writer.write(0, matrix)
+        stored = writer.stored(language, matrix.shape[1], ids, 0)
+        write_embeddings([stored], path, writer=writer)
+    return stored
+
+
+def shard_of(language, ids):
+    """A shard of the sentences ``ids``, in that order."""
+    return CorpusShard(language, tuple((sid, f"s{sid}") for sid in ids))
+
+
+def read_jsonl(path, shards=()):
+    """``load_embeddings`` of ``shards`` from the JSON Lines file ``path``
+    into a store beside it, which it finishes."""
+    store = Path(path).with_suffix(".npy")
+    with StoreWriter(store) as writer:
+        sets = load_embeddings(path, shards, writer=writer)
+        write_embeddings(sets, store, writer=writer)
+    return sets
 
 
 def write_jsonl(path, header, records):
@@ -72,6 +99,7 @@ def stub_rows(shards, dim):
 
 class TestLoadEmbeddings:
     def test_groups_by_language(self, tmp_path):
+        """One set per shard, in shard order, whatever the file's order."""
         path = tmp_path / "emb.jsonl"
         write_jsonl(path, {"v": 1, "dim": 4}, [
             {"lang": "aa", "id": i, "vec": [float(i), 0.0, 0.0, 1.0]}
@@ -80,9 +108,12 @@ class TestLoadEmbeddings:
             {"lang": "bb", "id": i, "vec": [0.0, float(i), 1.0, 0.0]}
             for i in range(3)
         ])
-        sets = load_embeddings(path)
-        assert [s.language for s in sets] == ["aa", "bb"]
-        assert all(s.dim == 4 and len(s) == 3 for s in sets)
+        sets = read_jsonl(path, [shard_of("bb", [2, 0]), shard_of("aa", [1])])
+        assert [(s.language, s.ids) for s in sets] == [("bb", (2, 0)),
+                                                       ("aa", (1,))]
+        assert all(s.dim == 4 for s in sets)
+        assert [s.matrix.tolist() for s in sets] == [
+            [[0, 2, 1, 0], [0, 0, 1, 0]], [[1, 0, 0, 1]]]
 
     def test_dimension_mismatch_names_record(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -91,7 +122,7 @@ class TestLoadEmbeddings:
             {"lang": "aa", "id": 1, "vec": [1.0, 2.0, 3.0, 4.0, 5.0]},
         ])
         with pytest.raises(ValidationError, match="lang=aa id=1"):
-            load_embeddings(path)
+            read_jsonl(path)
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -99,14 +130,14 @@ class TestLoadEmbeddings:
             {"lang": "aa", "id": 0, "vec": [1.0, float("nan")]},
         ])
         with pytest.raises(ValidationError, match="non-finite"):
-            load_embeddings(path)
+            read_jsonl(path)
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"lang": "aa", "id": 0, "vec": [1.0]}\n',
                         encoding="utf-8")
         with pytest.raises(ValidationError, match="header"):
-            load_embeddings(path)
+            read_jsonl(path)
 
     @pytest.mark.parametrize("text, message", [
         ('{"v": 1, "dim": 2}\n{"lang": "aa", "id": "x", "vec": [1.0, 2.0]}\n',
@@ -125,7 +156,7 @@ class TestLoadEmbeddings:
         path = tmp_path / "emb.jsonl"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValidationError) as info:
-            load_embeddings(path)
+            read_jsonl(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
     def test_round_trip(self, tmp_path):
@@ -134,11 +165,74 @@ class TestLoadEmbeddings:
                 make_set("bb", rng.standard_normal((2, 6)), np.array([5, 2]))]
         path = tmp_path / "emb.jsonl"
         write_jsonl_sets(path, sets)
-        loaded = load_embeddings(path)
+        loaded = read_jsonl(path, [shard_of(s.language, s.ids) for s in sets])
         for orig, back in zip(sets, loaded):
             assert back.language == orig.language
             assert back.ids == orig.ids
             assert np.array_equal(back.matrix, orig.matrix)
+
+    def test_a_repeated_id_is_refused_first(self, tmp_path):
+        """A language that repeats an id is refused, drawn or not, before
+        any shard is checked against the file."""
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, {"v": 1, "dim": 2}, [
+            {"lang": lang, "id": sid, "vec": [1.0, float(sid)]}
+            for lang, ids in (("aa", range(4)), ("bb", (0, 1, 2, 2, 3)))
+            for sid in ids])
+        with pytest.raises(ValidationError) as info:
+            read_jsonl(path, [shard_of("cc", [0]), shard_of("aa", [9])])
+        assert str(info.value) == ("duplicate sentence ids in embedding set "
+                                   "for 'bb'")
+
+    @pytest.mark.parametrize("shards, message", [
+        ([("aa", [1, 0]), ("cc", [0]), ("aa", [7])],
+         "{path} has no vectors for language 'cc'"),
+        ([("aa", [5, 1, 4]), ("cc", [0])],
+         "{path} lacks vectors for 'aa' sentence ids [5, 4]"),
+    ], ids=["language", "ids"])
+    def test_the_first_shard_without_vectors_is_named(self, tmp_path, shards,
+                                                      message):
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, {"v": 1, "dim": 2}, [
+            {"lang": "aa", "id": sid, "vec": [1.0, float(sid)]}
+            for sid in range(4)])
+        store = path.with_suffix(".npy")
+        with pytest.raises(ValidationError) as info:
+            read_jsonl(path, [shard_of(code, ids) for code, ids in shards])
+        assert str(info.value) == message.format(path=path)
+        assert list(tmp_path.iterdir()) == [path]  # no store, no temporary
+        assert not store.exists()
+
+    def test_an_id_beyond_int64_is_still_checked(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        big = [2 ** 63, -2 ** 63 - 1, 2 ** 64]
+        write_jsonl(path, {"v": 1, "dim": 1}, [
+            {"lang": "aa", "id": sid, "vec": [float(k)]}
+            for k, sid in enumerate([0, *big, 2 ** 63 + 1])])
+        [got] = read_jsonl(path, [shard_of("aa", [2 ** 64, 0])])
+        assert got.matrix.tolist() == [[3.0], [0.0]]
+        write_jsonl(path, {"v": 1, "dim": 1}, [
+            {"lang": "aa", "id": sid, "vec": [1.0]} for sid in [*big, 2 ** 64]])
+        with pytest.raises(ValidationError, match="duplicate sentence ids"):
+            read_jsonl(path)
+
+    def test_a_language_drawn_twice_gets_its_rows_twice(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, {"v": 1, "dim": 2}, [
+            {"lang": "aa", "id": sid, "vec": [1.0, float(sid)]}
+            for sid in range(4)])
+        sets = read_jsonl(path, [shard_of("aa", [1, 2]), shard_of("aa", [2])])
+        assert [s.matrix.tolist() for s in sets] == [[[1, 1], [1, 2]],
+                                                     [[1, 2]]]
+
+    def test_a_store_takes_no_writer_and_a_file_needs_one(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, {"v": 1, "dim": 1}, [])
+        with StoreWriter(tmp_path / "emb.npy") as writer:
+            with pytest.raises(TypeError):
+                load_embeddings(path)
+            with pytest.raises(TypeError):
+                load_embeddings(tmp_path / "emb.npy", [], writer=writer)
 
 
 # faults a JSON Lines line can carry; "vector" ones are found only when the
@@ -170,34 +264,74 @@ _VECTOR_FAULTS = {
 }
 
 
-def _load_outcome(loader, path):
-    """``loader``'s sets as comparable tuples, or its error message."""
+def _read_outcome(path, shards):
+    """``read_jsonl``'s sets as comparable tuples, or its error message."""
     try:
-        with np.errstate(over="ignore"):  # the line loader warns on 1e39
-            sets = loader(path)
+        sets = read_jsonl(path, shards)
     except ValidationError as exc:
         return f"ValidationError: {exc}"
     return [(s.language, s.dim, s.ids, s.matrix.dtype.str, s.matrix.shape,
              s.matrix.tobytes()) for s in sets]
 
 
+def _line_outcome(path, shards):
+    """The same from ``line_load_embeddings``: each shard's rows picked by
+    id from the language's records, or the error of the first shard
+    whose language or ids the file lacks."""
+    try:
+        with np.errstate(over="ignore"):  # the line loader warns on 1e39
+            found = {lang: (ids, matrix)
+                     for lang, ids, matrix in line_load_embeddings(path)}
+        out = []
+        for shard in shards:
+            if shard.language not in found:
+                raise ValidationError(
+                    f"{path} has no vectors for language {shard.language!r}")
+            ids, matrix = found[shard.language]
+            position = {sid: k for k, sid in enumerate(ids)}
+            drawn = [sid for sid, _ in shard.sentences]
+            missing = [sid for sid in drawn if sid not in position]
+            if missing:
+                raise ValidationError(f"{path} lacks vectors for "
+                                      f"{shard.language!r} sentence ids "
+                                      f"{missing}")
+            rows = matrix[[position[sid] for sid in drawn]]
+            out.append((shard.language, matrix.shape[1], tuple(drawn),
+                        rows.dtype.str, rows.shape, rows.tobytes()))
+        return out
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+def rare(n):
+    """True about once in ``n`` draws: a value inside the range, as
+    Hypothesis favours the bounds."""
+    return st.integers(0, n - 1).map(lambda x: x == n // 2)
+
+
 @st.composite
 def jsonl_files(draw):
-    """A JSON Lines embedding file: a header, records of a few languages in
-    any order, blank lines, and line or vector faults at random lines."""
+    """A JSON Lines embedding file and shards to draw from it. The file has
+    a header, records of a few languages in any order, now and then a
+    repeated id, blank lines, and line or vector faults at random lines.
+    The shards are some of its languages, each some of its records' ids in
+    any order, now and then with an id or a language the file lacks."""
     dim = draw(st.integers(1, 4))
     number = (st.floats(-3e38, 3e38, allow_nan=False) | st.integers(-99, 99)
               | st.booleans() | st.sampled_from([0.1, -0.0, 5e-324, 1e-46]))
     lines = [json.dumps({"v": 1, "dim": dim}).encode()]
-    ids: dict[str, int] = {}
+    ids: dict[str, list[int]] = {}
+    repeats = draw(rare(8))  # ids may repeat
     for _ in range(draw(st.integers(0, 30))):
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from([b"", b"  ", b"\t"])))
             continue
         lang = draw(st.sampled_from(["aa", "bb", "cc"]))
-        ids[lang] = ids.get(lang, -1) + 1 + draw(st.integers(0, 2))
+        seen = ids.setdefault(lang, [])
+        step = draw(st.integers(0 if repeats else 1, 3))
+        seen.append((seen[-1] if seen else -1) + step)
         vec = draw(st.lists(number, min_size=dim, max_size=dim))
-        lines.append(json.dumps({"lang": lang, "id": ids[lang],
+        lines.append(json.dumps({"lang": lang, "id": seen[-1],
                                  "vec": vec}).encode())
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(1, len(lines)))
@@ -207,29 +341,44 @@ def jsonl_files(draw):
             vec = _VECTOR_FAULTS[draw(st.sampled_from(sorted(_VECTOR_FAULTS)))]
             bad = json.dumps({"lang": "zz", "id": at, "vec": vec(dim)}).encode()
         lines.insert(at, bad)
-    return b"\n".join(lines) + b"\n"
+    codes = draw(st.permutations(sorted(ids)))
+    codes = codes[:draw(st.integers(min(1, len(codes)), len(codes)))]
+    if draw(rare(10)):
+        codes.insert(draw(st.integers(0, len(codes))), "dd")
+    shards = []
+    for code in codes:
+        pool = sorted(set(ids.get(code, ())))
+        drawn = (draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+                 if pool else [])
+        if draw(rare(10)):  # an id the file lacks
+            drawn.insert(draw(st.integers(0, len(drawn))),
+                         max(pool, default=0) + 1)
+        shards.append(shard_of(code, drawn))
+    return b"\n".join(lines) + b"\n", shards
 
 
 class TestJsonlOracle:
     """``load_embeddings`` on JSON Lines against ``line_load_embeddings``
     (reference.py), which converts and checks each line before reading the
-    next: the sets are equal to the bit, or the error message is."""
+    next: the drawn sets are equal to the bit, or the error message is."""
 
     @settings(max_examples=300, deadline=None)
-    @given(text=jsonl_files(), chunk=st.sampled_from([1, 3, 8, 1 << 12]))
-    @example(text=b'{"v": 1, "dim": 2}\n'
-                  b'{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n'
-                  b'{"lang": "aa", "id": 1, "vec": [1.0]}\n'
-                  b'{"lang": "aa", "id": 2, "vec": [1.0, 2.0]}\n'
-                  b'{"lang": "aa", "id": 3, "vec": [1.0, 2.0]\n',
+    @given(case=jsonl_files(), chunk=st.sampled_from([1, 3, 8, 1 << 12]))
+    @example(case=(b'{"v": 1, "dim": 2}\n'
+                   b'{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n'
+                   b'{"lang": "aa", "id": 1, "vec": [1.0]}\n'
+                   b'{"lang": "aa", "id": 2, "vec": [1.0, 2.0]}\n'
+                   b'{"lang": "aa", "id": 3, "vec": [1.0, 2.0]\n',
+                   [shard_of("aa", [2, 0])]),
              chunk=1 << 12)
-    def test_sets_or_message_match_the_line_loader(self, text, chunk):
+    def test_sets_or_message_match_the_line_loader(self, case, chunk):
+        text, shards = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "emb.jsonl"
             path.write_bytes(text)
             with mock.patch.object(embedding, "_CHUNK_VALUES", chunk):
-                got = _load_outcome(load_embeddings, path)
-            assert got == _load_outcome(line_load_embeddings, path)
+                got = _read_outcome(path, shards)
+            assert got == _line_outcome(path, shards)
 
     @pytest.mark.parametrize("later", sorted(_LINE_FAULTS))
     @pytest.mark.parametrize("earlier", sorted(_VECTOR_FAULTS))
@@ -241,9 +390,8 @@ class TestJsonlOracle:
         path.write_bytes(b"\n".join([b'{"v": 1, "dim": 2}', good.encode(),
                                      bad.encode(), _LINE_FAULTS[later]]))
         with pytest.raises(ValidationError, match=f"{path}: line 3: "):
-            load_embeddings(path)
-        assert _load_outcome(load_embeddings, path) == _load_outcome(
-            line_load_embeddings, path)
+            read_jsonl(path)
+        assert _read_outcome(path, []) == _line_outcome(path, [])
 
     @pytest.mark.parametrize("number", ["1" + "0" * 400, "-1" + "0" * 400,
                                         "1e39", "-3.5e38", "1e400"])
@@ -256,7 +404,7 @@ class TestJsonlOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError) as info:
-                load_embeddings(path)
+                read_jsonl(path)
         assert str(info.value) == (f"{path}: line 3: non-finite value in "
                                    f"vector for lang=aa id=1")
 
@@ -282,7 +430,7 @@ class TestEmbeddingStore:
               make_set("bb", [[1.0, -0.0, 3.5], [2.0, 4.0, -1e-30]], [7, 3])])
     def test_round_trip_matches_jsonl_bit_for_bit(self, sets):
         with tempfile.TemporaryDirectory() as tmp:
-            store, jsonl = Path(tmp) / "emb.npy", Path(tmp) / "emb.jsonl"
+            store, jsonl = Path(tmp) / "emb.npy", Path(tmp) / "from.jsonl"
             write_store(sets, store)
             write_jsonl_sets(jsonl, sets)
             loaded = load_embeddings(store)
@@ -293,7 +441,8 @@ class TestEmbeddingStore:
             # JSON Lines has no record for a language without rows
             from_store = {r.language: r for r in
                           centroid_all([s for s in loaded if len(s)])}
-            from_jsonl = centroid_all(load_embeddings(jsonl))
+            from_jsonl = centroid_all(read_jsonl(
+                jsonl, [shard_of(s.language, s.ids) for s in sets if len(s)]))
             assert sorted(from_store) == sorted(r.language for r in from_jsonl)
             for rep in from_jsonl:
                 assert ([float(x).hex() for x in from_store[rep.language].vector]
@@ -877,6 +1026,41 @@ class TestFetchHoldsNoVectors:
         many = self.held_bytes(server.endpoint, tmp_path / "many.npy", 200)
         assert (tmp_path / "many.npy").stat().st_size == 128 + 200 * 8 * 768 * 4
         assert many - few < 1 << 20, (few, many)
+
+
+class TestJsonlHoldsNoUndrawnVectors:
+    @staticmethod
+    def held_bytes(path: Path, copies: int) -> int:
+        """The tracemalloc peak above the start of reading 4 languages' 16
+        drawn records of 64 dims, spread over ``copies`` times as many
+        records per language, from a JSON Lines file into a store."""
+        rng = np.random.default_rng(5)
+        codes = ("aa", "bb", "cc", "dd")
+        write_jsonl(path, {"v": 1, "dim": 64}, [
+            {"lang": code, "id": sid,
+             "vec": np.round(rng.standard_normal(64), 3).tolist()}
+            for code in codes for sid in range(16 * copies)])
+        shards = [shard_of(code, range(0, 16 * copies, copies))
+                  for code in codes]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sets = read_jsonl(path, shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, sets)) == 64
+        return peak - start
+
+    def test_held_memory_does_not_grow_with_undrawn_records(self, tmp_path):
+        """50 times the records, 0.8 MB more of float32 vectors that are
+        not drawn, hold less than an eighth of that more: what stays of an
+        undrawn record is its id."""
+        self.held_bytes(tmp_path / "first.jsonl", 1)  # imports, caches
+        few = self.held_bytes(tmp_path / "few.jsonl", 1)
+        many = self.held_bytes(tmp_path / "many.jsonl", 50)
+        undrawn = 4 * 16 * 49 * 64 * 4
+        assert many - few < undrawn / 8, (few, many, undrawn)
 
 
 class TestStoreReads:
