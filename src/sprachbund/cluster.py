@@ -23,6 +23,7 @@ the merge order, node ids and float distances of a full scan, bit for bit.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .registry import json_float
 from .simmatrix import SimilarityMatrix
 
 
@@ -80,11 +82,22 @@ class Dendrogram:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Dendrogram":
-        return cls(
-            tuple(doc["languages"]),
-            tuple(Merge(m["left"], m["right"], float(m["distance"]), m["id"])
-                  for m in doc["merges"]),
-        )
+        """Parse ``{"languages": [...], "merges": [{left, right, distance,
+        id}]}``. A node id that is not a JSON integer, or a distance that is
+        not a JSON number, is an error naming its merge, ``merges[i]``."""
+        languages, merges = tuple(doc["languages"]), []
+        for i, m in enumerate(doc["merges"]):
+            left, right, distance, node_id = (
+                m["left"], m["right"], m["distance"], m["id"])
+            if not (type(left) is type(right) is type(node_id) is int
+                    and type(distance) in (int, float)):
+                raise ValidationError(
+                    f"merges[{i}]: left, right and id must be integers and "
+                    f"distance a number, got {json.dumps(left)}, "
+                    f"{json.dumps(right)}, {json.dumps(node_id)} and "
+                    f"{json.dumps(distance)}")
+            merges.append(Merge(left, right, json_float(distance), node_id))
+        return cls(languages, tuple(merges))
 
 
 @dataclass(frozen=True)
@@ -120,8 +133,12 @@ class SprachbundAssignment:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SprachbundAssignment":
-        return cls(int(doc["k"]),
-                   tuple(tuple(c["members"]) for c in doc["clusters"]))
+        """Parse ``{"k": K, "clusters": [{"members": [...]}]}``; a ``k``
+        that is not a JSON integer is an error naming it."""
+        k = doc["k"]
+        if type(k) is not int:
+            raise ValidationError(f"k is {json.dumps(k)}, not an integer")
+        return cls(k, tuple(tuple(c["members"]) for c in doc["clusters"]))
 
 
 def agglomerate(matrix: SimilarityMatrix) -> Dendrogram:

@@ -184,127 +184,91 @@ def replacing(path: str | Path) -> Iterator:
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _scalar_text(value) -> str | None:
-    """``value`` as :mod:`json` writes a str, None, bool, int or float
-    (``ensure_ascii`` off, ``allow_nan`` on); None for any other type."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
 class _Writer:
-    """``json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)``
-    in as few pieces of text as that layout allows.
+    """``json.dump(doc, fh, separators=(",", ":"), sort_keys=True,
+    ensure_ascii=False)`` in as few pieces of text as that layout allows.
 
-    The standard library's indented encoder is pure Python and yields a
-    piece per item. Here a list or dict whose items are all exact str, int,
-    float, bool or None goes to the C encoder in one call, with an item
-    separator that carries the newline and indent, and a float array that
-    is symmetric to the bit formats each mirrored entry once. Errors are
-    ``json.dump``'s: an unsupported value or key type is a ``TypeError``, a
-    container inside itself a ``ValueError``.
+    ``json.dump`` runs the standard library's pure Python encoder, which
+    yields a piece per item. Here a list or dict whose items are all exact
+    str, int, float, bool or None goes to the C encoder in one call, and a
+    float array that is symmetric to the bit formats each mirrored entry
+    once. Errors are ``json.dump``'s: an unsupported value or key type is a
+    ``TypeError``, a container inside itself a ``ValueError``.
     """
 
     def __init__(self, write):
         self._write = write
-        self._encoders: dict[int, json.JSONEncoder] = {}
+        self._encode = json.JSONEncoder(
+            ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
         self._open: set[int] = set()  # ids of the containers being written
 
-    def value(self, value, level: int = 0) -> None:
-        text = _scalar_text(value)
-        if text is not None:
-            self._write(text)
-        elif isinstance(value, (list, tuple)):
-            self._container(value, level, "[", "]")
+    def value(self, value) -> None:
+        if isinstance(value, (list, tuple)):
+            self._container(value, "[", "]")
         elif isinstance(value, dict):
-            self._container(value, level, "{", "}")
+            self._container(value, "{", "}")
         elif isinstance(value, np.ndarray):
-            self._array(value, level)
-        else:
-            raise TypeError(f"Object of type {value.__class__.__name__} "
-                            f"is not JSON serializable")
+            self._array(value)
+        else:  # a scalar, or what json.dump refuses with the same error
+            self._write(self._encode(value))
 
-    def _container(self, value, level: int, left: str, right: str) -> None:
-        if not value:
-            self._write(left + right)
-            return
-        inner = "\n" + "  " * (level + 1)
+    def _container(self, value, left: str, right: str) -> None:
         keyed = left == "{"
         if _SCALARS.issuperset(map(type, value.values() if keyed else value)):
-            encoder = self._encoders.get(level)
-            if encoder is None:
-                encoder = self._encoders[level] = json.JSONEncoder(
-                    ensure_ascii=False, sort_keys=True,
-                    separators=("," + inner, ": "))
-            self._write(left + inner + encoder.encode(value)[1:-1]
-                        + "\n" + "  " * level + right)
+            self._write(self._encode(value))
             return
         if id(value) in self._open:
             raise ValueError("Circular reference detected")
         self._open.add(id(value))
         self._write(left)
         for n, item in enumerate(sorted(value.items()) if keyed else value):
-            self._write(("," if n else "") + inner)
+            if n:
+                self._write(",")
             if keyed:
                 key, item = item
-                text = _scalar_text(key)
-                if text is None:
+                if not (key is None or isinstance(key, (str, int, float))):
                     raise TypeError(f"keys must be str, int, float, bool or "
                                     f"None, not {key.__class__.__name__}")
+                text = self._encode(key)
                 self._write((text if isinstance(key, str)
-                             else encode_basestring(text)) + ": ")
-            self.value(item, level + 1)
-        self._write("\n" + "  " * level + right)
+                             else encode_basestring(text)) + ":")
+            self.value(item)
+        self._write(right)
         self._open.discard(id(value))
 
-    def _array(self, array: np.ndarray, level: int) -> None:
+    def _array(self, array: np.ndarray) -> None:
         """An array, as ``json.dump`` writes its ``tolist()``."""
         m = len(array) if array.ndim else 0
         if not (m and array.dtype == np.float64 and array.shape == (m, m)
                 and np.isfinite(array).all()
                 and np.array_equal(array.view(np.uint64),
                                    array.T.view(np.uint64))):
-            self.value(array.tolist(), level)
+            self.value(array.tolist())
             return
         # row i formats its entries from the diagonal on, and each stands
         # for its mirror in a later row too: the mirror has the same bits,
         # which 0.0 == -0.0 would not promise
         text = np.empty((m, m), dtype=object)
-        row = "\n" + "  " * (level + 1)
-        entry = "\n" + "  " * (level + 2)
         self._write("[")
         for i in range(m):
             text[i, i:] = text[i:, i] = list(
                 map(float.__repr__, array[i, i:].tolist()))
-            self._write(("," if i else "") + row + "[" + entry
-                        + ("," + entry).join(text[i].tolist()) + row + "]")
+            self._write(("," if i else "") + "["
+                        + ",".join(text[i].tolist()) + "]")
             text[i] = None  # written; a mirror lives on in its own row
-        self._write("\n" + "  " * level + "]")
+        self._write("]")
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    """Write ``doc`` as indented, key-sorted UTF-8 JSON plus a newline.
+    """Write ``doc`` as compact, key-sorted UTF-8 JSON plus a newline.
 
-    The bytes are those of ``json.dump(doc, fh, indent=2, sort_keys=True,
-    ensure_ascii=False)`` and a newline; a NumPy array in ``doc`` is written
-    as its ``tolist()`` would be. The text is streamed into a temporary file
-    rather than joined into one string first, so a large document is never
-    held twice in memory; see :func:`replacing` for how it then takes the
-    place of ``path``.
+    The bytes are those of ``json.dump(doc, fh, separators=(",", ":"),
+    sort_keys=True, ensure_ascii=False)`` and a newline: no indentation and
+    no space after a separator; ``python -m json.tool FILE`` shows the file
+    indented. A NumPy array in ``doc`` is written as its ``tolist()`` would
+    be. The text is streamed into a temporary file rather than joined into
+    one string first, so a large document is never held twice in memory;
+    see :func:`replacing` for how it then takes the place of ``path``.
     """
     with replacing(path) as fh:
         _Writer(fh.write).value(doc)

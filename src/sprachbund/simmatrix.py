@@ -7,6 +7,7 @@ are clamped into [-1, 1] so that the derived distance 1 - sim stays in [0, 2].
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,9 +90,18 @@ class SimilarityMatrix:
     def from_json(cls, doc: dict,
                   source: str | Path = "matrix JSON") -> "SimilarityMatrix":
         """Parse ``{"languages": [...], "values": [[...]]}``; ``source`` names
-        the document in error messages."""
+        the document in error messages. An entry that is not a JSON number
+        is an error naming it, ``values[i][j]``."""
         with artifact_keys(source):
-            return cls(tuple(doc["languages"]), np.asarray(doc["values"]))
+            languages, values = tuple(doc["languages"]), doc["values"]
+            for i, row in enumerate(values if isinstance(values, list) else ()):
+                if (isinstance(row, list)
+                        and not {int, float}.issuperset(map(type, row))):
+                    j, entry = next((j, v) for j, v in enumerate(row)
+                                    if type(v) not in (int, float))
+                    raise ValidationError(f"values[{i}][{j}] is "
+                                          f"{json.dumps(entry)}, not a number")
+            return cls(languages, np.asarray(values))
 
 
 def cosine_matrix(vectors: np.ndarray,

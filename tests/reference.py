@@ -323,10 +323,11 @@ def json_load_representations(path: str | Path) -> list[LanguageRepresentation]:
 
 
 def dump_write_json(path: str | Path, doc: dict) -> None:
-    """``doc`` through the standard library's indented encoder, with the
+    """``doc`` through the standard library's encoder, with the compact
     settings ``registry.write_json`` promises, and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        json.dump(doc, fh, separators=(",", ":"), sort_keys=True,
+                  ensure_ascii=False)
         fh.write("\n")
 
 

@@ -12,8 +12,9 @@ import pytest
 
 from conftest import _default_vector
 from sprachbund import cli, data
-from sprachbund.cluster import Dendrogram, cut
+from sprachbund.cluster import Dendrogram, SprachbundAssignment, cut
 from sprachbund.corpus import CorpusShard
+from sprachbund.errors import ValidationError
 from sprachbund.projection import TsneParams
 from sprachbund.simmatrix import SimilarityMatrix
 
@@ -118,6 +119,18 @@ class TestAllPipeline:
         assert len(digests) == 1
         assert f"config_digest={digests.pop()}" in \
             (ws / "projection.svg").read_text().splitlines()[0]
+
+    def test_every_json_artifact_is_compact(self, demo_config, tmp_path):
+        """Each JSON file `all` leaves is the compact, key-sorted text of
+        its own document: one written around write_json shows here."""
+        assert cli.main(["all", "--config", str(demo_config())]) == 0
+        paths = sorted((tmp_path / "ws").glob("*.json"))
+        assert len(paths) == 8
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(
+                json.loads(text), separators=(",", ":"), sort_keys=True,
+                ensure_ascii=False) + "\n", path.name
 
     def test_workspace_holds_each_fact_once(self, demo_config, tmp_path):
         """Every file is read by a later stage or is a deliverable, and no
@@ -943,6 +956,68 @@ class TestIllTypedRegistryAndTable:
         assert cli.main(["all", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             f"sprachbund: error: {bad}: {message}\n")
+
+
+class TestIllTypedMatrixAndDendrogram:
+    """A similarity, node id or distance that is not a JSON number of the
+    right kind exits 2 naming the file and the entry; a string, bool or
+    null is never converted."""
+
+    @pytest.mark.parametrize("value, shown", [
+        ("0.5", '"0.5"'), (True, "true"), (False, "false"), (None, "null")],
+        ids=["string", "true", "false", "null"])
+    @pytest.mark.parametrize("source", ["matrix-file", "workspace"])
+    def test_matrix_value_exits_2(self, demo_config, tmp_path, capsys,
+                                  source, value, shown):
+        if source == "matrix-file":
+            path = tmp_path / "matrix.json"
+            doc = json.loads(data.path("embedding_similarity.json")
+                             .read_text(encoding="utf-8"))
+            cfg = str(demo_config(matrix=str(path)))
+        else:
+            cfg = str(demo_config())
+            assert cli.main(["all", "--config", cfg]) == 0
+            path = tmp_path / "ws" / "simmat.json"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["values"][0][2] = doc["values"][2][0] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["cluster", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {path}: values[0][2] is {shown}, "
+            f"not a number\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("distance", "0.19543298106846074"), ("distance", False),
+        ("distance", None), ("left", 0.0), ("right", True), ("id", 8.0),
+        ("id", "8")],
+        ids=["distance-string", "distance-false", "distance-null",
+             "left-float", "right-true", "id-float", "id-string"])
+    def test_dendrogram_merge_exits_2(self, demo_config, tmp_path, capsys,
+                                      key, value):
+        cfg = str(demo_config())
+        assert cli.main(["all", "--config", cfg]) == 0
+        path = tmp_path / "ws" / "dendrogram.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        merge = doc["merges"][0]
+        merge[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["partition", "--config", cfg]) == 2
+        fields = ", ".join(json.dumps(merge[k]) for k in ("left", "right", "id"))
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {path}: merges[0]: left, right and id must "
+            f"be integers and distance a number, got {fields} and "
+            f"{json.dumps(merge['distance'])}\n")
+
+    @pytest.mark.parametrize("k, shown", [(2.7, "2.7"), ("2", '"2"'),
+                                          (True, "true"), (2.0, "2.0")],
+                             ids=["fraction", "string", "true", "float"])
+    def test_assignment_k_is_refused(self, k, shown):
+        doc = {"k": k, "clusters": [{"members": ["ca"]}, {"members": ["fr"]}]}
+        with pytest.raises(ValidationError) as info:
+            SprachbundAssignment.from_json(doc)
+        assert str(info.value) == f"k is {shown}, not an integer"
 
 
 class TestEmptyCorpusFile:
