@@ -26,10 +26,10 @@ import hashlib
 import json
 import os
 import sys
-import typing
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Annotated
 
 from . import __version__
 from .analysis import build_report
@@ -42,9 +42,10 @@ from .embedding import (FetchStats, StoreWriter, StoredEmbeddingSet,
 from .errors import ServiceError, SprachbundError, UsageError, ValidationError
 from .partition import sweep
 from .projection import TsneParams, check_plot_settings, emit_plot, project
-from .registry import (Registry, artifact_keys, bundled_lexical_table,
-                       bundled_registry, load_json, load_lexical_table,
-                       load_registry, read_json, replacing, write_json)
+from .registry import (Registry, bundled_lexical_table, bundled_registry,
+                       check_document, load_json, load_lexical_table,
+                       load_registry, naming, read_json, replacing,
+                       write_json)
 from .simmatrix import SimilarityMatrix, build_matrix, load_matrix
 
 AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
@@ -55,22 +56,24 @@ STAGE_ORDER = ("sample", "embed", "repr", "simmat", "cluster",
 
 @dataclass
 class PipelineConfig:
+    """The resolved config; its annotations declare the file and flags."""
+
     corpus_root: str | None = None
     registry: str | None = None
     lexical_table: str | None = None
     matrix: str | None = None
     embeddings: str | None = None
     endpoint: str | None = None
-    cap: int = 10000
-    seed: int = 0
-    k: int = 4
-    sweep: list[int] | None = None
-    batch: int = 32
+    cap: Annotated[int, ">= 1"] = 10000
+    seed: Annotated[int, "in [0, 2**64)"] = 0
+    k: Annotated[int, ">= 1"] = 4
+    sweep: list[Annotated[int, ">= 1"]] | None = None
+    batch: Annotated[int, ">= 1"] = 32
     allow_missing: list[str] = field(default_factory=list)
-    languages: list[str] | None = None
+    languages: Annotated[list[str], "distinct"] | None = None
     color_by: str = "family"
-    point_radius: float = 5.0
-    font_size: int = 11
+    point_radius: Annotated[float, "> 0"] = 5.0
+    font_size: Annotated[int, "> 0"] = 11
     tsne: dict = field(default_factory=dict)
     out: str | None = None
 
@@ -102,59 +105,32 @@ class PipelineConfig:
         return self._registry
 
     def load_lexical_table(self):
-        if self.lexical_table:
-            return load_lexical_table(self.lexical_table)
-        return bundled_lexical_table()
+        return (load_lexical_table(self.lexical_table) if self.lexical_table
+                else bundled_lexical_table())
 
     def tsne_params(self) -> TsneParams:
         return TsneParams(**{"seed": self.seed, **self.tsne})
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a parsed JSON value fits a config field's annotation; a
-    bool is not a number, and an int is a float."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        return type(value) is list and all(_has_type(v, args[0]) for v in value)
-    if args:  # a union such as str | None
-        return any(_has_type(value, h) for h in args)
-    return type(value) in ((int, float) if hint is float else (hint,))
-
-
-def _check_keys(path: str | Path, doc: dict, cls: type,
-                prefix: str = "") -> None:
-    """Every key of ``doc`` names a field of the dataclass ``cls`` and its
-    value fits that field's annotation."""
-    hints = typing.get_type_hints(cls)
-    unknown = set(doc) - set(hints)
-    if unknown:
-        raise ValidationError(
-            f"{path}: unknown config key(s): "
-            f"{', '.join(prefix + key for key in sorted(unknown))}")
-    for key, value in doc.items():
-        if not _has_type(value, hints[key]):
-            raise ValidationError(
-                f"{path}: config key {prefix + key!r} must be "
-                f"{cls.__dataclass_fields__[key].type}, "
-                f"got {json.dumps(value)}")
-
-
 def load_config(path: str | Path) -> dict:
+    """The config file's keys, declared by :class:`PipelineConfig`."""
     doc = read_json(path)
     doc.pop("v", None)
-    _check_keys(path, doc, PipelineConfig)
-    _check_keys(path, doc.get("tsne", {}), TsneParams, "tsne.")
+    check_document(doc, PipelineConfig, path)
+    check_document(doc.get("tsne", {}), TsneParams, path, "tsne")
     return doc
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Config file first, then flags override."""
+    """Config file first, then flags override (a ``command line`` doc)."""
     cfg = PipelineConfig()
     if args.config:
         cfg = replace(cfg, **load_config(args.config))
-    cfg = replace(cfg, **{name: getattr(args, name)
-                          for name in PipelineConfig.__dataclass_fields__
-                          if getattr(args, name, None) is not None})
+    flags = {name: getattr(args, name)
+             for name in PipelineConfig.__dataclass_fields__
+             if getattr(args, name, None) is not None}
+    check_document(flags, PipelineConfig, "command line")
+    cfg = replace(cfg, **flags)
     if cfg.embeddings and cfg.endpoint:
         raise UsageError("choose one embedding source: --embeddings or "
                          "--endpoint, not both")
@@ -173,10 +149,6 @@ def _require(path: Path, produced_by: str) -> Path:
         raise ValidationError(
             f"missing input {path.name}; run `sprachbund {produced_by}` first")
     return path
-
-
-def _read_artifact(path: Path, produced_by: str) -> dict:
-    return load_json(_require(path, produced_by))
 
 
 def _file_digest(path: Path) -> str:
@@ -247,10 +219,7 @@ class _WorkspaceLock:
         return None
 
     def __exit__(self, *exc):
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
         return False
 
 
@@ -335,13 +304,11 @@ def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
 
 def _sampled_shards(ws: Path) -> list[CorpusShard]:
     path = ws / "sampled.json"
-    doc = _read_artifact(path, "sample")
-    with artifact_keys(path):
-        return [
-            CorpusShard(language=s["language"],
-                        sentences=tuple((int(i), t) for i, t in s["sentences"]))
-            for s in doc["shards"]
-        ]
+    doc = load_json(_require(path, "sample"),
+                    {"shards": list[CorpusShard.document]})
+    with naming(path):
+        return [CorpusShard(s["language"], tuple(map(tuple, s["sentences"])))
+                for s in doc["shards"]]
 
 
 def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
@@ -414,15 +381,13 @@ def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
     if cfg.matrix:
         return _keep(cfg, load_matrix(cfg.matrix))
     path = ws / "simmat.json"
-    return _keep(cfg, SimilarityMatrix.from_json(_read_artifact(path, "simmat"),
-                                                 source=path))
+    doc = load_json(_require(path, "simmat"), SimilarityMatrix.document)
+    return _keep(cfg, SimilarityMatrix.from_json(doc, source=path))
 
 
 def _load_dendrogram(ws: Path, matrix: SimilarityMatrix) -> Dendrogram:
     path = ws / "dendrogram.json"
-    doc = _read_artifact(path, "cluster")
-    with artifact_keys(path):
-        dendrogram = Dendrogram.from_json(doc)
+    dendrogram = Dendrogram.from_json(load_json(_require(path, "cluster")), path)
     if dendrogram.languages != matrix.languages:
         raise ValidationError(
             f"{path}: its languages differ from the similarity matrix's; "
@@ -437,11 +402,8 @@ def stage_cluster(cfg: PipelineConfig, ws: Path) -> None:
 
 def _shard_index(cfg: PipelineConfig, codes) -> dict[str, list[str]]:
     root = Path(cfg.corpus_root) if cfg.corpus_root else None
-    index: dict[str, list[str]] = {}
-    for code in codes:
-        if root is not None and (root / f"{code}.txt").exists():
-            index[code] = [f"{code}.txt"]
-    return index
+    return {code: [f"{code}.txt"] for code in codes
+            if root is not None and (root / f"{code}.txt").exists()}
 
 
 def stage_partition(cfg: PipelineConfig, ws: Path) -> None:
@@ -510,10 +472,8 @@ _STAGES = {
 def run(subcommand: str, cfg: PipelineConfig) -> None:
     ws = cfg.workspace()
     stages = STAGE_ORDER if subcommand == "all" else (subcommand,)
-    if "project" in stages:  # settings that fail without data fail first
-        cfg.tsne_params()
-        check_plot_settings(cfg.load_registry(), cfg.color_by,
-                            cfg.point_radius, cfg.font_size)
+    if "project" in stages:  # a setting that fails without data fails first
+        check_plot_settings(cfg.load_registry(), cfg.color_by)
     try:
         ws.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -23,16 +23,15 @@ the merge order, node ids and float distances of a full scan, bit for bit.
 
 from __future__ import annotations
 
-import json
-import math
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .registry import json_float
+from .registry import check_document, naming
 from .simmatrix import SimilarityMatrix
 
 
@@ -47,6 +46,9 @@ class Merge:
 @dataclass(frozen=True)
 class Dendrogram:
     """Full merge history over the matrix's languages (leaves in matrix order)."""
+
+    document = {"languages": list[str], "merges": list[
+        {"left": int, "right": int, "distance": float, "id": int}]}
 
     languages: tuple[str, ...]
     merges: tuple[Merge, ...]
@@ -64,7 +66,7 @@ class Dendrogram:
                 raise ValidationError(
                     f"merge {mg.node_id} must join two distinct unmerged "
                     f"nodes, got {mg.left} and {mg.right}")
-            if not (math.isfinite(mg.distance) and mg.distance >= 0):
+            if not 0 <= mg.distance < float("inf"):  # NaN fails it too
                 raise ValidationError(
                     "merge distances must be finite and non-negative")
             live -= {mg.left, mg.right}
@@ -81,28 +83,22 @@ class Dendrogram:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Dendrogram":
-        """Parse ``{"languages": [...], "merges": [{left, right, distance,
-        id}]}``. A node id that is not a JSON integer, or a distance that is
-        not a JSON number, is an error naming its merge, ``merges[i]``."""
-        languages, merges = tuple(doc["languages"]), []
-        for i, m in enumerate(doc["merges"]):
-            left, right, distance, node_id = (
-                m["left"], m["right"], m["distance"], m["id"])
-            if not (type(left) is type(right) is type(node_id) is int
-                    and type(distance) in (int, float)):
-                raise ValidationError(
-                    f"merges[{i}]: left, right and id must be integers and "
-                    f"distance a number, got {json.dumps(left)}, "
-                    f"{json.dumps(right)}, {json.dumps(node_id)} and "
-                    f"{json.dumps(distance)}")
-            merges.append(Merge(left, right, json_float(distance), node_id))
-        return cls(languages, tuple(merges))
+    def from_json(cls, doc: dict,
+                  source: str | Path = "dendrogram JSON") -> "Dendrogram":
+        """Parse dendrogram.json, declared by :attr:`document`; ``source``
+        names the document in error messages."""
+        check_document(doc, cls.document, source)
+        with naming(source):
+            return cls(tuple(doc["languages"]), tuple(
+                Merge(m["left"], m["right"], float(m["distance"]), m["id"])
+                for m in doc["merges"]))
 
 
 @dataclass(frozen=True)
 class SprachbundAssignment:
     """A k-way partition of the language set into disjoint clusters."""
+
+    document = {"k": int, "clusters": list[{"members": list[str]}]}
 
     k: int
     members: tuple[tuple[str, ...], ...]
@@ -133,12 +129,11 @@ class SprachbundAssignment:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SprachbundAssignment":
-        """Parse ``{"k": K, "clusters": [{"members": [...]}]}``; a ``k``
-        that is not a JSON integer is an error naming it."""
-        k = doc["k"]
-        if type(k) is not int:
-            raise ValidationError(f"k is {json.dumps(k)}, not an integer")
-        return cls(k, tuple(tuple(c["members"]) for c in doc["clusters"]))
+        """Parse ``{"k": K, "clusters": [{"members": [...]}]}``, checked
+        against :attr:`document`."""
+        check_document(doc, cls.document)
+        return cls(doc["k"], tuple(tuple(c["members"])
+                                   for c in doc["clusters"]))
 
 
 def agglomerate(matrix: SimilarityMatrix) -> Dendrogram:

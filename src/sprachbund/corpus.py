@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Annotated, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .registry import Registry
+from .registry import Registry, check_document
 
 # Every separator ``str.splitlines`` breaks on but ``\n``: six control
 # bytes, and three characters outside ASCII. A file without them, but for
@@ -67,6 +67,9 @@ class _Lines:
 @dataclass(frozen=True)
 class CorpusShard:
     """Sentences of one language: (sentence id, text) pairs in corpus order."""
+
+    # a shard in sampled.json (see registry.check_document)
+    document = {"language": str, "sentences": list[tuple[int, str]]}
 
     language: str
     sentences: tuple[tuple[int, str], ...]
@@ -146,14 +149,11 @@ class CorpusShard:
 class SamplingPolicy:
     """Per-language sentence cap plus the seed that fixes the selection."""
 
-    cap: int
-    seed: int = 0
+    cap: Annotated[int, ">= 1"]
+    seed: Annotated[int, "in [0, 2**64)"] = 0
 
     def __post_init__(self):
-        if self.cap < 1:
-            raise ValidationError(f"sampling cap must be >= 1, got {self.cap}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValidationError("seed must be an unsigned 64-bit integer")
+        check_document(vars(self), SamplingPolicy)
 
 
 def _wide_breaks(raw: bytes, path: str | Path) -> bool:

@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Annotated, Iterable, Literal, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from .corpus import CorpusShard
 from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
                      ValidationError)
-from .registry import (artifact_keys, load_json, temporary_beside,
+from .registry import (check_document, load_json, naming, temporary_beside,
                        write_json)
 
 _SUM_BLOCK = 256
@@ -80,6 +80,9 @@ class StoredEmbeddingSet:
     ``path`` from byte ``offset`` on. :attr:`matrix` reads and checks them
     at each use, so the set itself holds no vector."""
 
+    # embeddings.json, the index of their store (see check_document)
+    index = {"dim": int, "languages": list[{"lang": str, "ids": list[int]}]}
+
     language: str
     dim: int
     ids: tuple[int, ...]
@@ -105,6 +108,9 @@ class StoredEmbeddingSet:
 @dataclass(eq=False)
 class LanguageRepresentation:
     """One language's centroid vector and how many sentences went into it."""
+
+    # representations.json, the index of their store (see check_document)
+    index = {"dim": int, "languages": list[{"lang": str, "sample_count": int}]}
 
     language: str
     vector: np.ndarray  # float32, shape (dim,)
@@ -184,6 +190,8 @@ class _JsonlRecords:
     converts the pending chunk, so the error raised is always that of the
     first bad line in file order.
     """
+
+    header = {"v": Literal[1], "dim": Annotated[int, ">= 1"]}
 
     def __init__(self, path: Path, shards: list[CorpusShard],
                  writer: StoreWriter):
@@ -266,13 +274,14 @@ def load_embeddings(path: str | Path,
     """Read a ``.npy`` store, or the vectors of ``shards``' sentences from
     a JSON Lines file into the store that ``writer`` is writing.
 
-    A ``.npy`` path is a store finished by :func:`write_embeddings`; its
-    index and header are checked, and each language becomes a
+    A ``.npy`` path is a store finished by :func:`write_embeddings`, its
+    index declared by :attr:`StoredEmbeddingSet.index`; each language is a
     :class:`StoredEmbeddingSet` that reads its rows when its ``matrix`` is
     used, so a caller that takes one at a time holds one language's rows.
 
-    Any other path is JSON Lines: a header ``{"v": 1, "dim": D}``, then one
-    ``{"lang": code, "id": int, "vec": [numbers]}`` a line. The first bad
+    Any other path is JSON Lines: a header ``{"v": 1, "dim": D}``, declared
+    by :attr:`_JsonlRecords.header`, then one ``{"lang": code, "id":
+    int, "vec": [numbers]}`` a line, checked a chunk at a time. The first bad
     line raises :class:`ValidationError` naming the file and the line. Each
     drawn vector is written at its row: the shards' rows in turn, each in
     sentence order, as :func:`fetch_embeddings` writes them. Then a
@@ -305,13 +314,8 @@ def load_embeddings(path: str | Path,
             except json.JSONDecodeError as exc:
                 raise records.error(lineno, exc.msg) from exc
             if lineno == 1:
-                header = rec if isinstance(rec, dict) else {}
-                dim = header.get("dim")
-                if header.get("v") != 1 or type(dim) is not int or dim < 1:
-                    raise records.error(
-                        1, 'expected the header {"v": 1, "dim": D} with D a '
-                        'positive integer')
-                records.dim = dim
+                check_document(rec, records.header, f"{path}: line 1")
+                records.dim = rec["dim"]
                 continue
             if not (isinstance(rec, dict) and _RECORD_KEYS <= rec.keys()):
                 raise records.error(lineno, "record needs lang, id, vec")
@@ -409,25 +413,18 @@ class StoreWriter:
         return False
 
 
-def _read_store(path: Path, noun: str, parse_languages
-                ) -> tuple[int, list, int]:
-    """The dimension and parsed index entries of a store written by
-    :class:`StoreWriter`, and the byte offset of its first row; no row is
-    read.
-
-    ``parse_languages(index["languages"])`` returns the entries and the
-    number of matrix rows they describe. A missing file, an index without
-    a key, a file whose length is not what its ``.npy`` header says, or a
-    matrix that is not ``<f4``, C order and rows x dim raises
-    :class:`ValidationError` naming the file; ``noun`` names the store.
-    """
+def _read_store(path: Path, noun: str, index_of: type, rows_of
+                ) -> tuple[dict, int]:
+    """The index of a :class:`StoreWriter` store, declared by
+    ``index_of.index``, and the offset of its first row, which lists
+    ``rows_of(index["languages"])`` rows: a missing file, a bad index, or
+    a file that is not that ``<f4`` C-order matrix raises
+    :class:`ValidationError` naming the file and the store (``noun``)."""
     index_path = path.with_suffix(".json")
     if not index_path.exists():
         raise ValidationError(f"{noun} index not found: {index_path}")
-    index = load_json(index_path)
-    with artifact_keys(index_path):
-        dim = int(index["dim"])
-        entries, rows = parse_languages(index["languages"])
+    index = load_json(index_path, index_of.index)
+    dim, rows = index["dim"], rows_of(index["languages"])
     try:
         with path.open("rb") as fh:
             if np.lib.format.read_magic(fh) != (1, 0):
@@ -450,7 +447,7 @@ def _read_store(path: Path, noun: str, parse_languages
             f"{path}: holds a {dtype.str} matrix of shape {shape}, but "
             f"{index_path.name} lists {rows} rows of {dim} "
             f"{_STORE_DTYPE.str} values")
-    return dim, entries, offset
+    return index, offset
 
 
 def _read_rows(path: Path, offset: int, shape: tuple[int, int],
@@ -473,19 +470,15 @@ def _read_rows(path: Path, offset: int, shape: tuple[int, int],
     return rows
 
 
-def _embedding_entries(languages: list) -> tuple[list, int]:
-    entries = [(e["lang"], tuple(int(i) for i in e["ids"])) for e in languages]
-    return entries, sum(len(ids) for _, ids in entries)
-
-
 def _load_store(path: Path) -> list[StoredEmbeddingSet]:
-    dim, entries, offset = _read_store(path, "embedding", _embedding_entries)
-    sets = []
-    for lang, ids in entries:
-        sets.append(StoredEmbeddingSet(language=lang, dim=dim, ids=ids,
-                                       path=path, offset=offset))
-        offset += len(ids) * dim * _STORE_DTYPE.itemsize
-    return sets
+    index, offset = _read_store(
+        path, "embedding", StoredEmbeddingSet,
+        lambda languages: sum(len(e["ids"]) for e in languages))
+    dim, entries = index["dim"], index["languages"]
+    offsets = accumulate((len(e["ids"]) * dim * _STORE_DTYPE.itemsize
+                          for e in entries), initial=offset)
+    return [StoredEmbeddingSet(e["lang"], dim, e["ids"], path, start)
+            for e, start in zip(entries, offsets)]
 
 
 def write_embeddings(sets: Iterable[StoredEmbeddingSet], path: str | Path,
@@ -839,19 +832,15 @@ def write_representations(reps: Sequence[LanguageRepresentation],
         writer.finish((len(reps), index["dim"]), index)
 
 
-def _representation_entries(languages: list) -> tuple[list, int]:
-    entries = [(e["lang"], int(e["sample_count"])) for e in languages]
-    return entries, len(entries)
-
-
 def load_representations(path: str | Path) -> list[LanguageRepresentation]:
-    """Centroids from a store written by :func:`write_representations`; each
-    vector is a row of the matrix, read whole."""
+    """Centroids from a :func:`write_representations` store, its index
+    declared by :attr:`LanguageRepresentation.index`; rows read whole."""
     path = Path(path)
-    dim, entries, offset = _read_store(path, "representation",
-                                       _representation_entries)
-    matrix = _read_rows(path, offset, (len(entries), dim), "representation")
-    with artifact_keys(path):
-        return [LanguageRepresentation(language=lang, vector=row,
-                                       sample_count=count)
-                for (lang, count), row in zip(entries, matrix)]
+    index, offset = _read_store(path, "representation",
+                                LanguageRepresentation, len)
+    entries = index["languages"]
+    matrix = _read_rows(path, offset, (len(entries), index["dim"]),
+                        "representation")
+    with naming(path):
+        return [LanguageRepresentation(e["lang"], row, e["sample_count"])
+                for e, row in zip(entries, matrix)]

@@ -36,12 +36,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Mapping
+from typing import Annotated, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .registry import Registry, json_float
+from .registry import Registry, check_document
 from .simmatrix import SimilarityMatrix
 
 _EPS = 1e-12
@@ -58,41 +58,23 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class TsneParams:
-    perplexity: float = 30.0
-    iterations: int = 1000
-    learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
-    exaggeration_iters: int = 250
-    initial_momentum: float = 0.5
-    final_momentum: float = 0.8
-    momentum_switch_iter: int = 250
-    seed: int = 0
-    init_scale: float = 1e-4
-    min_gain: float = 0.01
+    """The t-SNE settings, checked against their annotations, which also
+    declare the config's ``tsne`` keys: ``tsne.<key> must be ...``."""
+
+    perplexity: Annotated[float, "> 1"] = 30.0
+    iterations: Annotated[int, ">= 1"] = 1000
+    learning_rate: Annotated[float, "> 0"] = 200.0
+    early_exaggeration: Annotated[float, "> 0"] = 12.0
+    exaggeration_iters: Annotated[int, ">= 0"] = 250
+    initial_momentum: Annotated[float, "in [0, 1)"] = 0.5
+    final_momentum: Annotated[float, "in [0, 1)"] = 0.8
+    momentum_switch_iter: Annotated[int, ">= 0"] = 250
+    seed: Annotated[int, "in [0, 2**64)"] = 0
+    init_scale: Annotated[float, "> 0"] = 1e-4
+    min_gain: Annotated[float, ">= 0"] = 0.01
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValidationError("seed must be an unsigned 64-bit integer")
-        # each rule is written so that NaN fails it
-        for key, rule, holds in (
-                ("perplexity", "> 1", self.perplexity > 1),
-                ("iterations", ">= 1", self.iterations >= 1),
-                ("learning_rate", "> 0", self.learning_rate > 0),
-                ("early_exaggeration", "> 0", self.early_exaggeration > 0),
-                ("exaggeration_iters", ">= 0", self.exaggeration_iters >= 0),
-                ("initial_momentum", "in [0, 1)",
-                 0 <= self.initial_momentum < 1),
-                ("final_momentum", "in [0, 1)", 0 <= self.final_momentum < 1),
-                ("momentum_switch_iter", ">= 0",
-                 self.momentum_switch_iter >= 0),
-                ("init_scale", "> 0", self.init_scale > 0),
-                ("min_gain", ">= 0", self.min_gain >= 0)):
-            if not holds:
-                raise ValidationError(
-                    f"tsne.{key} must be {rule}, got {getattr(self, key)!r}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
+        check_document(vars(self), TsneParams, where="tsne")
 
 
 @dataclass(eq=False)
@@ -441,7 +423,7 @@ def project(matrix: SimilarityMatrix,
     return Projection2D(
         languages=matrix.languages,
         points=minmax_normalize(result.points),
-        params=params.to_json(),
+        params=asdict(params),
         fit=result,
     )
 
@@ -457,16 +439,8 @@ PALETTE = (
 MISSING_COLOR = "#999999"
 
 
-def check_plot_settings(registry: Registry, color_by: str,
-                        point_radius: float, font_size: int) -> None:
-    """Reject plot settings :func:`emit_plot` cannot draw: a radius or font
-    size that is not a positive finite float (NaN and an integer beyond
-    float's range included), or a ``color_by`` that is neither "family"
-    nor one of the registry's syntax features."""
-    for name, value in (("point_radius", point_radius), ("font_size", font_size)):
-        if not 0 < json_float(value) < math.inf:
-            raise ValidationError(f"{name} must be positive and finite, "
-                                  f"got {json_float(value):g}")
+def check_plot_settings(registry: Registry, color_by: str) -> None:
+    """Reject a ``color_by`` that is neither "family" nor a syntax feature."""
     if color_by != "family" and color_by not in registry.feature_names:
         raise ValidationError(
             f"unknown color_by attribute {color_by!r}; expected 'family' or "
@@ -487,7 +461,7 @@ def emit_plot(projection: Projection2D, registry: Registry,
     """
     from html import escape  # only plotting pays for this import
 
-    check_plot_settings(registry, color_by, point_radius, font_size)
+    check_plot_settings(registry, color_by)
     attrs = registry.labels(projection.languages, color_by)
     categories = sorted({v for v in attrs.values() if v is not None})
     colors = {cat: PALETTE[i % len(PALETTE)] for i, cat in enumerate(categories)}

@@ -12,11 +12,13 @@ import json
 import math
 import os
 import re
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Annotated, Iterable, Iterator, Literal, Mapping
 
 import numpy as np
 
@@ -45,6 +47,9 @@ class LanguageRecord:
 
 class Registry:
     """Immutable collection of :class:`LanguageRecord`, indexed by code."""
+
+    document = {"languages": list[{"code": str, "family": str | None,
+                                   "syntax": dict[str, str] | None}]}
 
     def __init__(self, records: Iterable[LanguageRecord]):
         self._by_code: dict[str, LanguageRecord] = {}
@@ -124,32 +129,168 @@ def read_json(path: str | Path) -> dict:
     return doc
 
 
-def load_json(path: str | Path) -> dict:
-    """:func:`read_json` of a versioned document, one with ``"v": 1``."""
+def load_json(path: str | Path, declaration: dict | None = None) -> dict:
+    """A ``"v": 1`` :func:`read_json` document that fits ``declaration``."""
     doc = read_json(path)
-    if doc.get("v") != 1:
-        raise ValidationError(f"{path}: unsupported or missing schema version 'v'")
+    check_document(doc, {"v": Literal[1], **(declaration or {})}, path)
     return doc
 
 
-@contextmanager
-def artifact_keys(path: str | Path) -> Iterator[None]:
-    """Report a parsed document's missing key or ill-typed field as bad data.
+def check_document(value, declaration, path: str | Path | None = None,
+                   where: str = "") -> None:
+    """Check a parsed JSON value against its declaration. The first value
+    that does not fit raises :class:`ValidationError` ``<path>: <json-path>
+    must be <what>, got <value>`` (or ``missing key``, ``unknown key``),
+    the JSON path being ``where`` and the keys and indexes below it.
 
-    Wrap the code that picks fields out of a document read from ``path``: a
-    ``KeyError`` becomes ``<path>: missing key '<k>'`` and a ``TypeError`` or
-    ``ValueError`` becomes ``<path>: malformed: <message>``, both as
-    :class:`ValidationError`; a :class:`ValidationError` gains the prefix
-    ``<path>: ``.
+    A declaration is Python's type notation: ``str``, ``bool``, ``int`` (no
+    bool), ``float`` (any number but a bool), ``None`` (null), ``X | Y``,
+    ``Literal[1]``, ``list[X]``, ``tuple[X, Y]``, ``dict[str, X]`` and
+    ``Annotated[X, rule, ...]``, a rule being ``"> a"``, ``">= a"``,
+    ``"in [a, b)"`` (any brackets) or ``"distinct"`` (a list's items). A
+    dict ``{"key": X}`` is an object with those keys and maybe others (a
+    key whose X allows null may be absent), a dataclass one of some of its
+    fields only. Every number must be finite as a float. A list is checked
+    a column at a time in C, and walked item by item only if that fails.
     """
+    hint, rules = declaration, ()
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        hint = next((h for h in typing.get_args(hint) if _fits(value, h)), hint)
+    if typing.get_origin(hint) is Annotated:
+        hint, *rules = typing.get_args(hint)
+    if not _fits(value, hint):
+        raise _mismatch(path, where, _noun(declaration), value)
+    if type(value) in (int, float) and not _plain([value], float):
+        raise _mismatch(path, where, "finite", value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    items = ()
+    if origin in (list, tuple) and not (origin is list
+                                        and _plain(value, args[0])):
+        hints = args if origin is tuple else args * len(value)
+        items = ((f"{where}[{i}]", *pair)
+                 for i, pair in enumerate(zip(value, hints)))
+    elif origin is dict:
+        items = ((f"{where}.{k}" if where else k, item, args[1])
+                 for k, item in value.items())
+    elif isinstance(hint, dict) or is_dataclass(hint):
+        if is_dataclass(hint):  # typing's names: its module may be __main__
+            hint = typing.get_type_hints(hint, localns=vars(typing),
+                                         include_extras=True)
+            problem, keys = "unknown", sorted(set(value) - set(hint))
+        else:  # its keys, of which those that allow null may be absent
+            problem, keys = "missing", [k for k in hint if k not in value
+                                        and not _fits(None, hint[k])]
+        if keys:
+            raise ValidationError(f"{_at(path, where)}{problem} key {keys[0]!r}")
+        items = ((f"{where}.{k}" if where else k, value[k], h)
+                 for k, h in hint.items() if k in value)
+    for item_where, item, item_hint in items:
+        check_document(item, item_hint, path, item_where)
+    for rule in rules:
+        if not _holds(value, rule):
+            raise _mismatch(path, where, rule, value)
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` is of the JSON kind ``hint`` declares."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        return _fits(value, args[0])
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if origin is Literal:
+        return any(type(value) is type(arg) and value == arg for arg in args)
+    if origin is tuple:
+        return type(value) is list and len(value) == len(args)
+    if isinstance(hint, dict) or is_dataclass(hint):
+        return type(value) is dict
+    return type(value) in ((int, float) if hint is float
+                           else (origin or hint,))
+
+
+def _noun(hint) -> str:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(map(_noun, args))
+    if origin in (Annotated, Literal, tuple):
+        return (_noun(args[0]) if origin is Annotated
+                else json.dumps(args[0]) if origin is Literal
+                else f"a list of {len(args)} values")
+    return {str: "a string", bool: "true or false", int: "an integer",
+            float: "a number", type(None): "null", list: "a list"}.get(
+                origin or (hint if isinstance(hint, type) else dict),
+                "an object")
+
+
+def _holds(value, rule: str) -> bool:
+    if rule == "distinct":
+        return len(set(value)) == len(value)
+    if rule.startswith("in "):
+        low, high = map(_bound, rule[4:-1].split(", "))
+        return ((low <= value if rule[3] == "[" else low < value)
+                and (value <= high if rule[-1] == "]" else value < high))
+    op, bound = rule.split()
+    return value > _bound(bound) if op == ">" else value >= _bound(bound)
+
+
+def _bound(text: str) -> int | float:
+    base, _, power = text.partition("**")
+    return int(base) ** int(power) if power else float(text)
+
+
+def _plain(values: list, hint) -> bool:
+    """Whether every item fits ``hint``, judged a column at a time in C: by
+    types, a finite sum and the range's ends. False for other hints too."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    kinds = set(map(type, values))
+    if origin in (typing.Union, types.UnionType):  # X | None
+        rest = [arg for arg in args if arg is not type(None)]
+        return len(rest) == 1 and _plain(
+            [v for v in values if v is not None], rest[0])
+    if origin is Annotated:  # a number within interval rules
+        return args[0] in (int, float) and _plain(values, args[0]) and all(
+            not values or _holds(min(values), rule)
+            and _holds(max(values), rule) for rule in args[1:])
+    if origin in (list, dict):  # list[X], dict[str, X]
+        return kinds <= {origin} and all(
+            _plain(v if origin is list else list(v.values()), args[-1])
+            for v in values)
+    if origin is tuple or isinstance(hint, dict):  # columns
+        columns = (enumerate(args) if origin is tuple else hint.items())
+        return (kinds <= {list if origin is tuple else dict}
+                and (origin is not tuple or set(map(len, values)) <= {len(args)})
+                and all(_plain([v[k] if origin is tuple else v.get(k)
+                                for v in values], arg) for k, arg in columns))
+    if hint in (str, bool):
+        return kinds <= {hint}
+    try:  # a finite float sum has finite terms
+        return (hint in (int, float) and kinds <= {int, hint}
+                and math.isfinite(sum(values, 0.0)))
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _at(path, where: str, end: str = ": ") -> str:
+    return (f"{path}: " if path else "") + (where and where + end)
+
+
+def _mismatch(path, where: str, expected: str, value) -> ValidationError:
+    if type(value) in (int, float):
+        shown = (repr(value) if type(value) is float or _plain([value], int)
+                 else "inf" if value > 0 else "-inf")
+    else:  # an API caller's value may not be JSON
+        shown = json.dumps(value, default=repr)
+    return ValidationError(
+        f"{_at(path, where, ' ')}must be {expected}, got {shown}")
+
+
+@contextmanager
+def naming(path: str | Path) -> Iterator[None]:
+    """Prefix ``<path>: `` to a :class:`ValidationError` raised inside."""
     try:
         yield
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed: {exc}") from None
 
 
 def temporary_beside(path: Path) -> tuple[Path, int]:
@@ -276,35 +417,14 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def load_registry(path: str | Path) -> Registry:
-    """Parse a registry file: ``{"v": 1, "languages": [{code, family, syntax}]}``.
-
-    A bad entry raises :class:`ValidationError` naming the file and the
-    entry, ``languages[i]``."""
-    doc = load_json(path)
-    entries = doc.get("languages")
-    if not isinstance(entries, list):
-        raise ValidationError(f"{path}: 'languages' must be a list")
+    """Parse a registry file, declared by :attr:`Registry.document`; a bad
+    entry raises :class:`ValidationError` naming the file and the entry."""
+    doc = load_json(path, Registry.document)
     registry = Registry(())
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "code" not in entry:
-            raise ValidationError(f"{path}: languages[{i}] lacks a 'code'")
-        code, family = entry["code"], entry.get("family")
-        if not (isinstance(code, str)
-                and isinstance(family, (str, type(None)))):
-            raise ValidationError(
-                f"{path}: languages[{i}]: code must be a string and family a "
-                f"string or null, got {json.dumps(code)} and "
-                f"{json.dumps(family)}")
-        syntax = entry.get("syntax") or {}
-        if not isinstance(syntax, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in syntax.items()):
-            raise ValidationError(
-                f"{path}: languages[{i}].syntax must map feature names to strings")
-        try:
-            registry._add(LanguageRecord(code=code, family=family,
-                                         syntax=syntax))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: languages[{i}]: {exc}") from None
+    for i, entry in enumerate(doc["languages"]):
+        with naming(f"{path}: languages[{i}]"):
+            registry._add(LanguageRecord(entry["code"], entry.get("family"),
+                                         entry.get("syntax") or {}))
     return registry
 
 
@@ -313,6 +433,8 @@ class LexicalSimilarityTable:
 
     Lookups are order-insensitive; pairs with no datum return ``None``.
     """
+
+    document = {"pairs": list[{"a": str, "b": str, "sim": float}]}
 
     def __init__(self, entries: Mapping[tuple[str, str], float]):
         self._entries: dict[tuple[str, str], float] = {}
@@ -345,41 +467,14 @@ class LexicalSimilarityTable:
         return len(self._entries)
 
 
-def json_float(number: int | float) -> float:
-    """A JSON number as a float; an integer beyond float's range becomes
-    the infinity of its sign, which a range check then refuses."""
-    try:
-        return float(number)
-    except OverflowError:
-        return math.inf if number > 0 else -math.inf
-
-
 def load_lexical_table(path: str | Path) -> LexicalSimilarityTable:
-    """Parse a lexical table file: ``{"v": 1, "pairs": [{a, b, sim}]}``.
-
-    A bad pair raises :class:`ValidationError` naming the file and the
-    pair, ``pairs[i]``."""
-    doc = load_json(path)
-    pairs = doc.get("pairs")
-    if not isinstance(pairs, list):
-        raise ValidationError(f"{path}: 'pairs' must be a list")
+    """Parse a lexical table file (see :attr:`LexicalSimilarityTable.document`);
+    a bad pair raises :class:`ValidationError` naming file and pair."""
+    doc = load_json(path, LexicalSimilarityTable.document)
     table = LexicalSimilarityTable({})
-    for i, p in enumerate(pairs):
-        try:
-            a, b, sim = p["a"], p["b"], p["sim"]
-        except (TypeError, KeyError):
-            raise ValidationError(f"{path}: pairs[{i}] needs keys a, b, sim")
-        # a bool is an int, but true is no similarity
-        if isinstance(sim, bool) or not isinstance(sim, (int, float)):
-            raise ValidationError(f"{path}: pairs[{i}].sim is not numeric")
-        if not (isinstance(a, str) and isinstance(b, str)):
-            raise ValidationError(
-                f"{path}: pairs[{i}]: a and b must be strings, got "
-                f"{json.dumps(a)} and {json.dumps(b)}")
-        try:
-            table._add(a, b, json_float(sim))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: pairs[{i}]: {exc}") from None
+    for i, pair in enumerate(doc["pairs"]):
+        with naming(f"{path}: pairs[{i}]"):
+            table._add(pair["a"], pair["b"], float(pair["sim"]))
     return table
 
 

@@ -7,7 +7,6 @@ are clamped into [-1, 1] so that the derived distance 1 - sim stays in [0, 2].
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from .embedding import LanguageRepresentation
 from .errors import ValidationError
-from .registry import (LexicalSimilarityTable, artifact_keys, json_float,
+from .registry import (LexicalSimilarityTable, check_document, naming,
                        read_json)
 
 
@@ -29,25 +28,15 @@ class SimilarityMatrix:
     into [-1, 1]; an entry further out is an error naming its pair.
     """
 
+    document = {"languages": list[str], "values": list[list[float]]}
+
     languages: tuple[str, ...]
     values: np.ndarray  # float64, shape (M, M)
 
     def __post_init__(self):
         self.languages = tuple(self.languages)
-        try:
-            self.values = np.asarray(self.values, dtype=np.float64)
-        except OverflowError:  # an integer beyond float's range
-            cells = np.ndenumerate(np.asarray(self.values, dtype=object))
-            at = next(at for at, v in cells
-                      if isinstance(v, int) and math.isinf(json_float(v)))
-            raise ValidationError(
-                f"values[{']['.join(map(str, at))}] is an integer beyond "
-                f"float range, outside [-1, 1]") from None
+        self.values = np.asarray(self.values, dtype=np.float64)
         m = len(self.languages)
-        for code in self.languages:
-            if not isinstance(code, str):
-                raise ValidationError(
-                    f"language codes must be strings, got {code!r}")
         if len(set(self.languages)) != m:
             raise ValidationError("duplicate language codes in matrix")
         if self.values.shape != (m, m):
@@ -89,18 +78,13 @@ class SimilarityMatrix:
     @classmethod
     def from_json(cls, doc: dict,
                   source: str | Path = "matrix JSON") -> "SimilarityMatrix":
-        """Parse ``{"languages": [...], "values": [[...]]}``; ``source`` names
-        the document in error messages. An entry that is not a JSON number
-        is an error naming it, ``values[i][j]``."""
-        with artifact_keys(source):
-            languages, values = tuple(doc["languages"]), doc["values"]
-            for i, row in enumerate(values if isinstance(values, list) else ()):
-                if (isinstance(row, list)
-                        and not {int, float}.issuperset(map(type, row))):
-                    j, entry = next((j, v) for j, v in enumerate(row)
-                                    if type(v) not in (int, float))
-                    raise ValidationError(f"values[{i}][{j}] is "
-                                          f"{json.dumps(entry)}, not a number")
+        """A matrix from a document that :func:`load_matrix` has checked or
+        :meth:`to_json` returned; ``source`` names it in error messages."""
+        languages, values = doc["languages"], doc["values"]
+        with naming(source):
+            if set(map(len, values)) - {len(languages)}:
+                raise ValidationError(f"values must be {len(languages)} rows "
+                                      f"of {len(languages)} numbers")
             return cls(languages, np.asarray(values))
 
 
@@ -140,7 +124,10 @@ def build_matrix(reps: Sequence[LanguageRepresentation]) -> SimilarityMatrix:
 
 
 def load_matrix(path: str | Path) -> SimilarityMatrix:
-    return SimilarityMatrix.from_json(read_json(path), source=path)
+    """Parse a matrix file, declared by :attr:`SimilarityMatrix.document`."""
+    doc = read_json(path)
+    check_document(doc, SimilarityMatrix.document, path)
+    return SimilarityMatrix.from_json(doc, source=path)
 
 
 def bundled_embedding_similarity() -> SimilarityMatrix:

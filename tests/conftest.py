@@ -11,9 +11,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sprachbund import embedding
 from sprachbund.registry import LanguageRecord, Registry
+
+# `--hypothesis-profile=ci`: a longer, reproducible run of the fuzz test in
+# test_fuzz_inputs.py, four times tier-1's examples per case
+settings.register_profile("ci", derandomize=True, max_examples=400)
 
 
 @pytest.fixture

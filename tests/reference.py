@@ -356,12 +356,22 @@ def line_load_embeddings(path: str | Path
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{where}: {exc.msg}") from exc
             if lineno == 1:
-                header = rec if isinstance(rec, dict) else {}
-                dim = header.get("dim")
-                if header.get("v") != 1 or type(dim) is not int or dim < 1:
-                    raise ValidationError(
-                        f"{where}: expected the header {{\"v\": 1, "
-                        f"\"dim\": D}} with D a positive integer")
+                if type(rec) is not dict:
+                    raise ValidationError(f"{where}: must be an object, got "
+                                          f"{json.dumps(rec)}")
+                for key in ("v", "dim"):
+                    if key not in rec:
+                        raise ValidationError(f"{where}: missing key {key!r}")
+                if type(rec["v"]) is not int or rec["v"] != 1:
+                    raise ValidationError(f"{where}: v must be 1, got "
+                                          f"{json.dumps(rec['v'])}")
+                dim = rec["dim"]
+                if type(dim) is not int:
+                    raise ValidationError(f"{where}: dim must be an integer, "
+                                          f"got {json.dumps(dim)}")
+                if dim < 1:
+                    raise ValidationError(f"{where}: dim must be >= 1, "
+                                          f"got {dim}")
                 continue
             if not (isinstance(rec, dict) and {"lang", "id", "vec"} <= rec.keys()):
                 raise ValidationError(f"{where}: record needs lang, id, vec")

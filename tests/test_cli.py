@@ -6,16 +6,22 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 import pytest
 
 from conftest import _default_vector
 from sprachbund import cli, data
+from sprachbund.cli import PipelineConfig
 from sprachbund.cluster import Dendrogram, SprachbundAssignment, cut
 from sprachbund.corpus import CorpusShard
+from sprachbund.embedding import (LanguageRepresentation, StoredEmbeddingSet,
+                                  _JsonlRecords)
 from sprachbund.errors import ValidationError
 from sprachbund.projection import TsneParams
+from sprachbund.registry import (LexicalSimilarityTable, Registry,
+                                 check_document)
 from sprachbund.simmatrix import SimilarityMatrix
 
 
@@ -43,6 +49,47 @@ def artifacts_in(ws: Path) -> dict[str, bytes]:
 
 
 class TestAllPipeline:
+    @pytest.mark.parametrize("name", [
+        "registry.json", "lexical_similarity.json",
+        "embedding_similarity.json", "reference_partition.json",
+        "demo/embeddings.jsonl", "config.json", "sampled.json",
+        "embeddings.json", "representations.json", "simmat.json",
+        "dendrogram.json"])
+    def test_every_document_passes_its_declaration(self, demo_config, name):
+        """Each bundled document, the demo config, and every JSON artifact
+        a stage reads after `all` on the demo."""
+        versioned = {"v": Literal[1]}
+        declarations = {
+            "registry.json": {**versioned, **Registry.document},
+            "lexical_similarity.json": {
+                **versioned, **LexicalSimilarityTable.document},
+            "embedding_similarity.json": SimilarityMatrix.document,
+            "reference_partition.json": SprachbundAssignment.document,
+            "demo/embeddings.jsonl": _JsonlRecords.header,
+            "config.json": PipelineConfig,
+            "sampled.json": {**versioned,
+                             "shards": list[CorpusShard.document]},
+            "embeddings.json": {**versioned, **StoredEmbeddingSet.index},
+            "representations.json": {**versioned,
+                                      **LanguageRepresentation.index},
+            "simmat.json": {**versioned, **SimilarityMatrix.document},
+            "dendrogram.json": {**versioned, **Dendrogram.document},
+        }
+        config = demo_config()
+        if name == "config.json":
+            path = config
+        elif name in ("sampled.json", "embeddings.json",
+                      "representations.json", "simmat.json",
+                      "dendrogram.json"):
+            assert cli.main(["all", "--config", str(config)]) == 0
+            path = config.parent / "ws" / name
+        else:
+            path = data.path(name)
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text.splitlines()[0] if name.endswith(".jsonl")
+                         else text)  # a JSON Lines file: its header
+        check_document(doc, declarations[name], path)
+
     def test_demo_all_produces_k2_manifest_and_report(self, demo_config,
                                                       tmp_path, capsys):
         assert cli.main(["all", "--config", str(demo_config())]) == 0
@@ -512,10 +559,13 @@ class TestErrors:
         ("allow_missing", None), ("languages", "en"), ("point_radius", "5"),
         ("tsne", []), ("out", 5), ("tsne.perplexity", "x"),
         ("tsne.iterations", "ten"), ("tsne.learning_rate", None),
-        ("tsne.seed", 1.5),
+        ("tsne.seed", 1.5), ("languages", ["en", "fr", "en"]),
+        ("seed", -1), ("seed", 2 ** 64), ("cap", 0), ("batch", 0),
+        ("sweep", [2, 0]), ("tsne.init_scale", 10 ** 400),
     ])
     def test_wrongly_typed_config_value_exits_2(self, tmp_path, capsys,
                                                 key, value):
+        """Before the workspace exists: no file is written."""
         doc = {key: value}
         if key.startswith("tsne."):
             doc = {"tsne": {key.removeprefix("tsne."): value}}
@@ -524,19 +574,41 @@ class TestErrors:
                        encoding="utf-8")
         assert cli.main(["cluster", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: config key {key!r} must be" in err
+        assert err.startswith(f"sprachbund: error: {cfg}: {key}")
+        assert " must be " in err
+        assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("stage, flags, message", [
+        ("partition", ["--seed", "-1"],
+         "seed must be in [0, 2**64), got -1"),
+        ("embed", ["--seed", "-5"], "seed must be in [0, 2**64), got -5"),
+        ("sample", ["--cap", "0"], "cap must be >= 1, got 0"),
+        ("analyze", ["--k", "0"], "k must be >= 1, got 0"),
+        ("all", ["--sweep", "2,0"], "sweep[1] must be >= 1, got 0"),
+        ("project", ["--point-radius", "nan"],
+         "point_radius must be finite, got nan"),
+    ], ids=["partition-seed", "embed-seed", "cap", "k", "sweep",
+            "point-radius-nan"])
+    def test_flag_out_of_range_exits_2_with_no_file(self, demo_config,
+                                                    tmp_path, capsys, stage,
+                                                    flags, message):
+        cfg = str(demo_config())
+        assert cli.main([stage, "--config", cfg, *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: command line: {message}\n")
+        assert not (tmp_path / "ws").exists()
 
     def test_tsne_value_error_names_key_type_and_value(self, demo_config,
                                                         capsys):
         cfg = demo_config(tsne={"perplexity": "x"})
         assert cli.main(["all", "--config", str(cfg)]) == 2
-        assert f"{cfg}: config key 'tsne.perplexity' must be float, " \
-               f'got "x"' in capsys.readouterr().err
+        assert f'{cfg}: tsne.perplexity must be a number, got "x"' in \
+            capsys.readouterr().err
 
     def test_unknown_tsne_key_exits_2(self, demo_config, capsys):
         cfg = demo_config(tsne={"perplexity": 2.0, "perplex": 3.0})
         assert cli.main(["project", "--config", str(cfg)]) == 2
-        assert f"{cfg}: unknown config key(s): tsne.perplex" in \
+        assert f"{cfg}: tsne: unknown key 'perplex'" in \
             capsys.readouterr().err
 
     def test_config_values_of_the_right_type_load(self, tmp_path):
@@ -547,10 +619,12 @@ class TestErrors:
         assert cli.load_config(cfg) == {"point_radius": 6, "sweep": None,
                                         "languages": ["en"], "tsne": {}}
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out": "x", "capp": 3}), encoding="utf-8")
         assert cli.main(["sample", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {cfg}: unknown key 'capp'\n")
 
     def test_missing_embeddings_file_exits_2(self, demo_config, tmp_path,
                                              capsys):
@@ -650,26 +724,58 @@ class TestDamagedArtifacts:
         assert cli.main([stage, "--config", cfg]) == 2
         assert f"{name}: missing key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, message", [
-        (5, "sentence 0 is not a string"), ("  ", "sentence 0 is blank")])
+    @pytest.mark.parametrize("at, value, message", [
+        (1, 5, "shards[0].sentences[0][1] must be a string, got 5"),
+        (1, "  ", "shard for 'ca': sentence 0 is blank"),
+        (0, 0.0, "shards[0].sentences[0][0] must be an integer, got 0.0"),
+        (0, "3", 'shards[0].sentences[0][0] must be an integer, got "3"'),
+        (0, 1.5, "shards[0].sentences[0][0] must be an integer, got 1.5"),
+        (0, True, "shards[0].sentences[0][0] must be an integer, got true"),
+        (None, True, "v must be 1, got true"),
+    ], ids=["text-not-a-string", "text-blank", "id-float", "id-string",
+            "id-fraction", "id-true", "version-true"])
     def test_damaged_sentence_exits_2(self, demo_config, tmp_path, capsys,
-                                      text, message):
+                                      at, value, message):
         cfg = str(demo_config())
         assert cli.main(["sample", "--config", cfg]) == 0
         path = tmp_path / "ws" / "sampled.json"
         doc = json.loads(path.read_text())
-        doc["shards"][0]["sentences"][0][1] = text
+        if at is None:
+            doc["v"] = value
+        else:
+            doc["shards"][0]["sentences"][0][at] = value
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli.main(["embed", "--config", cfg]) == 2
-        assert f"sampled.json: shard for 'ca': {message}" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {path}: {message}\n")
+
+    @staticmethod
+    def edit_index(npy: Path, edit) -> None:
+        index = json.loads(npy.with_suffix(".json").read_text())
+        edit(index)
+        npy.with_suffix(".json").write_text(json.dumps(index))
 
     @pytest.mark.parametrize("damage, message", [
         (lambda npy: npy.unlink(), "missing input embeddings.npy"),
         (lambda npy: npy.write_bytes(npy.read_bytes()[:-4]), "unreadable"),
         (lambda npy: np.save(npy, np.load(npy)[:-1]), "embeddings.json lists 96"),
         (lambda npy: np.save(npy, np.load(npy).astype(np.float64)), "<f8"),
+        (lambda npy: TestDamagedArtifacts.edit_index(
+            npy, lambda d: d.update(dim=8.0)),
+         "embeddings.json: dim must be an integer, got 8.0"),
+        (lambda npy: TestDamagedArtifacts.edit_index(
+            npy, lambda d: d["languages"][0]["ids"].__setitem__(0, 0.5)),
+         "embeddings.json: languages[0].ids[0] must be an integer, got 0.5"),
+        (lambda npy: TestDamagedArtifacts.edit_index(
+            npy, lambda d: d["languages"][0].update(lang=12)),
+         "embeddings.json: languages[0].lang must be a string, got 12"),
+        (lambda npy: TestDamagedArtifacts.edit_index(
+            npy, lambda d: d.update(v=True)),
+         "embeddings.json: v must be 1, got true"),
+        (lambda npy: TestDamagedArtifacts.edit_index(
+            npy, lambda d: d.update(v=1.0)),
+         "embeddings.json: v must be 1, got 1.0"),
     ])
     def test_damaged_store_exits_2(self, demo_config, tmp_path, capsys,
                                    damage, message):
@@ -697,8 +803,20 @@ class TestDamagedArtifacts:
         (lambda npy: np.save(npy, np.asfortranarray(np.load(npy))),
          "representations.npy: holds a <f4 matrix of shape (8, 8)"),
         (drop_last_language, "representations.json lists 7 rows of 8"),
+        (lambda npy: TestDamagedArtifacts.edit_index(
+            npy, lambda d: d["languages"][0].update(sample_count="12")),
+         'representations.json: languages[0].sample_count must be an '
+         'integer, got "12"'),
+        (lambda npy: TestDamagedArtifacts.edit_index(
+            npy, lambda d: d["languages"][0].update(sample_count=True)),
+         "representations.json: languages[0].sample_count must be an "
+         "integer, got true"),
+        (lambda npy: TestDamagedArtifacts.edit_index(
+            npy, lambda d: d.update(dim=8.0)),
+         "representations.json: dim must be an integer, got 8.0"),
     ], ids=["missing", "truncated", "wrong-shape", "wrong-dtype",
-            "fortran-order", "rows-differ-from-index"])
+            "fortran-order", "rows-differ-from-index", "sample-count-string",
+            "sample-count-true", "dim-float"])
     def test_damaged_centroid_store_exits_2(self, demo_config, tmp_path,
                                             capsys, damage, message):
         cfg = str(demo_config())
@@ -717,8 +835,12 @@ class TestDamagedArtifacts:
         (lambda d: d["merges"][2].update(distance=float("nan")), "finite"),
         (lambda d: d["merges"][2].update(distance=float("inf")), "finite"),
         (lambda d: d["languages"].reverse(), "languages differ"),
+        (lambda d: d.update(v=True), "v must be 1, got true"),
+        (lambda d: d["merges"][2].update(distance=10 ** 400),
+         "merges[2].distance must be finite, got inf"),
     ], ids=["child-out-of-range", "child-used-twice", "nan-distance",
-            "infinite-distance", "other-languages"])
+            "infinite-distance", "other-languages", "version-true",
+            "integer-distance-beyond-float"])
     def test_damaged_dendrogram_exits_2(self, demo_config, tmp_path, capsys,
                                         damage, message):
         cfg = str(demo_config())
@@ -783,8 +905,8 @@ class TestDamagedArtifacts:
         for stage in ("cluster", "partition"):
             assert cli.main([stage, "--config", str(cfg)]) == 2, stage
             assert capsys.readouterr().err == (
-                f"sprachbund: error: {matrix}: language codes must be "
-                f"strings, got {code!r}\n")
+                f"sprachbund: error: {matrix}: languages[1] must be a "
+                f"string, got {json.dumps(code)}\n")
 
     def test_source_digest_is_read_in_chunks(self, tmp_path):
         path = tmp_path / "big.bin"
@@ -799,10 +921,12 @@ class TestOutOfRangeProjectValues:
     traceback."""
 
     @pytest.mark.parametrize("tsne, flags, message", [
-        ({}, ["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
-        ({"seed": -4}, [], "seed must be an unsigned 64-bit integer"),
-        ({}, ["--point-radius", "-3"], "point_radius must be positive"),
-        ({}, ["--font-size", "0"], "font_size must be positive"),
+        ({}, ["--seed", "-1"],
+         "command line: seed must be in [0, 2**64), got -1"),
+        ({"seed": -4}, [], "tsne.seed must be in [0, 2**64), got -4"),
+        ({}, ["--point-radius", "-3"],
+         "command line: point_radius must be > 0, got -3.0"),
+        ({}, ["--font-size", "0"], "command line: font_size must be > 0, got 0"),
         ({"iterations": 0}, [], "tsne.iterations must be >= 1, got 0"),
         ({"exaggeration_iters": -5}, [],
          "tsne.exaggeration_iters must be >= 0, got -5"),
@@ -820,7 +944,8 @@ class TestOutOfRangeProjectValues:
         ({"final_momentum": -0.5}, [],
          "tsne.final_momentum must be in [0, 1), got -0.5"),
         ({"perplexity": 1}, [], "tsne.perplexity must be > 1, got 1"),
-        ({"perplexity": math.nan}, [], "tsne.perplexity must be > 1, got nan"),
+        ({"perplexity": math.nan}, [],
+         "tsne.perplexity must be finite, got nan"),
     ], ids=["seed", "tsne-seed", "point-radius", "font-size", "iterations",
             "exaggeration-iters", "momentum-switch-iter", "learning-rate",
             "early-exaggeration", "init-scale", "min-gain",
@@ -850,10 +975,11 @@ class TestAllChecksProjectSettingsFirst:
     writes to the workspace."""
 
     @pytest.mark.parametrize("overrides, flags, message", [
-        ({}, ["--point-radius", "-3"], "point_radius must be positive"),
+        ({}, ["--point-radius", "-3"],
+         "command line: point_radius must be > 0, got -3.0"),
         ({}, ["--point-radius", "inf"],
-         "point_radius must be positive and finite, got inf"),
-        ({}, ["--font-size", "0"], "font_size must be positive"),
+         "command line: point_radius must be finite, got inf"),
+        ({}, ["--font-size", "0"], "command line: font_size must be > 0, got 0"),
         ({"color_by": "nope"}, [], "unknown color_by attribute 'nope'"),
         ({"tsne": {"perplexity": 2.0, "init_scale": 0}}, [],
          "tsne.init_scale must be > 0, got 0"),
@@ -926,30 +1052,40 @@ class TestIllTypedRegistryAndTable:
 
     @pytest.mark.parametrize("which, key, index, value, message", [
         ("registry", "code", 23, 12,
-         "languages[23]: code must be a string and family a string or null, "
-         "got 12 and \"Germanic\""),
+         "languages[23].code must be a string, got 12"),
         ("registry", "family", 30, 5,
-         "languages[30]: code must be a string and family a string or null, "
-         "got \"fr\" and 5"),
-        ("lexical_table", "a", 2, 1,
-         "pairs[2]: a and b must be strings, got 1 and \"ro\""),
+         "languages[30].family must be a string or null, got 5"),
+        ("lexical_table", "a", 2, 1, "pairs[2].a must be a string, got 1"),
         ("registry", "code", 0, "EN",
          "languages[0]: language code 'EN' does not match [a-z]{2,4}"),
         ("registry", "code", 24, "en",
          "languages[24]: duplicate language code 'en'"),
         ("lexical_table", "sim", 0, 1.5,
          "pairs[0]: lexical similarity for (ca, fr) is 1.5, outside [0, 1]"),
-        ("lexical_table", "sim", 2, True, "pairs[2].sim is not numeric"),
-        ("lexical_table", "sim", 2, False, "pairs[2].sim is not numeric"),
+        ("lexical_table", "sim", 2, True,
+         "pairs[2].sim must be a number, got true"),
+        ("lexical_table", "sim", 2, False,
+         "pairs[2].sim must be a number, got false"),
+        ("registry", "syntax", 3, [],
+         "languages[3].syntax must be an object or null, got []"),
+        ("registry", "syntax", 3, {"word_order": 1},
+         "languages[3].syntax.word_order must be a string, got 1"),
+        ("registry", "v", None, True, "v must be 1, got true"),
+        ("lexical_table", "v", None, 1.0, "v must be 1, got 1.0"),
+        ("lexical_table", "b", 4, None, "pairs[4].b must be a string, got null"),
     ], ids=["registry-code", "registry-family", "lexical-pair",
             "registry-pattern", "registry-duplicate", "lexical-range",
-            "lexical-true", "lexical-false"])
+            "lexical-true", "lexical-false", "registry-syntax-list",
+            "registry-syntax-value", "registry-version-true",
+            "lexical-version-float", "lexical-null"])
     def test_all_exits_2(self, demo_config, tmp_path, capsys, which, key,
                          index, value, message):
         source = {"registry": "registry.json",
                   "lexical_table": "lexical_similarity.json"}[which]
         doc = json.loads(data.path(source).read_text(encoding="utf-8"))
-        doc["languages" if which == "registry" else "pairs"][index][key] = value
+        entry = doc if index is None else \
+            doc["languages" if which == "registry" else "pairs"][index]
+        entry[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         cfg = str(demo_config(**{which: str(bad)}))
@@ -984,8 +1120,8 @@ class TestIllTypedMatrixAndDendrogram:
         capsys.readouterr()
         assert cli.main(["cluster", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
-            f"sprachbund: error: {path}: values[0][2] is {shown}, "
-            f"not a number\n")
+            f"sprachbund: error: {path}: values[0][2] must be a number, "
+            f"got {shown}\n")
 
     @pytest.mark.parametrize("key, value", [
         ("distance", "0.19543298106846074"), ("distance", False),
@@ -1004,11 +1140,10 @@ class TestIllTypedMatrixAndDendrogram:
         path.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert cli.main(["partition", "--config", cfg]) == 2
-        fields = ", ".join(json.dumps(merge[k]) for k in ("left", "right", "id"))
+        kind = "a number" if key == "distance" else "an integer"
         assert capsys.readouterr().err == (
-            f"sprachbund: error: {path}: merges[0]: left, right and id must "
-            f"be integers and distance a number, got {fields} and "
-            f"{json.dumps(merge['distance'])}\n")
+            f"sprachbund: error: {path}: merges[0].{key} must be {kind}, "
+            f"got {json.dumps(value)}\n")
 
     @pytest.mark.parametrize("k, shown", [(2.7, "2.7"), ("2", '"2"'),
                                           (True, "true"), (2.0, "2.0")],
@@ -1017,7 +1152,7 @@ class TestIllTypedMatrixAndDendrogram:
         doc = {"k": k, "clusters": [{"members": ["ca"]}, {"members": ["fr"]}]}
         with pytest.raises(ValidationError) as info:
             SprachbundAssignment.from_json(doc)
-        assert str(info.value) == f"k is {shown}, not an integer"
+        assert str(info.value) == f"k must be an integer, got {shown}"
 
 
 class TestEmptyCorpusFile:
@@ -1181,37 +1316,52 @@ class TestNumberBeyondFloat:
             endpoint=server.endpoint))
         assert proc.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
-    @pytest.mark.parametrize("which, entry, message", [
-        ("lexical_table", ("pairs", 0, "sim"),
-         "pairs[0]: lexical similarity for (ca, fr) is {inf}, outside [0, 1]"),
-        ("matrix", ("values", 0, 1),
-         "values[0][1] is an integer beyond float range, outside [-1, 1]"),
+    @pytest.mark.parametrize("numbers", [
+        (10 ** 400,), (-10 ** 400,), (math.inf,), (10 ** 400, -10 ** 400)],
+        ids=["plus", "minus", "infinity", "cancelling"])
+    @pytest.mark.parametrize("which, entries, message", [
+        ("lexical_table", [("pairs", 0, "sim"), ("pairs", 1, "sim")],
+         "pairs[0].sim must be finite, got {inf}"),
+        ("matrix", [("values", 1, 0), ("values", 1, 1)],
+         "values[1][0] must be finite, got {inf}"),
     ], ids=["lexical-sim", "matrix-value"])
-    def test_input_integer_exits_2(self, demo_config, tmp_path, which, entry,
-                                   message, sign):
-        """An integer beyond float range in the lexical table or the
-        `--matrix` file is refused as out of range, naming the entry."""
+    def test_input_integer_exits_2(self, demo_config, tmp_path, which, entries,
+                                   message, numbers):
+        """An integer beyond float range, or Infinity, in the lexical table
+        or the `--matrix` file is refused as not finite, naming the entry;
+        so are two such integers whose sum is 0, first in their column."""
         source = {"lexical_table": "lexical_similarity.json",
                   "matrix": "embedding_similarity.json"}[which]
         doc = json.loads(data.path(source).read_text(encoding="utf-8"))
-        key, i, j = entry
-        doc[key][i][j] = sign * 10 ** 400
+        for (key, i, j), number in zip(entries, numbers):
+            doc[key][i][j] = number
+        number = numbers[0]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         proc = self.run_all(demo_config(**{which: str(bad)}))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == (f"sprachbund: error: {bad}: " + message.format(
-            inf="inf" if sign > 0 else "-inf") + "\n")
+            inf="inf" if number > 0 else "-inf") + "\n")
 
-    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
-    @pytest.mark.parametrize("name", ["point_radius", "font_size"])
+    @pytest.mark.parametrize("number", [10 ** 400, -10 ** 400, math.inf],
+                             ids=["plus", "minus", "infinity"])
+    @pytest.mark.parametrize("name", [
+        "point_radius", "font_size", "tsne.init_scale", "tsne.learning_rate",
+        "tsne.early_exaggeration"])
     def test_plot_setting_integer_exits_2_with_no_artifact(
-            self, demo_config, tmp_path, capsys, name, sign):
-        """`all` refuses the setting before any stage writes."""
-        cfg = str(demo_config(**{name: sign * 10 ** 400}))
+            self, demo_config, tmp_path, capsys, name, number):
+        """`all` refuses a plot or t-SNE setting beyond float range, or
+        Infinity, before any stage writes."""
+        setting = {name: number}
+        if name.startswith("tsne."):
+            setting = {"tsne": {"perplexity": 2.0,
+                                name.removeprefix("tsne."): number}}
+        # Infinity is a float, and font_size an integer
+        rule = ("an integer" if (name, number) == ("font_size", math.inf)
+                else "finite")
+        cfg = str(demo_config(**setting))
         assert cli.main(["all", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
-            f"sprachbund: error: {name} must be positive and finite, got "
-            f"{'inf' if sign > 0 else '-inf'}\n")
+            f"sprachbund: error: {cfg}: {name} must be {rule}, got "
+            f"{'inf' if number > 0 else '-inf'}\n")
         assert not (tmp_path / "ws").exists()

@@ -163,6 +163,11 @@ class TestDendrogramSerialization:
         back = Dendrogram.from_json(dg.to_json())
         assert back == dg
 
+    @pytest.mark.parametrize("distance", [math.nan, math.inf, -0.5])
+    def test_distance_must_be_finite_and_non_negative(self, distance):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            Dendrogram(("aa", "bb"), (Merge(0, 1, distance, 2),))
+
 
 class TestRandomBaseline:
     def test_reference_cluster_sizes(self):

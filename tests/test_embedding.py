@@ -136,7 +136,7 @@ class TestLoadEmbeddings:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"lang": "aa", "id": 0, "vec": [1.0]}\n',
                         encoding="utf-8")
-        with pytest.raises(ValidationError, match="header"):
+        with pytest.raises(ValidationError, match="line 1: missing key 'v'"):
             read_jsonl(path)
 
     @pytest.mark.parametrize("text, message", [
@@ -145,13 +145,16 @@ class TestLoadEmbeddings:
         ('{"v": 1, "dim": 2}\n{"lang": "aa", "id": 0, "vec": 5}\n',
          "line 2: vector for lang=aa id=0 must be a list of 2 numbers"),
         ('{"v": 1, "dim": "two"}\n{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n',
-         "line 1: expected the header"),
+         'line 1: dim must be an integer, got "two"'),
         ('\n{"v": 1, "dim": 2}\n{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n',
-         "line 1: expected the header"),
+         "line 1: must be an object, got null"),
+        ('{"v": true, "dim": 2}\n{"lang": "aa", "id": 0, "vec": [1.0, 2.0]}\n',
+         "line 1: v must be 1, got true"),
+        ('{"v": 1, "dim": 0}\n', "line 1: dim must be >= 1, got 0"),
         ('{"v": 1, "dim": 2}\n{"lang": "aa", "id": 0, "vec": ["0.5", true]}\n',
          "line 2: vector for lang=aa id=0 must be a list of 2 numbers"),
     ], ids=["id-not-int", "vec-a-number", "dim-not-int", "blank-first-line",
-            "vec-holds-a-string"])
+            "version-true", "dim-zero", "vec-holds-a-string"])
     def test_ill_typed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "emb.jsonl"
         path.write_text(text, encoding="utf-8")
@@ -692,6 +695,10 @@ class TestCentroid:
         empty = make_set("aa", np.zeros((0, 4), np.float32))
         with pytest.raises(ValidationError, match="empty"):
             centroid(empty)
+
+    def test_sample_count_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="sample_count must be >= 1"):
+            LanguageRepresentation("aa", [1.0, 2.0], 0)
 
 
 class TestCentroidAll:

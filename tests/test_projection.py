@@ -177,6 +177,16 @@ class TestTsneParams:
         with pytest.raises(ValidationError, match=f"tsne.{key} must be .*nan"):
             TsneParams(**{key: math.nan})
 
+    @pytest.mark.parametrize("key", [
+        "perplexity", "learning_rate", "early_exaggeration",
+        "initial_momentum", "final_momentum", "init_scale", "min_gain"])
+    def test_infinity_fails_every_float_rule(self, key):
+        """A caller of the API gets finiteness too: +inf passes a rule such
+        as > 0, and would let t-SNE diverge late."""
+        with pytest.raises(ValidationError,
+                           match=f"^tsne.{key} must be finite, got inf$"):
+            TsneParams(**{key: math.inf})
+
 
 class TestTsne:
     def test_fixed_seed_is_bitwise_deterministic(self):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from typing import Annotated, Literal
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from reference import dump_write_json
 from sprachbund import data
 from sprachbund.errors import ValidationError
+from sprachbund.projection import TsneParams
 from sprachbund.registry import (LanguageRecord, Registry, bundled_lexical_table,
-                                 bundled_registry, load_json,
+                                 bundled_registry, check_document, load_json,
                                  load_lexical_table, load_registry, read_json,
                                  replacing, validate_feature_labels,
                                  write_json)
@@ -85,7 +87,7 @@ class TestRegistryFiles:
     def test_schema_version_required(self, tmp_path):
         path = tmp_path / "nover.json"
         path.write_text('{"languages": []}', encoding="utf-8")
-        with pytest.raises(ValidationError, match="version"):
+        with pytest.raises(ValidationError, match="missing key 'v'"):
             load_registry(path)
 
 
@@ -116,8 +118,115 @@ class TestReadJson:
         path = tmp_path / "doc.json"
         path.write_text('{"out": "ws"}', encoding="utf-8")
         assert read_json(path) == {"out": "ws"}
-        with pytest.raises(ValidationError, match="version"):
+        with pytest.raises(ValidationError, match="missing key 'v'"):
             load_json(path)
+
+
+class TestCheckDocument:
+    """The walker's message for each kind of error names the document and
+    the JSON path."""
+
+    @pytest.mark.parametrize("doc, declaration, message", [
+        ({"k": "x"}, {"k": int}, 'k must be an integer, got "x"'),
+        ({"k": True}, {"k": float}, "k must be a number, got true"),
+        ({"f": 5}, {"f": str | None}, "f must be a string or null, got 5"),
+        ({"v": 1.0}, {"v": Literal[1]}, "v must be 1, got 1.0"),
+        ({"p": [[0, "a"], [1, 2]]}, {"p": list[tuple[int, str]]},
+         "p[1][1] must be a string, got 2"),
+        ({"p": [[0]]}, {"p": list[tuple[int, str]]},
+         "p[0] must be a list of 2 values, got [0]"),
+        ({"k": 0}, {"k": Annotated[int, ">= 1"]}, "k must be >= 1, got 0"),
+        ({"s": 2 ** 64}, {"s": Annotated[int, "in [0, 2**64)"]},
+         f"s must be in [0, 2**64), got {2 ** 64}"),
+        ({"l": ["a", "b", "a"]}, {"l": Annotated[list[str], "distinct"]},
+         'l must be distinct, got ["a", "b", "a"]'),
+        ({"x": [1.0, math.inf]}, {"x": list[float]},
+         "x[1] must be finite, got inf"),
+        ({"x": {"y": -10 ** 400}}, {"x": dict[str, float]},
+         "x.y must be finite, got -inf"),
+        ({"x": [10 ** 400, -10 ** 400, 0.5]}, {"x": list[float]},
+         "x[0] must be finite, got inf"),
+        ({"x": math.nan}, {"x": Annotated[float, "> 1"]},
+         "x must be finite, got nan"),
+        ({"a": [{}]}, {"a": list[{"b": int}]}, "a[0]: missing key 'b'"),
+        ({"perplex": 3}, TsneParams, "unknown key 'perplex'"),
+        ([], {"a": int}, "must be an object, got []"),
+    ], ids=["wrong-kind", "bool-for-number", "union", "literal", "tuple-item",
+            "tuple-length", "out-of-range", "interval", "distinct",
+            "non-finite", "beyond-float", "cancelling", "nan", "missing-key",
+            "unknown-key", "root"])
+    def test_message_names_the_path(self, doc, declaration, message):
+        with pytest.raises(ValidationError) as info:
+            check_document(doc, declaration, "doc.json")
+        assert str(info.value) == f"doc.json: {message}"
+
+    def test_a_key_that_may_be_null_may_be_absent(self):
+        check_document({}, {"f": str | None}, "doc.json")
+        with pytest.raises(ValidationError, match="missing key 'f'"):
+            check_document({}, {"f": str}, "doc.json")
+
+    def test_where_and_no_path(self):
+        with pytest.raises(ValidationError) as info:
+            check_document({"iterations": 0}, TsneParams, where="tsne")
+        assert str(info.value) == "tsne.iterations must be >= 1, got 0"
+
+    def test_dataclass_of_a_module_run_as_main(self):
+        """`python -m cProfile -m sprachbund.cli` runs cli as a `__main__`
+        that is not in sys.modules: its config's annotations still resolve."""
+        namespace = {"__name__": "__main__"}
+        exec("from __future__ import annotations\n"
+             "from dataclasses import dataclass\n"
+             "from typing import Annotated\n"
+             "@dataclass\n"
+             "class Config:\n"
+             "    k: Annotated[int, '>= 1'] = 1\n", namespace)
+        check_document({"k": 2}, namespace["Config"])
+        with pytest.raises(ValidationError, match="k must be >= 1, got 0"):
+            check_document({"k": 0}, namespace["Config"])
+
+    # a number that fits, or one of the values that do not
+    _number = st.one_of(st.integers(-3, 3), st.floats(-2, 2), st.sampled_from(
+        [10 ** 400, -10 ** 400, 2 ** 64, math.inf, -math.inf, math.nan,
+         True, None, "1"]))
+    _columns = {
+        "float": (float, _number),
+        "count": (Annotated[int, ">= 1"], _number),
+        "unit": (Annotated[float, "in [0, 1]"], _number),
+        "nullable": (str | None, st.one_of(st.text(max_size=2), _number)),
+        "syntax": (dict[str, str] | None, st.one_of(
+            st.none(), _number, st.dictionaries(
+                st.sampled_from("ab"), st.one_of(st.text(max_size=2),
+                                                 _number), max_size=2))),
+        "sentence": (tuple[int, str], st.lists(st.one_of(
+            _number, st.text(max_size=2)), min_size=1, max_size=3)),
+        "pair": ({"a": str, "sim": float}, st.fixed_dictionaries(
+            {"a": st.one_of(st.text(max_size=2), _number), "sim": _number})),
+    }
+
+    @pytest.mark.parametrize("column", sorted(_columns))
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data())
+    @example(data=[10 ** 400, -10 ** 400, 1])
+    def test_a_column_fails_as_its_items_do(self, column, data):
+        """A list is checked a column at a time; it must fail exactly when
+        one of its items, checked alone, does."""
+        hint, item = self._columns[column]
+        if isinstance(data, list):  # the explicit example: cancelling sums
+            values = [{"a": "x", "sim": v} if column == "pair"
+                      else [v, "x"] if column == "sentence" else v
+                      for v in data]
+        else:
+            values = data.draw(st.lists(item, max_size=5))
+
+        def fails(value, declaration):
+            try:
+                check_document(value, declaration)
+            except ValidationError:
+                return True
+            return False
+
+        assert fails(values, list[hint]) == any(fails(v, hint)
+                                                for v in values)
 
 
 class TestAtomicWrite:

@@ -8,10 +8,12 @@ from reference import (direct_cosine, direct_pearson,
                        unit_vectors_with_cosines)
 from sprachbund.embedding import LanguageRepresentation
 from sprachbund.errors import ValidationError
-from sprachbund.registry import LexicalSimilarityTable, bundled_lexical_table
+from sprachbund.registry import (LexicalSimilarityTable, bundled_lexical_table,
+                                 write_json)
 from sprachbund.simmatrix import (SimilarityMatrix, build_matrix,
                                   bundled_embedding_similarity, cosine_matrix,
-                                  paired_similarity_vectors, pearson)
+                                  load_matrix, paired_similarity_vectors,
+                                  pearson)
 
 
 def make_reps(vectors, codes=None):
@@ -118,6 +120,13 @@ class TestMatrixSerialization:
     def test_json_round_trip(self):
         mat = bundled_embedding_similarity()
         back = SimilarityMatrix.from_json(mat.to_json())
+        assert back.languages == mat.languages
+        assert np.array_equal(back.values, mat.values)
+
+    def test_file_round_trip(self, tmp_path):
+        mat = bundled_embedding_similarity()
+        write_json(tmp_path / "matrix.json", mat.to_json())
+        back = load_matrix(tmp_path / "matrix.json")
         assert back.languages == mat.languages
         assert np.array_equal(back.values, mat.values)
 
