@@ -1,10 +1,11 @@
 """Pipeline orchestration over a directory of flat JSON artifacts.
 
-Subcommands run the stages sample -> embed -> repr -> simmat -> cluster ->
-partition -> analyze -> project individually or chained (``all``). Every
-stage reads the previous stage's artifacts from the workspace, writes its own
-versioned artifacts (JSON documents, or a ``.npy`` matrix with a JSON index)
-stamped with the digest of the effective config, and appends a line to the
+Each subcommand runs one stage, and ``all`` runs every stage in order.
+:data:`STAGES` declares each stage once: its config keys, the workspace
+artifacts it reads and those it writes. A stage reads earlier stages'
+artifacts from the workspace and writes its own versioned artifacts (JSON
+documents, or a ``.npy`` matrix with a JSON index) stamped with the digest
+of the effective config; the run loop appends its counts and status to the
 run log. Under ``all`` there are two in-memory hand-offs instead of
 re-parsing what a stage just wrote: ``embed`` takes the shards ``sample``
 drew, and the stages after ``simmat`` take the matrix it built. With an
@@ -29,7 +30,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Annotated
+from typing import Annotated, Callable
 
 from . import __version__
 from .analysis import build_report
@@ -49,9 +50,6 @@ from .registry import (Registry, bundled_lexical_table, bundled_registry,
 from .simmatrix import SimilarityMatrix, build_matrix, load_matrix
 
 AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
-
-STAGE_ORDER = ("sample", "embed", "repr", "simmat", "cluster",
-               "partition", "analyze", "project")
 
 
 @dataclass
@@ -98,9 +96,11 @@ class PipelineConfig:
 
     def load_registry(self) -> Registry:
         """The registry, read on the first call and kept: each stage of a
-        run asks for it, and the run reads it once."""
+        run asks for it, and the run reads it once. Each call reads the
+        ``registry`` field, so a stage's view checks it every time."""
+        path = self.registry
         if self._registry is None:
-            self._registry = (load_registry(self.registry) if self.registry
+            self._registry = (load_registry(path) if path
                               else bundled_registry())
         return self._registry
 
@@ -144,11 +144,19 @@ def _write_json(path: Path, payload: dict, digest: str) -> None:
     write_json(path, {**payload, "v": 1, "config_digest": digest})
 
 
-def _require(path: Path, produced_by: str) -> Path:
-    if not path.exists():
-        raise ValidationError(
-            f"missing input {path.name}; run `sprachbund {produced_by}` first")
-    return path
+def _producer(artifact: str) -> str:
+    """The name of the stage that writes ``artifact``."""
+    return next(s.name for s in STAGES if artifact in s.writes)
+
+
+def _require(ws: Path, *artifacts: str) -> Path:
+    """The path of the first of ``artifacts``, once each is in ``ws``; a
+    missing one names the stage that writes it."""
+    for name in artifacts:
+        if not (ws / name).exists():
+            raise ValidationError(f"missing input {name}; run "
+                                  f"`sprachbund {_producer(name)}` first")
+    return ws / artifacts[0]
 
 
 def _file_digest(path: Path) -> str:
@@ -233,18 +241,21 @@ class _Fetch:
     while it draws the shards, and this holds the outcome for `embed`."""
 
     writer: StoreWriter
+    endpoint: str
+    batch: int
+    auth_token: str | None = field(
+        default_factory=lambda: os.environ.get(AUTH_TOKEN_ENV))
     stats: FetchStats = field(default_factory=FetchStats)
     sets: list[StoredEmbeddingSet] | None = None
     error: SprachbundError | None = None
 
-    def run(self, cfg: PipelineConfig, shards) -> None:
+    def run(self, shards) -> None:
         self.sets = fetch_embeddings(
-            cfg.endpoint, shards, cfg.batch,
-            auth_token=os.environ.get(AUTH_TOKEN_ENV), stats=self.stats,
-            writer=self.writer)
+            self.endpoint, shards, self.batch, auth_token=self.auth_token,
+            stats=self.stats, writer=self.writer)
 
 
-def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
+def stage_sample(cfg: PipelineConfig, ws: Path) -> dict:
     if not cfg.corpus_root:
         raise ValidationError("sample needs a corpus root: set 'corpus_root' "
                               "in the config file")
@@ -265,8 +276,8 @@ def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
     cfg._shards = None
 
     def draw():
-        """Each language's shard as it is drawn; then the artifact and the
-        log line, and the shards kept for `embed`."""
+        """Each language's shard as it is drawn; then the artifact, and the
+        shards kept for `embed`."""
         shards = []
         for c in codes:
             path = root / f"{c}.txt"
@@ -285,33 +296,32 @@ def stage_sample(cfg: PipelineConfig, ws: Path) -> None:
                 for s in shards
             ],
         }, cfg.digest())
-        total = corpus_stats(shards)["total"]
-        _log(ws, f"sample languages={len(shards)} "
-                 f"sentences={total['sentences']} bytes={total['bytes']}")
         cfg._shards = tuple(shards)
 
     if cfg._fetch is None:
         for _ in draw():
             pass
-        return
-    try:  # the fetch drives `draw` and sends each shard's batches at once
-        cfg._fetch.run(cfg, draw())
-    except SprachbundError as exc:
-        if cfg._shards is None:  # sampling failed: that error wins
-            raise
-        cfg._fetch.error = exc  # the embed stage's to raise
+    else:
+        try:  # the fetch drives `draw` and sends each shard's batches at once
+            cfg._fetch.run(draw())
+        except SprachbundError as exc:
+            if cfg._shards is None:  # sampling failed: that error wins
+                raise
+            cfg._fetch.error = exc  # the embed stage's to raise
+    total = corpus_stats(cfg._shards)["total"]
+    return {"languages": len(cfg._shards), "sentences": total["sentences"],
+            "bytes": total["bytes"]}
 
 
 def _sampled_shards(ws: Path) -> list[CorpusShard]:
-    path = ws / "sampled.json"
-    doc = load_json(_require(path, "sample"),
-                    {"shards": list[CorpusShard.document]})
+    path = _require(ws, "sampled.json")
+    doc = load_json(path, {"shards": list[CorpusShard.document]})
     with naming(path):
         return [CorpusShard(s["language"], tuple(map(tuple, s["sentences"])))
                 for s in doc["shards"]]
 
 
-def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
+def stage_embed(cfg: PipelineConfig, ws: Path) -> dict:
     shards = cfg._shards if cfg._shards is not None else _sampled_shards(ws)
     cfg._shards = None  # handed over: no later stage reads them
     if bool(cfg.embeddings) == bool(cfg.endpoint):
@@ -329,28 +339,27 @@ def stage_embed(cfg: PipelineConfig, ws: Path) -> None:
         fetch, cfg._fetch = cfg._fetch, None
         lone = fetch is None
         if lone:
-            fetch = _Fetch(StoreWriter(store))
+            fetch = _Fetch(StoreWriter(store), cfg.endpoint, cfg.batch)
         with fetch.writer:  # removes the file of a store left unfinished
             if lone:
-                fetch.run(cfg, shards)
+                fetch.run(shards)
             if fetch.error is not None:
                 raise fetch.error
             write_embeddings(fetch.sets, store, extra_header=header,
                              writer=fetch.writer)
         sets, stats = fetch.sets, fetch.stats
-    _log(ws, f"embed http_requests={stats.requests} "
-             f"http_retries={stats.retries} "
-             f"vectors={sum(len(s) for s in sets)} "
-             f"bytes_written={_store_bytes(store)}")
+    return {"http_requests": stats.requests, "http_retries": stats.retries,
+            "vectors": sum(len(s) for s in sets),
+            "bytes_written": _store_bytes(store)}
 
 
-def stage_repr(cfg: PipelineConfig, ws: Path) -> None:
-    store = _require(ws / "embeddings.npy", "embed")
+def stage_repr(cfg: PipelineConfig, ws: Path) -> dict:
+    store = _require(ws, "embeddings.npy", "embeddings.json")
     reps = centroid_all(load_embeddings(store))
     out = ws / "representations.npy"
     write_representations(reps, out, extra_header={"config_digest": cfg.digest()})
-    _log(ws, f"repr languages={len(reps)} dim={reps[0].dim if reps else 0} "
-             f"bytes_written={_store_bytes(out)}")
+    return {"languages": len(reps), "dim": reps[0].dim if reps else 0,
+            "bytes_written": _store_bytes(out)}
 
 
 def _keep(cfg: PipelineConfig, matrix: SimilarityMatrix) -> SimilarityMatrix:
@@ -362,15 +371,15 @@ def _keep(cfg: PipelineConfig, matrix: SimilarityMatrix) -> SimilarityMatrix:
     return matrix
 
 
-def stage_simmat(cfg: PipelineConfig, ws: Path) -> None:
-    reps = load_representations(_require(ws / "representations.npy", "repr"))
+def stage_simmat(cfg: PipelineConfig, ws: Path) -> dict:
+    reps = load_representations(
+        _require(ws, "representations.npy", "representations.json"))
     matrix = build_matrix(reps)
     path = ws / "simmat.json"
     _write_json(path, matrix.to_json(), cfg.digest())
     if not cfg.matrix:  # with a `matrix` file, the later stages read that
         _keep(cfg, matrix)
-    _log(ws, f"simmat languages={len(matrix)} "
-             f"bytes_written={path.stat().st_size}")
+    return {"languages": len(matrix), "bytes_written": path.stat().st_size}
 
 
 def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
@@ -380,18 +389,18 @@ def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
         return cfg._matrix
     if cfg.matrix:
         return _keep(cfg, load_matrix(cfg.matrix))
-    path = ws / "simmat.json"
-    doc = load_json(_require(path, "simmat"), SimilarityMatrix.document)
+    path = _require(ws, "simmat.json")
+    doc = load_json(path, SimilarityMatrix.document)
     return _keep(cfg, SimilarityMatrix.from_json(doc, source=path))
 
 
 def _load_dendrogram(ws: Path, matrix: SimilarityMatrix) -> Dendrogram:
-    path = ws / "dendrogram.json"
-    dendrogram = Dendrogram.from_json(load_json(_require(path, "cluster")), path)
+    path = _require(ws, "dendrogram.json")
+    dendrogram = Dendrogram.from_json(load_json(path), path)
     if dendrogram.languages != matrix.languages:
         raise ValidationError(
             f"{path}: its languages differ from the similarity matrix's; "
-            f"run `sprachbund cluster` again")
+            f"run `sprachbund {_producer(path.name)}` again")
     return dendrogram
 
 
@@ -442,7 +451,7 @@ def stage_analyze(cfg: PipelineConfig, ws: Path) -> None:
     sys.stdout.write(report.format_table())
 
 
-def stage_project(cfg: PipelineConfig, ws: Path) -> None:
+def stage_project(cfg: PipelineConfig, ws: Path) -> dict:
     matrix = _load_simmat(cfg, ws)
     registry = cfg.load_registry()
     projection = project(matrix, cfg.tsne_params())
@@ -453,44 +462,114 @@ def stage_project(cfg: PipelineConfig, ws: Path) -> None:
     with replacing(ws / "projection.svg") as fh:
         fh.write(f"<!-- v=1 config_digest={cfg.digest()} -->\n" + svg)
     iterations, final_kl = projection.fit.kl_trace[-1]
-    _log(ws, f"project iterations={iterations} final_kl={final_kl:.6g} "
-             f"unconverged_rows={projection.fit.unconverged_rows}")
+    return {"iterations": iterations, "final_kl": final_kl,
+            "unconverged_rows": projection.fit.unconverged_rows}
 
 
-_STAGES = {
-    "sample": stage_sample,
-    "embed": stage_embed,
-    "repr": stage_repr,
-    "simmat": stage_simmat,
-    "cluster": stage_cluster,
-    "partition": stage_partition,
-    "analyze": stage_analyze,
-    "project": stage_project,
-}
+@dataclass(frozen=True)
+class Stage:
+    """``fn(cfg, ws)`` runs the stage, reading only the config fields
+    ``keys``, and returns its counts for the run log, or None. ``reads`` are
+    the workspace artifacts it needs and ``writes`` those it writes, where
+    ``manifest_k<K>.json`` stands for one file per K."""
+
+    name: str
+    fn: Callable[[PipelineConfig, Path], dict | None]
+    help: str
+    keys: tuple[str, ...]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+STAGES = (
+    Stage("sample", stage_sample,
+          "ingest corpus shards and apply capped random sampling",
+          ("corpus_root", "languages", "cap", "seed", "registry"),
+          (), ("sampled.json",)),
+    Stage("embed", stage_embed,
+          "obtain sentence embeddings from a file or service",
+          ("embeddings", "endpoint", "batch"),
+          ("sampled.json",), ("embeddings.npy", "embeddings.json")),
+    Stage("repr", stage_repr,
+          "reduce each language's embeddings to its centroid",
+          (), ("embeddings.npy", "embeddings.json"),
+          ("representations.npy", "representations.json")),
+    Stage("simmat", stage_simmat, "build the cosine similarity matrix",
+          ("matrix",), ("representations.npy", "representations.json"),
+          ("simmat.json",)),
+    Stage("cluster", stage_cluster, "agglomerate into a dendrogram",
+          ("matrix",), ("simmat.json",), ("dendrogram.json",)),
+    Stage("partition", stage_partition,
+          "emit corpus-partition manifest(s) with pivots",
+          ("matrix", "k", "sweep", "seed", "allow_missing", "corpus_root",
+           "embeddings", "endpoint"),
+          ("simmat.json", "dendrogram.json"), ("manifest_k<K>.json",)),
+    Stage("analyze", stage_analyze,
+          "lexical correlation, family purity, syntax agreement",
+          ("matrix", "k", "registry", "lexical_table"),
+          ("simmat.json",), ("analysis.json",)),
+    Stage("project", stage_project,
+          "t-SNE to 2-D and render the labeled scatter plot",
+          ("matrix", "tsne", "seed", "registry", "color_by", "point_radius",
+           "font_size"),
+          ("simmat.json",), ("projection.json", "projection.svg")),
+)
+STAGE_ORDER = tuple(s.name for s in STAGES)
+_STAGES = {s.name: s.fn for s in STAGES}  # `run` looks each up as it calls it
+
+
+class _StageConfig:
+    """One stage's view of the config: a field the stage does not declare
+    raises AttributeError, within the config's methods too, as they run
+    against the view. ``digest()`` is the run's, taken before any stage."""
+
+    def __init__(self, cfg: PipelineConfig, stage: Stage, digest: str):
+        vars(self).update(_cfg=cfg, _stage=stage, digest=lambda: digest)
+
+    def __getattr__(self, name: str):
+        if name in PipelineConfig.__dataclass_fields__ and \
+                name not in self._stage.keys:
+            raise AttributeError(
+                f"stage {self._stage.name!r} reads config field {name!r}, "
+                f"which its Stage record does not declare")
+        method = getattr(PipelineConfig, name, None)
+        return (method.__get__(self) if callable(method)
+                else getattr(self._cfg, name))
+
+    def __setattr__(self, name: str, value) -> None:
+        setattr(self._cfg, name, value)  # the run's state: _shards, ...
 
 
 def run(subcommand: str, cfg: PipelineConfig) -> None:
     ws = cfg.workspace()
-    stages = STAGE_ORDER if subcommand == "all" else (subcommand,)
-    if "project" in stages:  # a setting that fails without data fails first
+    stages = [s for s in STAGES if subcommand in ("all", s.name)]
+    if any("color_by" in s.keys for s in stages):
+        # a setting that fails without data fails first
         check_plot_settings(cfg.load_registry(), cfg.color_by)
     try:
         ws.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"output directory {ws} is not writable: {exc}")
+    digest = cfg.digest()
     with _WorkspaceLock(ws):
-        cfg._fetch = (_Fetch(StoreWriter(ws / "embeddings.npy"))
+        cfg._fetch = (_Fetch(StoreWriter(ws / "embeddings.npy"),
+                             cfg.endpoint, cfg.batch)
                       if subcommand == "all" and cfg.endpoint
                       and not cfg.embeddings else None)
         try:
             for stage in stages:
                 try:
-                    _STAGES[stage](cfg, ws)
+                    counts = _STAGES[stage.name](
+                        _StageConfig(cfg, stage, digest), ws)
                 except SprachbundError as exc:
-                    _log(ws, f"{stage} digest={cfg.digest()} status=error: "
+                    _log(ws, f"{stage.name} digest={digest} status=error: "
                              f"{exc}")
                     raise
-                _log(ws, f"{stage} digest={cfg.digest()} status=ok")
+                if counts:
+                    _log(ws, " ".join([stage.name] + [
+                        f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in counts.items()]))
+                _log(ws, f"{stage.name} digest={digest} status=ok")
         finally:
             if cfg._fetch is not None:  # a stage before `embed` failed
                 cfg._fetch.writer.discard()
@@ -517,17 +596,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sprachbund", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name, help_text in [
-        ("sample", "ingest corpus shards and apply capped random sampling"),
-        ("embed", "obtain sentence embeddings from a file or service"),
-        ("repr", "reduce each language's embeddings to its centroid"),
-        ("simmat", "build the cosine similarity matrix"),
-        ("cluster", "agglomerate into a dendrogram"),
-        ("partition", "emit corpus-partition manifest(s) with pivots"),
-        ("analyze", "lexical correlation, family purity, syntax agreement"),
-        ("project", "t-SNE to 2-D and render the labeled scatter plot"),
-        ("all", "run every stage in order"),
-    ]:
+    for name, help_text in [(s.name, s.help) for s in STAGES] + [
+            ("all", "run every stage in order")]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--k", type=int, help="number of clusters")

@@ -717,7 +717,7 @@ def fetch_embeddings(endpoint: str, shards: Iterable[CorpusShard], batch: int,
                 raise ValidationError(f"batch size must be >= 1, got {batch}")
             own_connection()
             info = local.conn.call("GET", "/info")
-            if not isinstance(info.get("dim"), int) or info["dim"] < 1:
+            if type(info.get("dim")) is not int or info["dim"] < 1:
                 raise ServiceError(
                     f"{base}/info did not declare a positive 'dim'")
         except SprachbundError:

@@ -62,7 +62,7 @@ class TsneParams:
     declare the config's ``tsne`` keys: ``tsne.<key> must be ...``."""
 
     perplexity: Annotated[float, "> 1"] = 30.0
-    iterations: Annotated[int, ">= 1"] = 1000
+    iterations: Annotated[int, "in [1, 10**5]"] = 1000
     learning_rate: Annotated[float, "> 0"] = 200.0
     early_exaggeration: Annotated[float, "> 0"] = 12.0
     exaggeration_iters: Annotated[int, ">= 0"] = 250

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -312,6 +314,144 @@ class TestStageOrder:
         rc = cli.main(["repr", "--out", str(tmp_path / "empty")])
         assert rc == 2
         assert "embed" in capsys.readouterr().err
+
+
+def readme_stage_table() -> list[tuple[tuple[str, ...], ...]]:
+    """The README's stage table: each row's back-quoted names, by column."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index("| stage | config keys | reads | writes |")
+                      + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(tuple(re.findall(r"`([^`]+)`", cell))
+                          for cell in line.strip("|").split("|")))
+    return rows
+
+
+def snapshot(ws: Path) -> dict[str, tuple[int, int, int]]:
+    """Each file's inode, modification time and size: a file replaced or
+    appended to shows a change."""
+    return {p.name: (st.st_ino, st.st_mtime_ns, st.st_size)
+            for p in (ws.iterdir() if ws.exists() else ())
+            for st in (p.stat(),)}
+
+
+@pytest.fixture(scope="module")
+def all_workspace(tmp_path_factory) -> tuple[Path, Path]:
+    """The config of one `all` on the demo, and its workspace."""
+    root = tmp_path_factory.mktemp("all")
+    config = root / "config.json"
+    config.write_text(json.dumps({
+        "corpus_root": str(data.path("demo/corpus")),
+        "embeddings": str(data.path("demo/embeddings.jsonl")), "k": 2,
+        "seed": 7, "tsne": {"perplexity": 2.0, "iterations": 300},
+        "out": str(root / "ws")}), encoding="utf-8")
+    assert cli.main(["all", "--config", str(config)]) == 0
+    return config, root / "ws"
+
+
+class TestStageTable:
+    """`cli.STAGES` against the README's copy of it and against what each
+    stage does."""
+
+    def test_readme_table_is_the_stage_table(self):
+        assert readme_stage_table() == [((s.name,), s.keys, s.reads, s.writes)
+                                        for s in cli.STAGES]
+
+    def test_the_other_stage_lists_come_from_it(self, capsys):
+        names = [s.name for s in cli.STAGES]
+        assert list(cli.STAGE_ORDER) == names
+        assert cli._STAGES == {s.name: s.fn for s in cli.STAGES}
+        assert cli.main([]) == 1
+        assert f"(one of: {', '.join(names)}, all)" in capsys.readouterr().err
+        for name in names + ["all"]:
+            assert cli.build_parser().parse_args([name]).subcommand == name
+
+    def test_each_stage_writes_what_it_declares(self, demo_config, tmp_path):
+        cfg = str(demo_config())
+        ws = tmp_path / "ws"
+        for stage in cli.STAGES:
+            before = snapshot(ws)
+            assert cli.main([stage.name, "--config", cfg]) == 0
+            after = snapshot(ws)
+            assert before.keys() <= after.keys(), stage.name
+            changed = {name for name in after
+                       if after[name] != before.get(name)}
+            assert changed == {"run.log"} | {
+                name.replace("<K>", "2") for name in stage.writes}, stage.name
+
+    @pytest.mark.parametrize("stage, name", [
+        (s.name, name) for s in cli.STAGES for name in s.reads])
+    def test_a_missing_input_names_its_producer(self, all_workspace, tmp_path,
+                                                capsys, stage, name):
+        config, ws = all_workspace
+        shutil.copytree(ws, tmp_path / "ws")
+        (tmp_path / "ws" / name).unlink()
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(config),
+                         "--out", str(tmp_path / "ws")]) == 2
+        producer, = [s.name for s in cli.STAGES if name in s.writes]
+        assert cli.STAGE_ORDER.index(producer) < cli.STAGE_ORDER.index(stage)
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: missing input {name}; "
+            f"run `sprachbund {producer}` first\n")
+
+    def test_each_stage_reads_every_key_it_declares(
+            self, demo_config, embedding_server, monkeypatch, tmp_path):
+        reads = {name: set() for name in cli.STAGE_ORDER}
+        real = cli._StageConfig.__getattr__
+
+        def spy(view, name):
+            if name in PipelineConfig.__dataclass_fields__:
+                reads[view._stage.name].add(name)
+            return real(view, name)
+
+        monkeypatch.setattr(cli._StageConfig, "__getattr__", spy)
+        server = embedding_server(dim=8)
+        for source in ({}, {"embeddings": None, "endpoint": server.endpoint}):
+            cfg = str(demo_config(out=str(tmp_path / f"ws{len(source)}"),
+                                  **source))
+            for stage in cli.STAGE_ORDER:
+                assert cli.main([stage, "--config", cfg]) == 0
+        assert reads == {s.name: set(s.keys) for s in cli.STAGES}
+
+    @pytest.mark.parametrize("read, key", [
+        (lambda cfg: cfg.k, "k"),
+        (lambda cfg: cfg.load_lexical_table(), "lexical_table"),
+        (lambda cfg: cfg.workspace(), "out"),
+    ], ids=["field", "method", "workspace"])
+    def test_a_stage_that_reads_an_undeclared_key_raises(
+            self, demo_config, monkeypatch, read, key):
+        """A programming error, not an exit code: it escapes `main`."""
+        real = cli._STAGES["cluster"]
+
+        def cluster(cfg, ws):
+            read(cfg)
+            return real(cfg, ws)
+
+        monkeypatch.setitem(cli._STAGES, "cluster", cluster)
+        cfg = str(demo_config(
+            matrix=str(data.path("embedding_similarity.json"))))
+        with pytest.raises(AttributeError, match=(
+                f"stage 'cluster' reads config field '{key}', which its "
+                f"Stage record does not declare")):
+            cli.main(["cluster", "--config", cfg])
+
+    def test_a_stage_reads_the_run_digest(self, demo_config, monkeypatch,
+                                          tmp_path):
+        """`digest()` hashes every field, so the run takes it once and the
+        stages read that."""
+        calls = []
+        real = PipelineConfig.digest
+        monkeypatch.setattr(PipelineConfig, "digest",
+                            lambda cfg: calls.append(1) or real(cfg))
+        assert cli.main(["all", "--config", str(demo_config())]) == 0
+        assert len(calls) == 1
+        digests = {json.loads(p.read_text())["config_digest"]
+                   for p in (tmp_path / "ws").glob("*.json")}
+        assert len(digests) == 1
 
 
 class TestAnalyze:
@@ -927,7 +1067,10 @@ class TestOutOfRangeProjectValues:
         ({}, ["--point-radius", "-3"],
          "command line: point_radius must be > 0, got -3.0"),
         ({}, ["--font-size", "0"], "command line: font_size must be > 0, got 0"),
-        ({"iterations": 0}, [], "tsne.iterations must be >= 1, got 0"),
+        ({"iterations": 0}, [],
+         "tsne.iterations must be in [1, 10**5], got 0"),
+        ({"iterations": 2 ** 63}, [],
+         "tsne.iterations must be in [1, 10**5], got 9223372036854775808"),
         ({"exaggeration_iters": -5}, [],
          "tsne.exaggeration_iters must be >= 0, got -5"),
         ({"momentum_switch_iter": -1}, [],
@@ -947,8 +1090,8 @@ class TestOutOfRangeProjectValues:
         ({"perplexity": math.nan}, [],
          "tsne.perplexity must be finite, got nan"),
     ], ids=["seed", "tsne-seed", "point-radius", "font-size", "iterations",
-            "exaggeration-iters", "momentum-switch-iter", "learning-rate",
-            "early-exaggeration", "init-scale", "min-gain",
+            "iterations-huge", "exaggeration-iters", "momentum-switch-iter",
+            "learning-rate", "early-exaggeration", "init-scale", "min-gain",
             "initial-momentum", "final-momentum-high", "final-momentum-low",
             "perplexity", "perplexity-nan"])
     def test_project_exits_2(self, demo_config, tmp_path, tsne, flags,
@@ -1208,6 +1351,21 @@ class TestEmbedFromService:
         assert server.info_requests == 1
         log = (tmp_path / "ws" / "run.log").read_text()
         assert "embed http_requests=13 http_retries=0 vectors=20 " in log
+
+    @pytest.mark.parametrize("dim", [True, 0, -1, 8.0, "8"])
+    def test_info_without_a_positive_integer_dim_exits_3(
+            self, demo_config, embedding_server, tmp_path, capsys, dim):
+        """The service is at fault, not the workspace: no store is
+        written for `repr` to refuse."""
+        server = embedding_server(dim=dim)
+        cfg = str(demo_config(embeddings=None, endpoint=server.endpoint))
+        capsys.readouterr()
+        assert cli.main(["all", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {server.endpoint}/info did not declare a "
+            f"positive 'dim'\n")
+        assert sorted(p.name for p in (tmp_path / "ws").iterdir()) == [
+            "run.log", "sampled.json"]
 
     def test_client_error_exits_3(self, demo_config, embedding_server,
                                   capsys):

@@ -106,7 +106,7 @@ def closed_port_endpoint() -> str:
 
 
 def failing_run(tmp_path, embedding_server, capsys, case, n,
-                hold=False) -> int:
+                hold=False) -> list[tuple[list[str], int]]:
     """`all` against a service that fails batch n as ``case`` says, with
     the failing reply, if ``hold``, reaching the pool only once the service
     has recorded every batch's post (at most 30 s later): exit 3 and its
@@ -115,9 +115,9 @@ def failing_run(tmp_path, embedding_server, capsys, case, n,
 
     The pool stops taking batches once it has recorded a failure, but each
     of the other workers may still be sending the one batch it holds; so
-    at most ``FETCH_WORKERS - 1`` batches arrive after the record. The
-    number that arrive after the failing reply is up to the scheduler;
-    it is returned."""
+    at most ``FETCH_WORKERS - 1`` batches arrive after the record. Returns
+    the posts the service recorded, in the order they arrived, which is
+    up to the scheduler."""
     code, sid = batch_start(n)
     trigger = f"{code} sentence {sid}"
     server = embedding_server(**{
@@ -160,8 +160,7 @@ def failing_run(tmp_path, embedding_server, capsys, case, n,
     later = {batch_number(texts) for texts, _ in server.posts[arrived:]}
     assert all(b < taken for b in later), (later, taken)
     assert len(later) <= FETCH_WORKERS - 1
-    return len(server.posts) - 1 - max(
-        i for i, (texts, _) in enumerate(server.posts) if trigger in texts)
+    return server.posts
 
 
 class TestFailures:
@@ -175,11 +174,15 @@ class TestFailures:
     def test_a_late_failure_lets_taken_batches_through(
             self, tmp_path, embedding_server, capsys, case):
         """A failing reply held until every batch has reached the service:
-        every later batch is taken and sent before the record, more than
-        ``FETCH_WORKERS`` of them after the failing post."""
-        after = failing_run(tmp_path, embedding_server, capsys, case, 0,
+        every other batch is taken and sent once before the record, more
+        than ``FETCH_WORKERS`` of them. The pool's first batches go out at
+        once, so some may arrive before the failing one."""
+        posts = failing_run(tmp_path, embedding_server, capsys, case, 0,
                             hold=True)
-        assert after == BATCHES - 1 > FETCH_WORKERS
+        others = sorted(batch_number(texts) for texts, _ in posts
+                        if batch_number(texts) != 0)
+        assert others == list(range(1, BATCHES))
+        assert len(others) > FETCH_WORKERS
 
     @given(n=st.integers(0, BATCHES - 1))
     @EXAMPLES
@@ -260,10 +263,8 @@ class TestOverlap:
 
         def hold(texts):
             limit = time.monotonic() + 10
-            log = ws / "run.log"
-            while time.monotonic() < limit and not (
-                    (ws / "sampled.json").exists() and log.exists()
-                    and "sample languages=" in log.read_text("utf-8")):
+            while (time.monotonic() < limit
+                   and not (ws / "sampled.json").exists()):
                 time.sleep(0.005)
             written.append(time.monotonic() < limit)
 

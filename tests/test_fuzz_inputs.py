@@ -67,7 +67,7 @@ TARGETS = {
 RANGES = {
     "config": {("k",): lambda x: x >= 1, ("seed",): lambda x: 0 <= x < 2 ** 64,
                ("tsne", "perplexity"): lambda x: x > 1,
-               ("tsne", "iterations"): lambda x: x >= 1},
+               ("tsne", "iterations"): lambda x: 1 <= x <= 10 ** 5},
     "lexical_table": {("pairs", "*", "sim"): lambda x: 0 <= x <= 1},
     # a value beyond the clamp's 1e-9 of [-1, 1]
     "matrix": {("values", "*", "*"): lambda x: abs(x) <= 1 + 1e-9},
@@ -245,10 +245,10 @@ def test_one_replaced_value(template, target, draw):
         value = draw.draw(draw.draw(st.sampled_from([
             VALUES, st.sampled_from(variants(original)),
             st.sampled_from(siblings or [original])])))
-        # an iteration count is not bounded above: 2**63 is valid and
-        # runs for ever
+        # a valid iteration count above 10**4 runs for minutes; a count
+        # beyond the bound is still drawn, and must exit 2
         assume(not (shape == ("tsne", "iterations") and type(value) is int
-                    and value > 10 ** 4))
+                    and 10 ** 4 < value <= 10 ** 5))
         doc = replaced(doc, at, value)
         path.write_text("\n".join(map(json.dumps, doc)) + "\n"
                         if target == "embeddings" else json.dumps(doc))

@@ -168,7 +168,8 @@ class TestCheckDocument:
     def test_where_and_no_path(self):
         with pytest.raises(ValidationError) as info:
             check_document({"iterations": 0}, TsneParams, where="tsne")
-        assert str(info.value) == "tsne.iterations must be >= 1, got 0"
+        assert (str(info.value)
+                == "tsne.iterations must be in [1, 10**5], got 0")
 
     def test_dataclass_of_a_module_run_as_main(self):
         """`python -m cProfile -m sprachbund.cli` runs cli as a `__main__`
