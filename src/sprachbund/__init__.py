@@ -12,11 +12,10 @@ and syntax features, and project the representations to 2-D for plotting.
 import os
 
 # numpy's OpenBLAS starts one pool thread per CPU when numpy is first
-# imported. The pipeline's matrices are small (M x M for M languages, M in
-# the hundreds), so that pool spins and costs more CPU than it saves: on a
-# 2-vCPU Xeon VM, a 240x64 `a @ a.T` plus a (240x240) @ (240x2) product took
-# a median 0.3-8 ms threaded and 0.1-0.15 ms on one thread. This must run
-# before any submodule imports numpy; a value the user has set still wins.
+# imported. No result depends on the thread count; the pin is for speed: on
+# a 2-vCPU Xeon VM, 300 t-SNE steps at M = 1000 took the same wall time on
+# one thread as on two, and 0.55-0.6 of the CPU. This must run before any
+# submodule imports numpy; a value the user has set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (AnalysisReport, build_report, family_purity,

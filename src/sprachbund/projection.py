@@ -17,14 +17,14 @@ their target as it goes, so the only M x M array it makes is P. The
 descent holds the joint P and two M x M buffers: no distances, no
 conditional P and no exaggerated copy of P. A step gets every
 1 + |y_i - y_j|^2 from one (M x 4) @ (4 x M) product and works in buffers
-made once per run. The kernel's sum and the product W y run over the whole
-buffers; Q, W and W's row sums are formed a cache-sized block of rows at a
-time, P's block is exaggerated there (the only array a step makes), and
-Q's clamp at 1e-12 is skipped when a bound on max |y_i|^2 proves it would
-change nothing. None of this moves a bit of the result. The KL(P || Q)
-that a run reports is computed once, at the last step, in the buffer of W
-that the step then overwrites, so it adds only P's support mask and one
-gather of the terms.
+made once per run. W, scaled by sum(num), is formed in one pass over P
+with the exaggeration folded in, and Q's clamp at 1e-12 enters only when a
+bound on max |y_i|^2 cannot rule it out. The kernel's sum, W y and W's row
+sums are ``np.vecdot`` dot products over rows of M entries, which OpenBLAS
+takes on one thread up to 10,000, so no bit depends on the thread count.
+The KL(P || Q) that a run reports is computed once, at the last step, in
+the buffer of W that the step then overwrites, so it adds only P's support
+mask and one gather of the terms.
 
 The input is the :class:`simmatrix.SimilarityMatrix` that clustering uses;
 t-SNE's distances are 1 minus its values, so a run computes the cosine
@@ -50,10 +50,6 @@ _TOL_BITS = 1e-6  # bandwidth search: entropy tolerance in bits
 # 64 KiB of float64, so a block's distances and the search's arrays over
 # them stay small beside P
 _SEARCH_BLOCK = 1 << 13
-# entries of an M x M array in one row block of a descent step: 512 KiB of
-# float64, so the blocks of the kernel, P and w that a step works on
-# together stay in a 2 MiB L2 cache
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,8 @@ class _Buffers:
     """The arrays a descent step works in, made once per run: the kernel
     ``num`` and ``w`` (M x M); the factors [y, |y|^2, 1] (M x 4) and
     [-2y, 1, 1 + |y|^2] (4 x M) of the kernel's product, their ones set
-    here; |y|^2; W's row sums; W y; and the gradient."""
+    here; |y|^2; the kernel's row sums; [y_x; y_y; 1] (3 x M), its ones
+    set here; W y and W 1 (M x 3); and the gradient."""
 
     def __init__(self, m: int):
         self.num = np.empty((m, m))
@@ -218,19 +215,22 @@ class _Buffers:
         self.right = np.empty((4, m))
         self.right[2] = 1.0
         self.sq = np.empty(m)
-        self.row_sums = np.empty(m)
-        self.wy = np.empty((m, 2))
+        self.num_sums = np.empty(m)
+        self.y1 = np.empty((3, m))
+        self.y1[2] = 1.0
+        self.wy1 = np.empty((m, 3))
         self.grad = np.empty((m, 2))
 
 
 def _student_t(y: np.ndarray, b: _Buffers) -> tuple[float, bool]:
     """Fill ``b.num`` with the Student-t kernel 1 / (1 + |y_i - y_j|^2),
-    zero on the diagonal. Return the scale 1 / sum(num) that turns it into
+    zero on the diagonal. Return sum(num), whose reciprocal turns it into
     Q, and whether Q needs its clamp below at _EPS.
 
     The squared distances plus one come from a single (M x 4) @ (4 x M)
     product: [y, |y|^2, 1] . [-2y, 1, 1 + |y|^2] = 1 + |y_i|^2 - 2 y_i.y_j
-    + |y_j|^2.
+    + |y_j|^2, four products an entry however BLAS splits the product. The
+    sum adds up each row's ``vecdot`` with ones.
 
     The clamp is skipped when a bound proves it would change no
     off-diagonal entry: with R^2 = max |y_i|^2, every |y_i - y_j|^2 is at
@@ -248,46 +248,38 @@ def _student_t(y: np.ndarray, b: _Buffers) -> tuple[float, bool]:
     np.matmul(b.left, b.right, out=num)
     np.reciprocal(num, out=num)
     num.reshape(-1)[::m + 1] = 0.0
-    total = np.add.reduce(num, axis=None)
-    return (1.0 / total,
-            not (1.0 + 4.0 * np.maximum.reduce(sq)) * total <= 0.5 / _EPS)
+    total = float(np.add.reduce(np.vecdot(num, b.y1[2], out=b.num_sums)))
+    return total, not (1.0 + 4.0 * np.maximum.reduce(sq)) * total <= 0.5 / _EPS
 
 
-def _q(num: np.ndarray, scale: float, clamp: bool,
+def _q(num: np.ndarray, total: float, clamp: bool,
        out: np.ndarray) -> np.ndarray:
-    """Q = num * scale, clamped below at _EPS if ``clamp``, into ``out``."""
-    np.multiply(num, scale, out=out)
+    """Q = num / total, clamped below at _EPS if ``clamp``, into ``out``."""
+    np.multiply(num, 1.0 / total, out=out)
     if clamp:
         np.maximum(out, _EPS, out=out)
     return out
 
 
-def _gradient(p: np.ndarray, y: np.ndarray, b: _Buffers, scale: float,
+def _gradient(p: np.ndarray, y: np.ndarray, b: _Buffers, total: float,
               clamp: bool, exaggeration: float) -> np.ndarray:
     """Gradient of KL(P' || Q) at ``y``, with P' = ``exaggeration`` * p:
     4 * sum_j w_ij (y_i - y_j) with w = (p' - q) * num, from the kernel and
-    scale of :func:`_student_t`, into ``b.grad``.
+    sum of :func:`_student_t`, into ``b.grad``.
 
-    ``b.w`` is filled with w a block of rows at a time, each block small
-    enough to stay in cache from Q and P' to its row sums; P' exists only a
-    block at a time. A row's sum does not depend on the block it is in, and
-    ``w @ y`` runs over the whole buffer, so the gradient's bits do not
-    depend on the block size.
+    With s = 1 / sum(num), w = s w' for w' = (e sum(num) p - num) * num,
+    formed in ``b.w`` in one pass over P. Where Q's clamp may act,
+    max(num, _EPS sum(num)) = q / s is subtracted instead of num. One
+    ``vecdot`` of each row of w' with y_x, y_y and 1 gives w' y and w' 1.
     """
-    m = len(y)
-    rows = max(1, _BLOCK // m)
-    num, w, row_sums = b.num, b.w, b.row_sums
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
-        wb = w[block]
-        _q(num[block], scale, clamp, out=wb)
-        pb = p[block] if exaggeration == 1.0 else p[block] * exaggeration
-        np.subtract(pb, wb, out=wb)
-        wb *= num[block]
-        np.add.reduce(wb, axis=1, out=row_sums[block])
-    grad = np.multiply(row_sums[:, None], y, out=b.grad)
-    grad -= np.matmul(w, y, out=b.wy)
-    grad *= 4.0
+    w = np.multiply(p, exaggeration * total, out=b.w)
+    w -= np.maximum(b.num, _EPS * total) if clamp else b.num
+    w *= b.num
+    b.y1[:2] = y.T
+    wy1 = np.vecdot(w[:, None, :], b.y1, out=b.wy1)
+    grad = np.multiply(y, wy1[:, 2:], out=b.grad)
+    grad -= wy1[:, :2]
+    grad *= 4.0 / total
     return grad
 
 
@@ -335,12 +327,12 @@ def tsne(matrix: SimilarityMatrix,
     shrunk, step, mean = np.empty((m, 2)), np.empty((m, 2)), np.empty(2)
 
     for it in range(params.iterations):
-        scale, clamp = _student_t(y, b)
+        total, clamp = _student_t(y, b)
         if it == params.iterations - 1:  # Q at the last step, in w
-            final_kl = _kl_divergence(p, _q(b.num, scale, clamp, b.w))
+            final_kl = _kl_divergence(p, _q(b.num, total, clamp, b.w))
         exaggeration = (params.early_exaggeration
                         if it < params.exaggeration_iters else 1.0)
-        grad = _gradient(p, y, b, scale, clamp, exaggeration)
+        grad = _gradient(p, y, b, total, clamp, exaggeration)
 
         momentum = (params.initial_momentum
                     if it < params.momentum_switch_iter

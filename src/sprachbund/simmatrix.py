@@ -92,9 +92,11 @@ def cosine_matrix(vectors: np.ndarray,
                   names: Sequence[str] | None = None) -> np.ndarray:
     """Pairwise cosine of row vectors, through unit vectors.
 
-    Each pair is taken from the upper triangle and mirrored, the diagonal is
-    exactly 1.0, and values are clamped into [-1, 1]. A zero row is an
-    error naming it by ``names`` when given, else by its index.
+    Each entry is one ``np.vecdot`` of two unit rows, so no bit depends on
+    the BLAS thread count. Each pair is taken from the upper triangle and
+    mirrored, the diagonal is exactly 1.0, and values are clamped into
+    [-1, 1]. A zero row is an error naming it by ``names`` when given, else
+    by its index.
     """
     v = np.asarray(vectors, dtype=np.float64)
     norms = np.linalg.norm(v, axis=1)
@@ -103,7 +105,7 @@ def cosine_matrix(vectors: np.ndarray,
         which = f"representation for {names[i]!r}" if names else f"row {i}"
         raise ValidationError(f"{which} has zero norm")
     unit = v / norms[:, None]
-    upper = np.triu(unit @ unit.T, k=1)
+    upper = np.triu(np.vecdot(unit[:, None, :], unit[None, :, :]), k=1)
     values = upper + upper.T
     np.fill_diagonal(values, 1.0)
     np.clip(values, -1.0, 1.0, out=values)
@@ -138,7 +140,8 @@ def bundled_embedding_similarity() -> SimilarityMatrix:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation via the two-pass (mean first) formula."""
+    """Sample Pearson correlation via the two-pass (mean first) formula,
+    summed by numpy, not by BLAS, which threads a long dot product."""
     xa = np.asarray(xs, dtype=np.float64)
     ya = np.asarray(ys, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
@@ -149,13 +152,14 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValidationError(f"pearson needs at least 3 points, got {len(xa)}")
     dx = xa - xa.mean()
     dy = ya - ya.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
+    sx = float(np.add.reduce(dx * dx))
+    sy = float(np.add.reduce(dy * dy))
     if sx == 0.0:
         raise ValidationError("pearson: first sequence is constant")
     if sy == 0.0:
         raise ValidationError("pearson: second sequence is constant")
-    return float(np.clip(float(dx @ dy) / math.sqrt(sx * sy), -1.0, 1.0))
+    r = float(np.add.reduce(dx * dy)) / math.sqrt(sx * sy)
+    return float(np.clip(r, -1.0, 1.0))
 
 
 def paired_similarity_vectors(

@@ -418,29 +418,45 @@ def gather_kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(np.multiply(terms, ratio, out=ratio)))
 
 
+def row_dots(a: np.ndarray, rows) -> np.ndarray:
+    """Each row of ``a`` dotted with each of ``rows`` (contiguous 1-D
+    arrays), one ``np.dot`` of two vectors per entry: ``out[i, k] =
+    a[i] . rows[k]``."""
+    return np.array([[np.dot(row, v) for v in rows] for row in a])
+
+
 def clamped_student_t(y: np.ndarray, num: np.ndarray, q: np.ndarray,
-                      eps: float = 1e-12) -> None:
+                      eps: float = 1e-12) -> float:
     """The Student-t kernel into ``num`` (zero diagonal) and Q = num /
     sum(num) into ``q``, always clamped below at ``eps``, every pass over
-    the whole M x M buffers."""
+    the whole M x M buffers. Returns sum(num): each row's dot product with
+    ones, summed."""
     sq = np.einsum("ij,ij->i", y, y)
     left = np.column_stack((y, sq, np.ones_like(sq)))
     right = np.vstack((-2.0 * y.T, np.ones_like(sq), 1.0 + sq))
     np.matmul(left, right, out=num)
     np.reciprocal(num, out=num)
     np.fill_diagonal(num, 0.0)
-    np.multiply(num, 1.0 / num.sum(), out=q)
+    total = float(np.sum(row_dots(num, [np.ones(len(y))])))
+    np.multiply(num, 1.0 / total, out=q)
     np.maximum(q, eps, out=q)
+    return total
 
 
 def clamped_gradient(p: np.ndarray, y: np.ndarray, num: np.ndarray,
-                     q: np.ndarray) -> np.ndarray:
-    """The KL gradient 4 * sum_j w_ij (y_i - y_j), w = (p - q) * num, from
-    the buffers of :func:`clamped_student_t`, whole-buffer passes only.
-    Overwrites ``q`` with w."""
-    w = np.subtract(p, q, out=q)
+                     total: float, exaggeration: float,
+                     eps: float = 1e-12) -> np.ndarray:
+    """The KL gradient 4 * sum_j w_ij (y_i - y_j) at ``exaggeration`` * p,
+    w = (p' - q) * num, from the kernel and sum of
+    :func:`clamped_student_t`, as 4 s (w' 1 * y - w' y) with s = 1 /
+    ``total`` and w' = (e total p - max(num, eps total)) * num: the clamp
+    always applied, whole-buffer passes, and w' y and w' 1 from one dot
+    product per row and column."""
+    w = p * (exaggeration * total)
+    w -= np.maximum(num, eps * total)
     w *= num
-    return 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
+    wy1 = row_dots(w, [*np.ascontiguousarray(y.T), np.ones(len(y))])
+    return (y * wy1[:, 2:] - wy1[:, :2]) * (4.0 / total)
 
 
 def clamped_tsne(matrix, params, eps: float = 1e-12) -> tuple[np.ndarray, tuple]:
@@ -452,21 +468,21 @@ def clamped_tsne(matrix, params, eps: float = 1e-12) -> tuple[np.ndarray, tuple]
     m = len(matrix)
     p_true = joint_affinities(
         conditional_affinities(matrix, params.perplexity)[0])
-    p_exaggerated = p_true * params.early_exaggeration
     y = _initial_points(m, params)
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
     num, q = np.empty((m, m)), np.empty((m, m))
     trace = []
     for it in range(params.iterations):
-        p = p_exaggerated if it < params.exaggeration_iters else p_true
-        clamped_student_t(y, num, q, eps)
+        exaggeration = (params.early_exaggeration
+                        if it < params.exaggeration_iters else 1.0)
+        total = clamped_student_t(y, num, q, eps)
         if ((it + 1) % 50 == 0 or it == params.exaggeration_iters - 1
                 or it == params.iterations - 1):
             mask = p_true > 0
             trace.append((it + 1, float(np.sum(
                 p_true[mask] * np.log(p_true[mask] / q[mask])))))
-        grad = clamped_gradient(p, y, num, q)
+        grad = clamped_gradient(p_true, y, num, total, exaggeration, eps)
         momentum = (params.initial_momentum
                     if it < params.momentum_switch_iter
                     else params.final_momentum)

@@ -617,9 +617,61 @@ def _python(args: list[str], openblas_threads: str | None):
                           capture_output=True, text=True, timeout=120)
 
 
+# prints, as JSON, four results whose bits differed on 1 and 2 threads while
+# BLAS matrix and vector products made them: the sha256 of the cosine Gram
+# of seeded 108 x 768 rows (paper scale), of one t-SNE gradient step at
+# M = 1000 and of the projection.json document of a short descent at
+# M = 1000, and the repr of the Pearson r of 20,000 pairs
+THREAD_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from sprachbund.projection import (TsneParams, _Buffers, _gradient,
+                                   _student_t, project)
+from sprachbund.registry import write_json
+from sprachbund.simmatrix import SimilarityMatrix, cosine_matrix, pearson
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+rng = np.random.default_rng(5)
+out = {"gram": sha(cosine_matrix(rng.standard_normal((108, 768))).tobytes())}
+m = 1000
+y = rng.standard_normal((m, 2)) * 5.0
+p = rng.random((m, m))
+p += p.T
+np.fill_diagonal(p, 0.0)
+p /= p.sum()
+b = _Buffers(m)
+total, clamp = _student_t(y, b)
+out["step"] = sha(_gradient(p, y, b, total, clamp, 12.0).tobytes())
+vectors = rng.standard_normal((m, 16))
+matrix = SimilarityMatrix([f"l{i}" for i in range(m)], cosine_matrix(vectors))
+write_json(sys.argv[1], project(matrix, TsneParams(
+    perplexity=10.0, iterations=12, exaggeration_iters=6)).to_json())
+with open(sys.argv[1], "rb") as fh:
+    out["projection"] = sha(fh.read())
+xs = rng.standard_normal(20000)
+out["pearson"] = repr(pearson(xs, xs + rng.standard_normal(20000)))
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="class")
+def probed_threads(tmp_path_factory):
+    """:data:`THREAD_PROBE`'s output under OPENBLAS_NUM_THREADS=1 and =2."""
+    runs = []
+    for n in ("1", "2"):
+        target = tmp_path_factory.mktemp(f"threads{n}") / "projection.json"
+        proc = _python(["-c", THREAD_PROBE, str(target)], n)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    return runs
+
+
 class TestBlasThreads:
     """Importing the package pins OpenBLAS to one thread before numpy loads,
-    unless the user set the thread count."""
+    unless the user set the thread count; whatever the count, every product
+    and so every artifact has the same bits."""
 
     # prints OPENBLAS_NUM_THREADS as numpy's import finds it, then after
     # the package import
@@ -654,6 +706,13 @@ print(seen[0], os.environ["OPENBLAS_NUM_THREADS"])
             assert proc.returncode == 0, proc.stderr
         assert artifacts_in(tmp_path / f"ws{threads[0]}") == \
             artifacts_in(tmp_path / f"ws{threads[1]}")
+
+    @pytest.mark.parametrize("product",
+                             ["gram", "step", "projection", "pearson"])
+    def test_thread_count_leaves_products_unchanged(self, probed_threads,
+                                                    product):
+        one, two = probed_threads
+        assert one[product] == two[product]
 
 
 class TestSweep:

@@ -240,11 +240,11 @@ class TestTsne:
         np.fill_diagonal(p, 0.0)
         p /= p.sum()
         b = _Buffers(m)
-        scale, clamp = _student_t(y, b)
+        total, clamp = _student_t(y, b)
         want_grad, want_q = diag_gradient(p, y)
-        np.testing.assert_allclose(_q(b.num, scale, True, b.w), want_q,
+        np.testing.assert_allclose(_q(b.num, total, True, b.w), want_q,
                                    rtol=1e-12)
-        grad = _gradient(p, y, b, scale, clamp, 1.0)
+        grad = _gradient(p, y, b, total, clamp, 1.0)
         # an entry whose terms cancel toward 0 keeps an error on the scale of
         # the largest entry, not of its own
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
@@ -280,9 +280,9 @@ class TestTsne:
         distances and the conditional P lived through the descent, 7.2
         while it held an exaggerated copy of P, and 6.2 while the final KL
         gathered P and Q over their support. The descent holds the joint P
-        and two buffers; at M <= 256 an exaggerated step forms P' over
-        every row at once, and the final KL adds the support mask and one
-        gather: 4.2."""
+        and two buffers; an exaggerated step scales P in the pass that
+        forms W, and the final KL adds the support mask and one gather:
+        4.3."""
         m = 200
         matrix = make_matrix(
             np.random.default_rng(0).standard_normal((m, 16)))
@@ -341,8 +341,8 @@ class TestKlDivergence:
         assert np.count_nonzero(p == 0.0) > 12  # more than the diagonal
         y = np.random.default_rng(3).standard_normal((12, 2))
         b = _Buffers(12)
-        scale, clamp = _student_t(y, b)
-        q = _q(b.num, scale, True, b.w)
+        total, clamp = _student_t(y, b)
+        q = _q(b.num, total, True, b.w)
         want = gather_kl_divergence(p, q)
         assert _bits(np.array([_kl_divergence(p, q)])) == \
             _bits(np.array([want]))
@@ -350,52 +350,51 @@ class TestKlDivergence:
 
 class TestDescentOracle:
     """The descent step and the whole descent against the step that clamps
-    Q every time and makes every pass over the whole buffers
+    Q every time, makes every pass over the whole buffers and takes each
+    entry of W y and W 1 as one dot product of two vectors
     (``clamped_student_t``, ``clamped_gradient`` and ``clamped_tsne`` in
-    reference.py): kernel, gradient, KL, points and final KL equal to the
-    bit, whatever the row block."""
+    reference.py): kernel, its sum, gradient, KL, points and final KL
+    equal to the bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(4, 160), seed=st.integers(0, 2 ** 32 - 1),
            scale=st.sampled_from([1e-4, 1.0, 40.0, 1e6]),
            far=st.integers(0, 3),
-           exaggeration=st.sampled_from([1.0, 4.5, 12.0]),
-           block=st.sampled_from([1, 7, 100, 1 << 16]))
+           exaggeration=st.sampled_from([1.0, 4.5, 12.0]))
     def test_step_matches_the_clamped_step(self, m, seed, scale, far,
-                                           exaggeration, block):
+                                           exaggeration):
         y, p = _descent_input(m, seed, scale, min(far, m - 2))
         want_num, want_q = np.empty((m, m)), np.empty((m, m))
-        clamped_student_t(y, want_num, want_q)
+        want_total = clamped_student_t(y, want_num, want_q)
         want_kl = gather_kl_divergence(p, want_q)
-        want_grad = clamped_gradient(p * exaggeration, y, want_num, want_q)
+        want_grad = clamped_gradient(p, y, want_num, want_total,
+                                     exaggeration)
 
         b = _Buffers(m)
-        scale_, clamp = _student_t(y, b)
+        total, clamp = _student_t(y, b)
         assert np.array_equal(_bits(b.num), _bits(want_num))
-        assert _kl_divergence(p, _q(b.num, scale_, clamp, b.w)) == want_kl
-        with mock.patch.object(projection, "_BLOCK", block):
-            grad = _gradient(p, y, b, scale_, clamp, exaggeration)
+        assert total == want_total
+        assert _kl_divergence(p, _q(b.num, total, clamp, b.w)) == want_kl
+        grad = _gradient(p, y, b, total, clamp, exaggeration)
         assert np.array_equal(_bits(grad), _bits(want_grad))
 
     def test_far_points_are_clamped(self):
         y, p = _descent_input(40, 1, 1.0, 2)
         b = _Buffers(40)
-        scale, clamp = _student_t(y, b)
+        total, clamp = _student_t(y, b)
         assert clamp
-        unclamped = b.num * scale
+        unclamped = b.num * (1.0 / total)
         assert (unclamped[~np.eye(40, dtype=bool)] < 1e-12).any()
 
     def test_spread_points_skip_the_clamp(self):
         y, _ = _descent_input(40, 1, 1e6, 0)
-        scale, clamp = _student_t(y, _Buffers(40))
+        _, clamp = _student_t(y, _Buffers(40))
         assert not clamp
 
-    @pytest.mark.parametrize("block, eps", [(1 << 16, 1e-12), (77, 1e-12),
-                                            (1 << 16, 1e-3), (31, 1e-3)])
-    def test_descent_matches_the_clamped_descent(self, block, eps):
-        """A run in several row blocks and one in a single block, with Q's
-        clamp skipped by the bound, and with a floor high enough that it
-        clamps entries at most steps."""
+    @pytest.mark.parametrize("eps", [1e-12, 1e-3])
+    def test_descent_matches_the_clamped_descent(self, eps):
+        """A run with Q's clamp skipped by the bound, and one with a floor
+        high enough that it clamps entries at most steps."""
         matrix = make_matrix(
             np.random.default_rng(7).standard_normal((26, 6)))
         params = TsneParams(perplexity=4.0, iterations=160,
@@ -409,8 +408,7 @@ class TestDescentOracle:
             return out
 
         real = projection._student_t
-        with mock.patch.object(projection, "_BLOCK", block), \
-                mock.patch.object(projection, "_EPS", eps), \
+        with mock.patch.object(projection, "_EPS", eps), \
                 mock.patch.object(projection, "_student_t", spy):
             result = tsne(matrix, params)
         points, trace = clamped_tsne(matrix, params, eps)
