@@ -8,7 +8,7 @@ documents, or a ``.npy`` matrix with a JSON index) stamped with the digest
 of the effective config; the run loop appends its counts and status to the
 run log. Under ``all`` there are two in-memory hand-offs instead of
 re-parsing what a stage just wrote: ``embed`` takes the shards ``sample``
-drew, and the stages after ``simmat`` take the matrix it built. With an
+drew, and later stages take the matrix ``simmat`` built or imported. With an
 ``endpoint``, ``sample`` also sends each language's batches to the
 embedding service as soon as it is drawn, and the vectors go straight into
 the temporary file of ``embed``'s store; ``embed`` finishes that store, or
@@ -372,23 +372,20 @@ def _keep(cfg: PipelineConfig, matrix: SimilarityMatrix) -> SimilarityMatrix:
 
 
 def stage_simmat(cfg: PipelineConfig, ws: Path) -> dict:
-    reps = load_representations(
-        _require(ws, "representations.npy", "representations.json"))
-    matrix = build_matrix(reps)
+    if cfg.matrix:  # imported in place of the representations' matrix
+        matrix = load_matrix(cfg.matrix)
+    else:
+        matrix = build_matrix(load_representations(
+            _require(ws, "representations.npy", "representations.json")))
     path = ws / "simmat.json"
-    _write_json(path, matrix.to_json(), cfg.digest())
-    if not cfg.matrix:  # with a `matrix` file, the later stages read that
-        _keep(cfg, matrix)
+    _write_json(path, _keep(cfg, matrix).to_json(), cfg.digest())
     return {"languages": len(matrix), "bytes_written": path.stat().st_size}
 
 
 def _load_simmat(cfg: PipelineConfig, ws: Path) -> SimilarityMatrix:
-    """The run's similarity matrix: the `matrix` file if the config names
-    one, else the workspace's; read once per run and kept."""
+    """The matrix `simmat` kept in this run, or else read and kept now."""
     if cfg._matrix is not None:
         return cfg._matrix
-    if cfg.matrix:
-        return _keep(cfg, load_matrix(cfg.matrix))
     path = _require(ws, "simmat.json")
     doc = load_json(path, SimilarityMatrix.document)
     return _keep(cfg, SimilarityMatrix.from_json(doc, source=path))
@@ -498,19 +495,19 @@ STAGES = (
           ("matrix",), ("representations.npy", "representations.json"),
           ("simmat.json",)),
     Stage("cluster", stage_cluster, "agglomerate into a dendrogram",
-          ("matrix",), ("simmat.json",), ("dendrogram.json",)),
+          (), ("simmat.json",), ("dendrogram.json",)),
     Stage("partition", stage_partition,
           "emit corpus-partition manifest(s) with pivots",
-          ("matrix", "k", "sweep", "seed", "allow_missing", "corpus_root",
+          ("k", "sweep", "seed", "allow_missing", "corpus_root",
            "embeddings", "endpoint"),
           ("simmat.json", "dendrogram.json"), ("manifest_k<K>.json",)),
     Stage("analyze", stage_analyze,
           "lexical correlation, family purity, syntax agreement",
-          ("matrix", "k", "registry", "lexical_table"),
+          ("k", "registry", "lexical_table"),
           ("simmat.json",), ("analysis.json",)),
     Stage("project", stage_project,
           "t-SNE to 2-D and render the labeled scatter plot",
-          ("matrix", "tsne", "seed", "registry", "color_by", "point_radius",
+          ("tsne", "seed", "registry", "color_by", "point_radius",
            "font_size"),
           ("simmat.json",), ("projection.json", "projection.svg")),
 )
@@ -543,6 +540,8 @@ class _StageConfig:
 def run(subcommand: str, cfg: PipelineConfig) -> None:
     ws = cfg.workspace()
     stages = [s for s in STAGES if subcommand in ("all", s.name)]
+    if subcommand == "all" and cfg.matrix:  # `simmat` imports the matrix
+        stages = stages[STAGE_ORDER.index("simmat"):]
     if any("color_by" in s.keys for s in stages):
         # a setting that fails without data fails first
         check_plot_settings(cfg.load_registry(), cfg.color_by)
@@ -554,8 +553,8 @@ def run(subcommand: str, cfg: PipelineConfig) -> None:
     with _WorkspaceLock(ws):
         cfg._fetch = (_Fetch(StoreWriter(ws / "embeddings.npy"),
                              cfg.endpoint, cfg.batch)
-                      if subcommand == "all" and cfg.endpoint
-                      and not cfg.embeddings else None)
+                      if {"sample", "embed"} <= {s.name for s in stages}
+                      and cfg.endpoint and not cfg.embeddings else None)
         try:
             for stage in stages:
                 try:

@@ -93,8 +93,8 @@ def cosine_matrix(vectors: np.ndarray,
     """Pairwise cosine of row vectors, through unit vectors.
 
     Each entry is one ``np.vecdot`` of two unit rows, so no bit depends on
-    the BLAS thread count. Each pair is taken from the upper triangle and
-    mirrored, the diagonal is exactly 1.0, and values are clamped into
+    the BLAS thread count. Each row of the upper triangle is one call, and
+    mirrored; the diagonal is exactly 1.0, and values are clamped into
     [-1, 1]. A zero row is an error naming it by ``names`` when given, else
     by its index.
     """
@@ -105,9 +105,9 @@ def cosine_matrix(vectors: np.ndarray,
         which = f"representation for {names[i]!r}" if names else f"row {i}"
         raise ValidationError(f"{which} has zero norm")
     unit = v / norms[:, None]
-    upper = np.triu(np.vecdot(unit[:, None, :], unit[None, :, :]), k=1)
-    values = upper + upper.T
-    np.fill_diagonal(values, 1.0)
+    values = np.eye(len(unit))
+    for i, row in enumerate(unit[:-1]):  # each pair once, then mirrored
+        values[i, i + 1:] = values[i + 1:, i] = np.vecdot(row, unit[i + 1:])
     np.clip(values, -1.0, 1.0, out=values)
     return values
 

@@ -47,7 +47,8 @@ def test_lexical_correlation_via_analyze(tmp_path):
         "out": str(tmp_path / "ws"),
     }), encoding="utf-8")
     start = time.perf_counter()
-    rc = cli.main(["analyze", "--config", str(cfg)])
+    rc = cli.main(["simmat", "--config", str(cfg)]) or \
+        cli.main(["analyze", "--config", str(cfg)])
     elapsed = time.perf_counter() - start
     doc = json.loads((tmp_path / "ws" / "analysis.json").read_text())
     result = doc["report"]["pearson_lexical"]

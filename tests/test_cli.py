@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from sprachbund.errors import ValidationError
 from sprachbund.projection import TsneParams
 from sprachbund.registry import (LexicalSimilarityTable, Registry,
                                  check_document)
-from sprachbund.simmatrix import SimilarityMatrix
+from sprachbund.simmatrix import SimilarityMatrix, cosine_matrix
 
 
 @pytest.fixture
@@ -304,7 +305,8 @@ class TestStageOrder:
         cfg.write_text(json.dumps({
             "matrix": str(data.path("embedding_similarity.json")),
             "tsne": {"perplexity": 2.0}, "out": str(tmp_path / "ws")}))
-        assert cli.main(["project", "--config", str(cfg)]) == 0
+        for stage in ("simmat", "project"):
+            assert cli.main([stage, "--config", str(cfg)]) == 0, stage
         doc = json.loads((tmp_path / "ws" / "projection.json").read_text())
         assert doc["languages"] == list(
             cli.load_matrix(data.path("embedding_similarity.json")).languages)
@@ -328,6 +330,26 @@ def readme_stage_table() -> list[tuple[tuple[str, ...], ...]]:
         rows.append(tuple(tuple(re.findall(r"`([^`]+)`", cell))
                           for cell in line.strip("|").split("|")))
     return rows
+
+
+def test_readme_lexical_correlation_recipe(tmp_path, monkeypatch):
+    """The README's recipe for the 8-language lexical correlation, run in a
+    scratch directory, through `cli.main` for each `sprachbund` line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"lexical-similarity correlation directly.*?```bash\n"
+                      r"(.*?)```", readme, re.S).group(1)
+    script, commands = re.fullmatch(
+        r"python - <<'EOF'\n(.*?)EOF\n(.*)", block, re.S).groups()
+    monkeypatch.chdir(tmp_path)
+    exec(script, {})
+    for line in commands.splitlines():
+        program, *args = shlex.split(line)
+        assert program == "sprachbund" and cli.main(args) == 0, line
+    result = json.loads((tmp_path / "analysis_workspace" / "analysis.json")
+                        .read_text())["report"]["pearson_lexical"]
+    assert result["pair_count"] == 15
+    assert result["r"] == pytest.approx(0.83, abs=0.03)
 
 
 def snapshot(ws: Path) -> dict[str, tuple[int, int, int]]:
@@ -432,8 +454,7 @@ class TestStageTable:
             return real(cfg, ws)
 
         monkeypatch.setitem(cli._STAGES, "cluster", cluster)
-        cfg = str(demo_config(
-            matrix=str(data.path("embedding_similarity.json"))))
+        cfg = str(demo_config())
         with pytest.raises(AttributeError, match=(
                 f"stage 'cluster' reads config field '{key}', which its "
                 f"Stage record does not declare")):
@@ -461,7 +482,8 @@ class TestAnalyze:
             "matrix": str(data.path("embedding_similarity.json")),
             "out": str(tmp_path / "ws"),
         }), encoding="utf-8")
-        assert cli.main(["analyze", "--config", str(cfg)]) == 0
+        for stage in ("simmat", "analyze"):
+            assert cli.main([stage, "--config", str(cfg)]) == 0, stage
         report = json.loads(
             (tmp_path / "ws" / "analysis.json").read_text())["report"]
         assert report["pearson_lexical"]["r"] == pytest.approx(0.83, abs=0.03)
@@ -524,17 +546,25 @@ class TestMatrixHandOff:
         assert cli.main(["cluster", "--config", cfg]) == 0
         assert [Path(source).name for source in calls] == ["simmat.json"]
 
+    @pytest.mark.parametrize("source", ["no-matrix", "matrix"])
     def test_all_equals_the_stages_run_one_by_one(self, demo_config,
-                                                  tmp_path):
-        assert cli.main(["all", "--config",
-                         str(demo_config(out=str(tmp_path / "all")))]) == 0
-        cfg = str(demo_config(out=str(tmp_path / "stages")))
-        for stage in cli.STAGE_ORDER:
+                                                  tmp_path, source):
+        """With a `matrix` file, `all` and the stages alike start at
+        `simmat`."""
+        overrides = ({"matrix": str(data.path("embedding_similarity.json"))}
+                     if source == "matrix" else {})
+        assert cli.main(["all", "--config", str(demo_config(
+            out=str(tmp_path / "all"), **overrides))]) == 0
+        cfg = str(demo_config(out=str(tmp_path / "stages"), **overrides))
+        first = cli.STAGE_ORDER.index("simmat") if overrides else 0
+        for stage in cli.STAGE_ORDER[first:]:
             assert cli.main([stage, "--config", cfg]) == 0
         assert artifacts_in(tmp_path / "all") == artifacts_in(tmp_path / "stages")
 
     def test_all_feeds_the_matrix_file_to_later_stages(self, demo_config,
                                                        tmp_path, monkeypatch):
+        """`simmat` imports the file as `simmat.json`, and every later stage
+        gets its bits; the stages that would build a matrix do not run."""
         matrix_file = data.path("embedding_similarity.json")
         seen = {}
         for name in ("agglomerate", "sweep", "build_report", "project"):
@@ -545,12 +575,54 @@ class TestMatrixHandOff:
         assert cli.main(["all", "--config",
                          str(demo_config(matrix=str(matrix_file)))]) == 0
         expected = cli.load_matrix(matrix_file)
-        built = json.loads((tmp_path / "ws" / "simmat.json").read_text())
-        assert tuple(built["languages"]) != expected.languages
+        ws = tmp_path / "ws"
+        imported = SimilarityMatrix.from_json(
+            json.loads((ws / "simmat.json").read_text()))
+        assert imported.languages == expected.languages
+        assert imported.values.tobytes() == expected.values.tobytes()
         assert sorted(seen) == ["agglomerate", "build_report", "project", "sweep"]
         for matrix in seen.values():
             assert matrix.languages == expected.languages
-            assert np.array_equal(matrix.values, expected.values)
+            assert matrix.values.tobytes() == expected.values.tobytes()
+        assert sorted(p.name for p in ws.iterdir()) == [
+            "analysis.json", "dendrogram.json", "manifest_k2.json",
+            "projection.json", "projection.svg", "run.log", "simmat.json"]
+
+    def test_all_runs_from_the_matrix_file_alone(self, tmp_path):
+        """No corpus, embeddings or service: `all` starts at `simmat`, and
+        `partition` lists every language as allowed to lack a shard. The
+        matrix covers the registry's 108 languages, enough for the default
+        perplexity."""
+        codes = cli.bundled_registry().codes
+        vectors = np.random.default_rng(3).standard_normal((len(codes), 16))
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({
+            "languages": list(codes),
+            "values": cosine_matrix(vectors).tolist()}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"matrix": str(matrix),
+                                   "allow_missing": list(codes),
+                                   "out": str(tmp_path / "ws")}))
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        log = (tmp_path / "ws" / "run.log").read_text()
+        assert [line.split()[1] for line in log.splitlines()
+                if "status=ok" in line] == list(
+                    cli.STAGE_ORDER[cli.STAGE_ORDER.index("simmat"):])
+
+    def test_all_with_a_matrix_file_builds_no_fetch(self, demo_config,
+                                                    tmp_path, monkeypatch):
+        """`embed` does not run, so no store is begun for its fetch, and the
+        endpoint is never called."""
+        writers = []
+        monkeypatch.setattr(cli, "StoreWriter",
+                            lambda *args: writers.append(args))
+        cfg = str(demo_config(
+            embeddings=None, endpoint="http://127.0.0.1:9",
+            matrix=str(data.path("embedding_similarity.json"))))
+        assert cli.main(["all", "--config", cfg]) == 0
+        assert writers == []
+        assert not [p.name for p in (tmp_path / "ws").iterdir()
+                    if p.name.startswith((".", "embeddings."))]
 
     @pytest.mark.parametrize("source", ["built", "simmat.json", "matrix"])
     def test_kept_matrix_is_read_only(self, demo_config, tmp_path, source):
@@ -832,13 +904,16 @@ class TestErrors:
         assert cli.main(["embed", "--config", str(cfg)]) == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_missing_matrix_file_exits_2(self, tmp_path):
+    def test_missing_matrix_file_exits_2(self, tmp_path, capsys):
+        matrix = tmp_path / "no_such_matrix.json"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "matrix": str(tmp_path / "no_such_matrix.json"),
+            "matrix": str(matrix),
             "out": str(tmp_path / "ws"),
         }), encoding="utf-8")
-        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        assert cli.main(["simmat", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"sprachbund: error: {matrix}: not found\n")
 
     def test_unreachable_endpoint_exits_3(self, demo_config, tmp_path, capsys):
         cfg = demo_config(embeddings=None, endpoint="http://127.0.0.1:9")
@@ -1059,7 +1134,7 @@ class TestDamagedArtifacts:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"matrix": str(matrix),
                                    "out": str(tmp_path / "ws")}))
-        assert cli.main(["cluster", "--config", str(cfg)]) == 2
+        assert cli.main(["simmat", "--config", str(cfg)]) == 2
         assert "expected a JSON object, got int" in capsys.readouterr().err
 
     @staticmethod
@@ -1077,19 +1152,24 @@ class TestDamagedArtifacts:
             "matrix": str(self.matrix_with(tmp_path, 1.0000000001)),
             "tsne": {"perplexity": 2.0, "iterations": 300},
             "out": str(tmp_path / "ws")}))
-        for stage in ("cluster", "project"):
+        for stage in ("simmat", "cluster", "project"):
             assert cli.main([stage, "--config", str(cfg)]) == 0, stage
+        simmat = json.loads((tmp_path / "ws" / "simmat.json").read_text())
+        assert simmat["values"][0][2] == simmat["values"][2][0] == 1.0
 
     @pytest.mark.parametrize("stage", ["cluster", "project"])
     def test_similarity_past_one_exits_2_naming_file_and_pair(
             self, tmp_path, capsys, stage):
+        """`simmat` refuses the file, so a later stage finds no matrix."""
         matrix = self.matrix_with(tmp_path, 1.01)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"matrix": str(matrix),
                                    "out": str(tmp_path / "ws")}))
-        assert cli.main([stage, "--config", str(cfg)]) == 2
+        assert cli.main(["simmat", "--config", str(cfg)]) == 2
         assert (f"{matrix}: similarity of ('ca', 'fr') is 1.01, "
                 f"outside [-1, 1]") in capsys.readouterr().err
+        assert cli.main([stage, "--config", str(cfg)]) == 2
+        assert "missing input simmat.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("code", [2, None])
     def test_language_that_is_not_a_string_exits_2(self, tmp_path, capsys,
@@ -1101,8 +1181,8 @@ class TestDamagedArtifacts:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"matrix": str(matrix), "k": 2,
                                    "out": str(tmp_path / "ws")}))
-        for stage in ("cluster", "partition"):
-            assert cli.main([stage, "--config", str(cfg)]) == 2, stage
+        for command in ("simmat", "all"):
+            assert cli.main([command, "--config", str(cfg)]) == 2, command
             assert capsys.readouterr().err == (
                 f"sprachbund: error: {matrix}: languages[1] must be a "
                 f"string, got {json.dumps(code)}\n")
@@ -1202,7 +1282,7 @@ class TestUnreadableInputs:
     be, exits 2 with a message naming it, never with a traceback."""
 
     STAGE = {"config": "sample", "registry": "sample",
-             "lexical_table": "analyze", "matrix": "cluster",
+             "lexical_table": "analyze", "matrix": "simmat",
              "embeddings": "embed", "simmat.json": "cluster"}
     NOT_UTF8 = {
         "embeddings": b'{"v": 1, "dim": 2}\n{"lang": "caf\xe9", "id": 0, '
@@ -1226,6 +1306,8 @@ class TestUnreadableInputs:
         config.write_text(json.dumps(cfg), encoding="utf-8")
         if which == "embeddings":
             assert cli.main(["sample", "--config", str(config)]) == 0
+        if which == "lexical_table":  # analyze reads the imported matrix
+            assert cli.main(["simmat", "--config", str(config)]) == 0
         if which == "config":
             bad = config
             bad.unlink()
@@ -1320,7 +1402,8 @@ class TestIllTypedMatrixAndDendrogram:
         doc["values"][0][2] = doc["values"][2][0] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
-        assert cli.main(["cluster", "--config", cfg]) == 2
+        stage = "simmat" if source == "matrix-file" else "cluster"
+        assert cli.main([stage, "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             f"sprachbund: error: {path}: values[0][2] must be a number, "
             f"got {shown}\n")
@@ -1545,7 +1628,7 @@ class TestNumberBeyondFloat:
     def test_input_integer_exits_2(self, demo_config, tmp_path, which, entries,
                                    message, numbers):
         """An integer beyond float range, or Infinity, in the lexical table
-        or the `--matrix` file is refused as not finite, naming the entry;
+        or the `matrix` file is refused as not finite, naming the entry;
         so are two such integers whose sum is 0, first in their column."""
         source = {"lexical_table": "lexical_similarity.json",
                   "matrix": "embedding_similarity.json"}[which]

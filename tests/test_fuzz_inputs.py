@@ -50,7 +50,7 @@ TARGETS = {
     "registry": ("registry.json", "all", "registry", (), (
         ("languages", "*", "family"), ("languages", "*", "syntax"))),
     "lexical_table": ("lexical.json", "analyze", "lexical_table", (), ()),
-    "matrix": ("matrix.json", "cluster", "matrix", (("v",),), ()),
+    "matrix": ("matrix.json", "simmat", "matrix", (("v",),), ()),
     "embeddings": ("embeddings.jsonl", "embed", "embeddings", (), ()),
     "sampled.json": ("ws/sampled.json", "embed", None,
                      (("policy",), ("config_digest",)), ()),
