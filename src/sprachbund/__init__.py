@@ -18,47 +18,47 @@ import os
 # submodule imports numpy; a value the user has set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .analysis import (AnalysisReport, build_report, family_purity,
-                       lexical_correlation, syntax_agreement)
-from .cluster import (Dendrogram, SprachbundAssignment, agglomerate, cut,
-                      random_baseline, silhouette)
-from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
-from .embedding import (FetchStats, LanguageRepresentation,
-                        StoredEmbeddingSet, StoreWriter, centroid,
-                        centroid_all, fetch_embeddings, load_embeddings,
-                        load_representations, write_embeddings,
-                        write_representations)
-from .errors import (PartialEmbeddingError, ServiceError, SprachbundError,
-                     UsageError, ValidationError)
-from .partition import PartitionManifest, build_manifest, select_pivot, sweep
-from .projection import (Projection2D, TsneParams, TsneResult,
-                         conditional_affinities, emit_plot, joint_affinities,
-                         minmax_normalize, project, tsne)
-from .registry import (LanguageRecord, LexicalSimilarityTable, Registry,
-                       bundled_lexical_table, bundled_registry, load_lexical_table,
-                       load_registry, validate_feature_labels)
-from .simmatrix import (SimilarityMatrix, build_matrix,
-                        bundled_embedding_similarity, load_matrix,
-                        paired_similarity_vectors, pearson)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport", "CorpusShard", "Dendrogram", "FetchStats", "LanguageRecord",
-    "LanguageRepresentation", "LexicalSimilarityTable", "PartialEmbeddingError",
-    "PartitionManifest", "Projection2D", "Registry", "SamplingPolicy",
-    "ServiceError", "SimilarityMatrix",
-    "SprachbundAssignment", "SprachbundError", "StoreWriter",
-    "StoredEmbeddingSet", "TsneParams", "TsneResult",
-    "UsageError", "ValidationError", "agglomerate", "build_manifest",
-    "build_matrix", "build_report", "bundled_embedding_similarity",
-    "bundled_lexical_table", "bundled_registry", "centroid", "centroid_all",
-    "conditional_affinities", "corpus_stats", "cut", "emit_plot", "family_purity", "fetch_embeddings", "ingest_shard",
-    "joint_affinities", "lexical_correlation", "load_embeddings",
-    "load_lexical_table", "load_matrix", "load_registry",
-    "load_representations", "minmax_normalize", "paired_similarity_vectors",
-    "pearson", "project",
-    "random_baseline", "sample",
-    "select_pivot", "silhouette", "sweep", "syntax_agreement", "tsne",
-    "validate_feature_labels", "write_embeddings", "write_representations",
-]
+# Each public name's home module. A name is imported from its home on first
+# access (PEP 562), so `import sprachbund` loads no numpy and no submodule.
+_HOMES = {
+    "analysis": ("AnalysisReport", "build_report", "family_purity",
+                 "lexical_correlation", "syntax_agreement"),
+    "cluster": ("Dendrogram", "SprachbundAssignment", "agglomerate", "cut",
+                "random_baseline", "silhouette"),
+    "corpus": ("CorpusShard", "SamplingPolicy", "corpus_stats",
+               "ingest_shard", "sample"),
+    "embedding": ("FetchStats", "LanguageRepresentation",
+                  "StoredEmbeddingSet", "StoreWriter", "centroid",
+                  "centroid_all", "fetch_embeddings", "load_embeddings",
+                  "load_representations", "write_embeddings",
+                  "write_representations"),
+    "errors": ("PartialEmbeddingError", "ServiceError", "SprachbundError",
+               "UsageError", "ValidationError"),
+    "partition": ("PartitionManifest", "build_manifest", "select_pivot",
+                  "sweep"),
+    "projection": ("Projection2D", "TsneParams", "TsneResult",
+                   "conditional_affinities", "emit_plot", "joint_affinities",
+                   "minmax_normalize", "project", "tsne"),
+    "registry": ("LanguageRecord", "LexicalSimilarityTable", "Registry",
+                 "bundled_lexical_table", "bundled_registry",
+                 "load_lexical_table", "load_registry",
+                 "validate_feature_labels"),
+    "simmatrix": ("SimilarityMatrix", "build_matrix",
+                  "bundled_embedding_similarity", "load_matrix",
+                  "paired_similarity_vectors", "pearson"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -33,21 +34,47 @@ from pathlib import Path
 from typing import Annotated, Callable
 
 from . import __version__
-from .analysis import build_report
-from .cluster import Dendrogram, agglomerate, cut
-from .corpus import CorpusShard, SamplingPolicy, corpus_stats, ingest_shard, sample
-from .embedding import (FetchStats, StoreWriter, StoredEmbeddingSet,
-                        centroid_all, fetch_embeddings, load_embeddings,
-                        load_representations, write_embeddings,
-                        write_representations)
 from .errors import ServiceError, SprachbundError, UsageError, ValidationError
-from .partition import sweep
-from .projection import TsneParams, check_plot_settings, emit_plot, project
-from .registry import (Registry, bundled_lexical_table, bundled_registry,
-                       check_document, load_json, load_lexical_table,
-                       load_registry, naming, read_json, replacing,
-                       write_json)
-from .simmatrix import SimilarityMatrix, build_matrix, load_matrix
+
+# The names the stages use, by home module. `_bind` imports them once a
+# command reads its config, before the first stage runs, and `__getattr__`
+# on their first access from outside; `--version`, `--help` and a usage
+# error load no numpy and no stage module.
+_DEFERRED = {
+    "analysis": ("build_report",),
+    "cluster": ("Dendrogram", "agglomerate", "cut"),
+    "corpus": ("CorpusShard", "SamplingPolicy", "corpus_stats",
+               "ingest_shard", "sample"),
+    "embedding": ("FetchStats", "StoreWriter", "StoredEmbeddingSet",
+                  "centroid_all", "fetch_embeddings", "load_embeddings",
+                  "load_representations", "write_embeddings",
+                  "write_representations"),
+    "partition": ("sweep",),
+    "projection": ("TsneParams", "check_plot_settings", "check_tsne_bounds",
+                   "emit_plot", "project"),
+    "registry": ("Registry", "bundled_lexical_table", "bundled_registry",
+                 "check_document", "load_json", "load_lexical_table",
+                 "load_registry", "naming", "read_json", "replacing",
+                 "write_json"),
+    "simmatrix": ("SimilarityMatrix", "build_matrix", "load_matrix"),
+}
+
+
+def _bind() -> None:
+    """Import the stage modules and bind their names here. A name already
+    bound is kept, so a caller's replacement of it stays in force."""
+    for module, names in _DEFERRED.items():
+        home = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _DEFERRED.values()):
+        _bind()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 AUTH_TOKEN_ENV = "SPRACHBUND_TOKEN"
 
@@ -114,6 +141,7 @@ class PipelineConfig:
 
 def load_config(path: str | Path) -> dict:
     """The config file's keys, declared by :class:`PipelineConfig`."""
+    _bind()
     doc = read_json(path)
     doc.pop("v", None)
     check_document(doc, PipelineConfig, path)
@@ -123,6 +151,7 @@ def load_config(path: str | Path) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Config file first, then flags override (a ``command line`` doc)."""
+    _bind()
     cfg = PipelineConfig()
     if args.config:
         cfg = replace(cfg, **load_config(args.config))
@@ -245,7 +274,7 @@ class _Fetch:
     batch: int
     auth_token: str | None = field(
         default_factory=lambda: os.environ.get(AUTH_TOKEN_ENV))
-    stats: FetchStats = field(default_factory=FetchStats)
+    stats: FetchStats = field(default_factory=lambda: FetchStats())
     sets: list[StoredEmbeddingSet] | None = None
     error: SprachbundError | None = None
 
@@ -538,6 +567,7 @@ class _StageConfig:
 
 
 def run(subcommand: str, cfg: PipelineConfig) -> None:
+    _bind()
     ws = cfg.workspace()
     stages = [s for s in STAGES if subcommand in ("all", s.name)]
     if subcommand == "all" and cfg.matrix:  # `simmat` imports the matrix
@@ -569,6 +599,14 @@ def run(subcommand: str, cfg: PipelineConfig) -> None:
                         f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                         for k, v in counts.items()]))
                 _log(ws, f"{stage.name} digest={digest} status=ok")
+                if stage.name == "simmat" and stages[-1].name == "project":
+                    try:  # M is known: fail before a later stage writes
+                        check_tsne_bounds(len(cfg._matrix),
+                                          cfg.tsne_params().perplexity)
+                    except ValidationError as exc:
+                        _log(ws, f"project digest={digest} status=error: "
+                                 f"{exc}")
+                        raise
         finally:
             if cfg._fetch is not None:  # a stage before `embed` failed
                 cfg._fetch.writer.discard()

@@ -293,6 +293,17 @@ def _initial_points(m: int, params: TsneParams) -> np.ndarray:
     return y
 
 
+def check_tsne_bounds(m: int, perplexity: float) -> None:
+    """Reject M points that t-SNE cannot embed at ``perplexity``: it needs
+    at least 4 points and perplexity < (M - 1) / 3."""
+    if m < 4:
+        raise ValidationError(f"t-SNE needs at least 4 points, got {m}")
+    if perplexity >= (m - 1) / 3.0:
+        raise ValidationError(
+            f"perplexity {perplexity} too large for {m} points; "
+            f"needs perplexity < {(m - 1) / 3.0:.2f}")
+
+
 def tsne(matrix: SimilarityMatrix,
          params: TsneParams = TsneParams()) -> TsneResult:
     """Exact t-SNE of a similarity matrix's languages down to 2-D.
@@ -302,12 +313,7 @@ def tsne(matrix: SimilarityMatrix,
     perplexity < (M - 1) / 3.
     """
     m = len(matrix)
-    if m < 4:
-        raise ValidationError(f"t-SNE needs at least 4 points, got {m}")
-    if params.perplexity >= (m - 1) / 3.0:
-        raise ValidationError(
-            f"perplexity {params.perplexity} too large for {m} points; "
-            f"needs perplexity < {(m - 1) / 3.0:.2f}")
+    check_tsne_bounds(m, params.perplexity)
     # the largest distance 1 - v is 1 - min(v): rounding is monotonic
     if float(matrix.values.min()) == 1.0:
         raise ValidationError("degenerate input: all points are identical")

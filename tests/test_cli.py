@@ -285,6 +285,87 @@ class TestAllPipeline:
         assert set(doc["params"]) == set(TsneParams.__dataclass_fields__)
 
 
+class TestImportOnFirstUse:
+    """The package and the CLI import a module only when a name from it is
+    first used, so printing the version, the help or a usage error loads no
+    numpy and no stage module."""
+
+    # every module of the package but the CLI itself, its errors and
+    # `__init__`
+    STAGE_MODULES = sorted(
+        f"sprachbund.{p.stem}" for p in Path(cli.__file__).parent.glob("*.py")
+        if p.stem not in ("__init__", "cli", "errors"))
+
+    # runs `python -m sprachbund.cli ARGS`, then prints its exit code and the
+    # modules it loaded
+    PROBE = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('sprachbund.cli', run_name='__main__',\n"
+             "                     alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    print('exit', exc.code)\n"
+             "print('loaded', *sorted(m for m in sys.modules if m == 'numpy'\n"
+             "                        or m.startswith('sprachbund.')))\n")
+
+    @pytest.mark.parametrize("args, rc, out", [
+        (["--version"], 0, cli.__version__),
+        (["--help"], 0, "usage: sprachbund"),
+        ([], 1, ""),
+    ], ids=["version", "help", "no-subcommand"])
+    def test_cli_start_loads_no_numpy_and_no_stage_module(self, args, rc,
+                                                          out):
+        proc = _python(["-c", self.PROBE, *args], None)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-2:-1] == [f"exit {rc}"]
+        assert proc.stdout.startswith(out)
+        loaded = set(lines[-1].split()[1:])
+        assert "sprachbund.errors" in loaded
+        assert not loaded & {"numpy", *self.STAGE_MODULES}, loaded
+        if rc:
+            assert proc.stderr.startswith(
+                "sprachbund: error: a subcommand is required")
+
+    def test_import_loads_no_numpy(self):
+        proc = _python(["-c", "import sys, sprachbund\n"
+                              "print('numpy' in sys.modules,\n"
+                              "      [m for m in sys.modules\n"
+                              "       if m.startswith('sprachbund.')])"], None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "[]"]
+
+    def test_every_public_name_is_its_home_modules_object(self):
+        import sprachbund
+        assert len(sprachbund.__all__) == len(set(sprachbund.__all__))
+        for name in sprachbund.__all__:
+            value = getattr(sprachbund, name)
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("sprachbund.")
+            assert getattr(home, name) is value, name
+        namespace = {}
+        exec("from sprachbund import *", namespace)
+        assert {name: namespace[name] for name in sprachbund.__all__} == {
+            name: getattr(sprachbund, name) for name in sprachbund.__all__}
+
+    def test_unknown_name_raises_attribute_error(self):
+        import sprachbund
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            sprachbund.no_such_name
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            cli.no_such_name
+        with pytest.raises(ImportError):
+            exec("from sprachbund import no_such_name", {})
+
+    def test_cli_names_are_the_stage_modules_objects(self):
+        """A name the CLI binds on first use is its home module's object,
+        so a caller that reads or replaces `cli.<name>` sees what the
+        stages call."""
+        from sprachbund import embedding, partition, registry
+        assert cli.sweep is partition.sweep
+        assert cli.write_json is registry.write_json
+        assert cli.StoreWriter is embedding.StoreWriter
+
+
 class TestStageOrder:
     def test_cluster_without_upstream_artifacts_exits_2(self, tmp_path, capsys):
         rc = cli.main(["cluster", "--out", str(tmp_path / "empty")])
@@ -332,20 +413,47 @@ def readme_stage_table() -> list[tuple[tuple[str, ...], ...]]:
     return rows
 
 
+def _run_readme_recipe(lead: str) -> dict[str, str]:
+    """Run the README's ```bash block after the text ``lead`` in the current
+    directory: its Python heredoc, then each `sprachbund` line through
+    `cli.main`. Returns the text each `cat` line prints, by path."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(re.escape(lead) + r".*?```bash\n(.*?)```", readme,
+                      re.S).group(1)
+    script, commands = re.fullmatch(
+        r"python - <<'EOF'\n(.*?)EOF\n(.*)", block, re.S).groups()
+    exec(script, {})
+    printed = {}
+    for line in commands.splitlines():
+        program, *args = shlex.split(line)
+        if program == "cat":
+            printed.update((path, Path(path).read_text()) for path in args)
+        else:
+            assert program == "sprachbund" and cli.main(args) == 0, line
+    return printed
+
+
+def test_readme_demo_recipe(tmp_path, monkeypatch):
+    """The README's demo recipe, run in a scratch directory, gives the split,
+    pivots and lexical correlation the README states."""
+    monkeypatch.chdir(tmp_path)
+    printed = _run_readme_recipe("Try it on the bundled demo corpus")
+    manifest = json.loads(printed["demo_workspace/manifest_k2.json"])
+    assert {tuple(c["members"]): c["pivot"]
+            for c in manifest["clusters"]} == {
+        ("ca", "es", "fr", "pt", "ro"): "ca", ("de", "en", "ru"): "de"}
+    result = json.loads((tmp_path / "demo_workspace" / "analysis.json")
+                        .read_text())["report"]["pearson_lexical"]
+    assert result["pair_count"] == 15
+    assert round(result["r"], 2) == 0.85
+
+
 def test_readme_lexical_correlation_recipe(tmp_path, monkeypatch):
     """The README's recipe for the 8-language lexical correlation, run in a
     scratch directory, through `cli.main` for each `sprachbund` line."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8")
-    block = re.search(r"lexical-similarity correlation directly.*?```bash\n"
-                      r"(.*?)```", readme, re.S).group(1)
-    script, commands = re.fullmatch(
-        r"python - <<'EOF'\n(.*?)EOF\n(.*)", block, re.S).groups()
     monkeypatch.chdir(tmp_path)
-    exec(script, {})
-    for line in commands.splitlines():
-        program, *args = shlex.split(line)
-        assert program == "sprachbund" and cli.main(args) == 0, line
+    _run_readme_recipe("lexical-similarity correlation directly")
     result = json.loads((tmp_path / "analysis_workspace" / "analysis.json")
                         .read_text())["report"]["pearson_lexical"]
     assert result["pair_count"] == 15
@@ -746,7 +854,7 @@ class TestBlasThreads:
     and so every artifact has the same bits."""
 
     # prints OPENBLAS_NUM_THREADS as numpy's import finds it, then after
-    # the package import
+    # the import of a package module that loads numpy
     PROBE = """
 import os, sys
 seen = []
@@ -755,7 +863,7 @@ class Spy:
         if name == "numpy" and not seen:
             seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 sys.meta_path.insert(0, Spy())
-import sprachbund
+import sprachbund.simmatrix
 print(seen[0], os.environ["OPENBLAS_NUM_THREADS"])
 """
 
@@ -1275,6 +1383,27 @@ class TestAllChecksProjectSettingsFirst:
         ws = tmp_path / "ws"
         assert not ws.exists() or \
             [p.name for p in ws.iterdir()] in ([], ["run.log"])
+
+    def test_perplexity_too_large_for_the_matrix_exits_2_before_cluster(
+            self, tmp_path, capsys):
+        """t-SNE's bounds on M are checked as soon as `simmat` has the
+        matrix, so `cluster`, `partition` and `analyze` write nothing: the
+        bundled 8-language matrix allows perplexity < 7 / 3, below the
+        default 30."""
+        matrix = data.path("embedding_similarity.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "matrix": str(matrix),
+            "allow_missing": json.loads(matrix.read_text())["languages"],
+            "out": str(tmp_path / "ws")}))
+        assert cli.main(["all", "--config", str(cfg)]) == 2
+        message = "perplexity 30.0 too large for 8 points; needs perplexity < 2.33"
+        assert capsys.readouterr().err == f"sprachbund: error: {message}\n"
+        ws = tmp_path / "ws"
+        assert sorted(p.name for p in ws.iterdir()) == ["run.log", "simmat.json"]
+        last = (ws / "run.log").read_text().splitlines()[-1]
+        assert last.split(" ", 1)[1].startswith("project digest=")
+        assert last.endswith(f"status=error: {message}")
 
 
 class TestUnreadableInputs:
